@@ -28,8 +28,8 @@ from .samplers import (SamplerSpec, StepCoefficients, ddim_step_coeffs,
                        run_native)
 from .schedule import (Schedule, TimeGrid, make_flow, make_grid,
                        make_vp_continuous, make_vp_linear, mixing_coeffs)
-from .search import (SearchResult, SearchSpace, energy_distance,
-                     optimize_matrix)
+from .search import (PreparedReference, SearchResult, SearchSpace,
+                     energy_distance, optimize_matrix, prepare_reference)
 
 __version__ = "0.1.0"
 

@@ -84,9 +84,13 @@ def _marginal_csv(report) -> str:
 def cmd_trace(args):
     spec = SamplerSpec(kind=args.sampler)
     s = _parse_schedule(args.schedule, spec)
-    grid = None
-    if args.grid and args.grid.startswith("explicit:"):
-        times = np.loadtxt(args.grid.split(":", 1)[1], ndmin=1)
+    grid = None  # the sampler's own trailing grid
+    if args.grid.startswith("explicit:"):
+        path = args.grid.split(":", 1)[1]
+        try:
+            times = np.loadtxt(path, ndmin=1)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         grid = sched.make_grid(s, len(times), "explicit", explicit=times)
     elif args.grid == "quadratic":
         from .samplers import default_grid
@@ -94,6 +98,9 @@ def cmd_trace(args):
             grid = default_grid(spec, s, args.steps)  # already quadratic
         else:
             grid = sched.make_grid(s, args.steps, "quadratic")
+    elif args.grid != "trailing":
+        raise ParameterError(f"unknown grid {args.grid!r}: want trailing, "
+                             "quadratic or explicit:FILE")
     m = coeffmatrix.trace_sampler(spec, s=s, grid=grid, n_evals=args.steps)
     if args.out:
         coeffmatrix.save(m, args.out)
@@ -237,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of model evaluations")
     t.add_argument("--schedule", default=None,
                    help="vp-linear[:BMIN:BMAX:T] | flow | vp-continuous[:BMIN:BMAX]")
-    t.add_argument("--grid", default=None,
+    t.add_argument("--grid", default="trailing",
                    help="trailing (default) | quadratic | explicit:FILE")
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_trace)

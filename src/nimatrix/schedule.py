@@ -219,7 +219,7 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
     if rule not in RULES:
         raise ParameterError(f"unknown grid rule {rule!r}")
     if rule == "explicit":
-        if not explicit:
+        if explicit is None or len(explicit) == 0:
             raise ParameterError("explicit rule requires a time list")
         times = tuple(float(t) for t in explicit)
         _validate_decreasing(times)

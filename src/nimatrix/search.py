@@ -19,32 +19,86 @@ from scipy.spatial.distance import cdist
 
 from .coeffmatrix import CoefficientMatrix
 from .engine import RunConfig, run_matrix
-from .errors import ParameterError, ValidationError
+from .errors import NimatrixError, ParameterError, ValidationError
 
 
-def energy_distance(a, b, max_pairs: int = 4_000_000) -> float:
+MAX_PAIRS = 4_000_000
+
+
+def _cap(max_pairs: int) -> int:
+    return max(1, int(np.sqrt(max_pairs)))
+
+
+def _points(x) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.size == 0:
+        raise ParameterError("sample sets must be non-empty")
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedReference:
+    """A reference set with its side of the energy distance precomputed.
+
+    ``subsample`` is the set ``energy_distance`` scores against and
+    ``self_term`` is its E||B - B'||; both depend only on the reference
+    and ``max_pairs`` (the value it was prepared for), so a search
+    computes them once, not once per candidate.  Build it with
+    ``prepare_reference``.
+    """
+
+    points: np.ndarray
+    subsample: np.ndarray
+    self_term: float
+    max_pairs: int
+
+
+def _prepare(points: np.ndarray, max_pairs: int, rng) -> PreparedReference:
+    cap = _cap(max_pairs)
+    sub = points
+    if points.shape[0] > cap:
+        sub = points[rng.choice(points.shape[0], cap, replace=False)]
+    return PreparedReference(points=points, subsample=sub,
+                             self_term=float(cdist(sub, sub).mean()),
+                             max_pairs=max_pairs)
+
+
+def prepare_reference(points, max_pairs: int = MAX_PAIRS) -> PreparedReference:
+    """Subsample ``points`` and compute E||B - B'|| once.
+
+    The points are copied and made read-only, so the precomputed terms
+    cannot go stale.
+    """
+    points = _points(np.array(points, dtype=np.float64))
+    points.flags.writeable = False
+    return _prepare(points, max_pairs, np.random.default_rng(0))
+
+
+def energy_distance(a, b, max_pairs: int = MAX_PAIRS) -> float:
     """2 E||A - B|| - E||A - A'|| - E||B - B'|| over sample sets.
 
-    All-pairs averages; if a set is large enough that the pair count
-    exceeds ``max_pairs`` it is subsampled deterministically.
+    All-pairs averages over at most ``floor(sqrt(max_pairs))`` rows per
+    set: a larger set is subsampled deterministically to that many rows
+    (2000 at the default, so a 2048-point reference is scored on 2000).
+    ``b`` may be a ``PreparedReference``, whose subsample and self-term
+    are reused; the result is bitwise the same as for its raw points.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ParameterError("sample sets must be non-empty")
+    a = _points(a)
+    ref = b if isinstance(b, PreparedReference) else None
+    b = ref.points if ref is not None else _points(b)
     if a.shape[1] != b.shape[1]:
         raise ParameterError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    cap = max(1, int(np.sqrt(max_pairs)))
+    cap = _cap(max_pairs)
     rng = np.random.default_rng(0)
     if a.shape[0] > cap:
         a = a[rng.choice(a.shape[0], cap, replace=False)]
-    if b.shape[0] > cap:
-        b = b[rng.choice(b.shape[0], cap, replace=False)]
-    ab = cdist(a, b).mean()
+        ref = None  # a's draw moved rng, so b's subsample is a different one
+    if ref is None or ref.max_pairs != max_pairs:
+        ref = _prepare(b, max_pairs, rng)
+    ab = cdist(a, ref.subsample).mean()
     aa = cdist(a, a).mean()
-    bb = cdist(b, b).mean()
-    return float(2.0 * ab - aa - bb)
+    return float(2.0 * ab - aa - ref.self_term)
 
 
 @dataclass(frozen=True)
@@ -125,14 +179,16 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     """Banded coordinate descent under common random numbers.
 
     Every evaluation runs the candidate matrix with the same executor
-    seed and scores it against the fixed reference set.  Candidates that
-    fail to execute are charged against the budget and skipped.  The
+    seed and scores it against the fixed reference set, whose side of
+    the energy distance is prepared once per search.  Candidates that
+    fail with a package or arithmetic error are charged against the
+    budget and skipped; any other exception propagates.  The
     first evaluation scores the (re-normalized) starting matrix, so the
     final objective never exceeds the baseline.
     """
     if budget < 0:
         raise ParameterError(f"need budget >= 0, got {budget}")
-    reference = np.asarray(reference, dtype=np.float64)
+    reference = prepare_reference(reference)
     rng = np.random.default_rng(seed)
 
     def evaluate(matrix: CoefficientMatrix) -> float:
@@ -173,7 +229,7 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
             try:
                 cand = replace(current, signal=cand_signal)
                 obj = evaluate(cand)
-            except Exception as exc:  # executor failure: charge and log
+            except (NimatrixError, ArithmeticError) as exc:  # charge, log
                 if log is not None:
                     log(f"candidate at ({i},{j}) failed: {exc}")
                 continue

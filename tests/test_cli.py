@@ -39,6 +39,25 @@ class TestTraceCheck:
         code, _, _ = run(capsys, "check", str(p))
         assert code == 4
 
+    @pytest.mark.parametrize("grid,code", [("trailing", 0), ("quadratic", 0),
+                                           ("bogus", 2), ("explicit", 2)])
+    def test_grid_values(self, capsys, grid, code):
+        got, _, stderr = run(capsys, "trace", "--sampler", "ddim",
+                             "--steps", "6", "--grid", grid)
+        assert got == code
+        if code:
+            assert "unknown grid" in stderr
+
+    @pytest.mark.parametrize("text,code", [("999\n600\n300\n", 0),
+                                           ("999\nabc\n", 4)],
+                             ids=["valid", "malformed"])
+    def test_explicit_grid_file(self, capsys, tmp_path, text, code):
+        p = tmp_path / "grid.txt"
+        p.write_text(text)
+        got, _, _ = run(capsys, "trace", "--sampler", "ddim", "--steps", "3",
+                        "--grid", f"explicit:{p}")
+        assert got == code
+
     def test_unknown_sampler_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--sampler", "heun"])

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from nimatrix.coeffmatrix import trace_sampler
+from nimatrix.engine import RunConfig, run_matrix
 from nimatrix.errors import ParameterError, ValidationError
 from nimatrix.oracles import make_predictor
 from nimatrix.samplers import SamplerSpec
-from nimatrix.search import (SearchSpace, energy_distance, optimize_matrix)
+from nimatrix.search import (SearchSpace, energy_distance, optimize_matrix,
+                             prepare_reference)
 
 
 class TestEnergyDistance:
@@ -41,6 +43,49 @@ class TestEnergyDistance:
             energy_distance(np.zeros((0, 2)), np.zeros((3, 2)))
         with pytest.raises(ParameterError):
             energy_distance(np.zeros((3, 2)), np.zeros((3, 4)))
+        with pytest.raises(ParameterError):
+            prepare_reference(np.zeros((0, 2)))
+        with pytest.raises(ParameterError):
+            energy_distance(np.zeros((3, 2)), prepare_reference(np.zeros((3, 4))))
+
+    # max_pairs=400 caps each set at 20 rows.
+    @pytest.mark.parametrize("n_a,n_b", [(12, 20), (20, 50), (30, 15), (30, 50)],
+                             ids=["both-under-cap", "b-over-cap",
+                                  "a-over-cap", "both-over-cap"])
+    def test_prepared_reference_is_bitwise_equal(self, rng, n_a, n_b):
+        a = rng.standard_normal((n_a, 2))
+        b = rng.standard_normal((n_b, 2)) + 0.2
+        ref = prepare_reference(b, max_pairs=400)
+        assert energy_distance(a, ref, max_pairs=400) == \
+            energy_distance(a, b, max_pairs=400)
+
+    def test_prepared_reference_for_other_max_pairs_is_rebuilt(self, rng):
+        a = rng.standard_normal((12, 2))
+        b = rng.standard_normal((50, 2))
+        ref = prepare_reference(b, max_pairs=400)
+        assert energy_distance(a, ref, max_pairs=900) == \
+            energy_distance(a, b, max_pairs=900)
+
+    def test_prepared_reference_owns_its_points(self, rng):
+        a = rng.standard_normal((12, 2))
+        b = rng.standard_normal((50, 2))
+        ref = prepare_reference(b, max_pairs=400)
+        expected = energy_distance(a, b, max_pairs=400)
+        b += 1.0
+        assert energy_distance(a, ref, max_pairs=400) == expected
+
+
+class _FailAfter:
+    """Delegates ``calls`` predictor calls to ``pred``, then raises ``exc``."""
+
+    def __init__(self, pred, calls, exc):
+        self.pred, self.d, self.calls, self.exc = pred, pred.d, calls, exc
+
+    def __call__(self, t, x):
+        if self.calls == 0:
+            raise self.exc
+        self.calls -= 1
+        return self.pred(t, x)
 
 
 @pytest.fixture()
@@ -103,3 +148,33 @@ class TestOptimize:
         with pytest.raises(ParameterError):
             optimize_matrix(SearchSpace(base=ddim5), pred,
                             np.zeros((4, 2)), budget=-1)
+
+    def test_best_objective_rescores_exactly(self, ddim5, ring_gmm):
+        # 2048 points exceed the default 2000-row cap, as in the CLI.
+        pred = make_predictor(ring_gmm, ddim5.schedule())
+        rng = np.random.default_rng(4)
+        comp = rng.integers(8, size=2048)
+        ref = (ring_gmm.means[comp]
+               + np.sqrt(0.02) * rng.standard_normal((2048, 2)))
+        res = optimize_matrix(SearchSpace(base=ddim5), pred, ref, budget=12,
+                              seed=2, n_samples=128)
+        samples = run_matrix(RunConfig(matrix=res.best, predictor=pred,
+                                       n=128, seed=2)).samples
+        assert res.best_objective == energy_distance(samples, ref)
+
+    def test_package_error_is_charged_and_skipped(self, ddim5, ring_gmm):
+        pred = _FailAfter(make_predictor(ring_gmm, ddim5.schedule()),
+                          ddim5.n_evals, ValidationError("bad state"))
+        logged = []
+        res = optimize_matrix(SearchSpace(base=ddim5), pred, np.zeros((16, 2)),
+                              budget=6, n_samples=32, log=logged.append)
+        assert res.evaluations == 6
+        assert len(res.objective_trace) == 1
+        assert len(logged) == 5 and "bad state" in logged[0]
+
+    def test_other_errors_propagate(self, ddim5, ring_gmm):
+        pred = _FailAfter(make_predictor(ring_gmm, ddim5.schedule()),
+                          ddim5.n_evals, TypeError("bug"))
+        with pytest.raises(TypeError):
+            optimize_matrix(SearchSpace(base=ddim5), pred, np.zeros((16, 2)),
+                            budget=6, n_samples=32)
