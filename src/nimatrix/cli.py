@@ -30,6 +30,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+DEFAULT_STEPS = 18  # trace evaluations on the trailing and quadratic grids
+
 
 def _parse_schedule(text: str | None, spec: SamplerSpec | None = None):
     if text is None:
@@ -84,6 +86,7 @@ def _marginal_csv(report) -> str:
 def cmd_trace(args):
     spec = SamplerSpec(kind=args.sampler)
     s = _parse_schedule(args.schedule, spec)
+    steps = DEFAULT_STEPS if args.steps is None else args.steps
     grid = None  # the sampler's own trailing grid
     if args.grid.startswith("explicit:"):
         path = args.grid.split(":", 1)[1]
@@ -95,13 +98,17 @@ def cmd_trace(args):
     elif args.grid == "quadratic":
         from .samplers import default_grid
         if spec.kind.startswith("deis"):
-            grid = default_grid(spec, s, args.steps)  # already quadratic
+            grid = default_grid(spec, s, steps)  # already quadratic
         else:
-            grid = sched.make_grid(s, args.steps, "quadratic")
+            grid = sched.make_grid(s, steps, "quadratic")
     elif args.grid != "trailing":
         raise ParameterError(f"unknown grid {args.grid!r}: want trailing, "
                              "quadratic or explicit:FILE")
-    m = coeffmatrix.trace_sampler(spec, s=s, grid=grid, n_evals=args.steps)
+    m = coeffmatrix.trace_sampler(spec, s=s, grid=grid, n_evals=steps)
+    if (grid is not None and grid.rule == "explicit"
+            and args.steps not in (None, m.n_evals)):
+        raise ParameterError(f"--steps {args.steps} but the grid in "
+                             f"{args.grid} gives {m.n_evals} evaluations")
     if args.out:
         coeffmatrix.save(m, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -240,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trace", help="trace a sampler into a matrix file")
     t.add_argument("--sampler", required=True, choices=KINDS)
-    t.add_argument("--steps", type=int, default=18,
-                   help="number of model evaluations")
+    t.add_argument("--steps", type=int, default=None,
+                   help=f"number of model evaluations (default "
+                   f"{DEFAULT_STEPS}; with explicit:FILE, the file's)")
     t.add_argument("--schedule", default=None,
                    help="vp-linear[:BMIN:BMAX:T] | flow | vp-continuous[:BMIN:BMAX]")
     t.add_argument("--grid", default="trailing",

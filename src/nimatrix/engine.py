@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffmatrix import CoefficientMatrix, TERMINAL_OUTPUT
-from .errors import ParameterError, ValidationError
+from .errors import NumericError, ParameterError, ValidationError
 from .schedule import Schedule, mixing_coeffs
 
 
@@ -94,6 +94,9 @@ def run_matrix(cfg: RunConfig) -> RunResult:
         if y.shape != shape:
             raise ValidationError(
                 f"predictor returned shape {y.shape}, expected {shape}")
+        if not np.isfinite(y).all():
+            raise NumericError(f"predictor returned a non-finite value at "
+                               f"row {i} (t = {m.row_times[i]!r})")
         outputs.append(y)
     samples = row_state(m.n_rows - 1)
     return RunResult(samples=samples,

@@ -10,9 +10,15 @@ Two oracle families stand in for a trained network:
   posteriors, giving a smooth predictor, an analytic marginal density,
   and therefore an analytic score for cross-checks.
 
-All exponentials run in the log domain with max subtraction: at small
-``sigma`` the squared distances reach the thousands and would underflow
-otherwise.
+The dataset posterior runs as one fused kernel.  Up to a per-state
+constant the logits are ``(c0/c1^2) x . a - (c0^2/c1^2) |a|^2 / 2``: one
+GEMM of the pre-scaled states against the atoms, minus the half squared
+atom norms that each :class:`Dataset` caches.  The row maximum is
+subtracted before the exponential, because at small ``sigma`` the logits
+reach the thousands or more and would overflow or underflow otherwise; the
+exponentials are taken in place, and the weights and the posterior mean
+are both normalised by the same row sums.  The GMM oracle keeps its
+log-domain responsibilities.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ DATASET_MAGIC = b"NIDS1"
 class Dataset:
     atoms: np.ndarray = field(repr=False)  # (n, d)
     labels: np.ndarray | None = field(default=None, repr=False)
+    # |a|^2 / 2 per atom, cached for the posterior logits
+    half_sqnorms: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.float64)
@@ -41,6 +49,9 @@ class Dataset:
         if not np.all(np.isfinite(atoms)):
             raise ValidationError("non-finite atom entry")
         object.__setattr__(self, "atoms", atoms)
+        half = 0.5 * np.einsum("ij,ij->i", atoms, atoms)
+        half.setflags(write=False)
+        object.__setattr__(self, "half_sqnorms", half)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.shape != (atoms.shape[0],):
@@ -93,54 +104,10 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
-@dataclass(frozen=True)
-class PosteriorParams:
-    """The state-induced Gaussian likelihood on x0: N(mu, sigma^2 I)."""
-
-    mu: np.ndarray
-    sigma: float
-
-
-def posterior_params(s: Schedule, t, x) -> PosteriorParams:
-    c0, c1 = mixing_coeffs(s, t)
-    if c0 <= 0.0:
-        raise ParameterError(f"posterior undefined at c0 = {c0}")
-    return PosteriorParams(mu=np.asarray(x, dtype=np.float64) / c0,
-                           sigma=c1 / c0)
-
-
 def _logsumexp(a, axis=-1, keepdims=False):
     m = np.max(a, axis=axis, keepdims=True)
     out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
     return out if keepdims else np.squeeze(out, axis=axis)
-
-
-def _log_weights_dataset(ds: Dataset, s: Schedule, t, x):
-    """Unnormalized log posterior weights; x is (d,) or (b, d).
-
-    Returns ``(log_w, degenerate)`` where log_w is normalized and
-    degenerate flags the c0 = 0 uniform limit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    c0, c1 = mixing_coeffs(s, t)
-    if c0 == 0.0:
-        log_w = np.full((xb.shape[0], ds.n), -np.log(ds.n))
-        return (log_w[0] if single else log_w), True
-    mu = xb / c0
-    sigma = c1 / c0
-    if sigma == 0.0:
-        # one-hot at the nearest atom (lowest index on ties)
-        d2 = _sqdist(mu, ds.atoms)
-        log_w = np.full_like(d2, -np.inf)
-        idx = np.argmin(d2, axis=1)
-        log_w[np.arange(d2.shape[0]), idx] = 0.0
-        return (log_w[0] if single else log_w), False
-    d2 = _sqdist(mu, ds.atoms)
-    logits = -d2 / (2.0 * sigma * sigma)
-    log_w = logits - _logsumexp(logits, axis=1, keepdims=True)
-    return (log_w[0] if single else log_w), False
 
 
 def _sqdist(a, b):
@@ -151,11 +118,39 @@ def _sqdist(a, b):
     return np.maximum(d2, 0.0)
 
 
+def _posterior_kernel(ds: Dataset, s: Schedule, t, xb):
+    """Unnormalised posterior weights over the atoms for (b, d) states.
+
+    Returns ``(e, z, degenerate)``: the (b, n) weights ``e``, their (b, 1)
+    row sums ``z``, and whether this is the c0 = 0 uniform limit.  The
+    posterior weights are ``e / z``.
+    """
+    c0, c1 = mixing_coeffs(s, t)
+    b = xb.shape[0]
+    if c0 == 0.0:
+        return np.ones((b, ds.n)), np.full((b, 1), float(ds.n)), True
+    if c1 == 0.0:
+        # one-hot at the nearest atom to x / c0 (lowest index on ties)
+        idx = np.argmax((xb / c0) @ ds.atoms.T - ds.half_sqnorms, axis=1)
+        e = np.zeros((b, ds.n))
+        e[np.arange(b), idx] = 1.0
+        return e, np.ones((b, 1)), False
+    scale = c0 / (c1 * c1)
+    e = (xb * scale) @ ds.atoms.T
+    e -= (c0 * scale) * ds.half_sqnorms
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    return e, e.sum(axis=1, keepdims=True), False
+
+
 def posterior_weights(ds: Dataset, s: Schedule, t, x,
                       return_status: bool = False):
     """Posterior probabilities over the atoms given the state x at t."""
-    log_w, degenerate = _log_weights_dataset(ds, s, t, x)
-    w = np.exp(log_w)
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    e, z, degenerate = _posterior_kernel(ds, s, t, x[None, :] if single else x)
+    e /= z
+    w = e[0] if single else e
     if return_status:
         return w, degenerate
     return w
@@ -165,8 +160,8 @@ def posterior_mean_dataset(ds: Dataset, s: Schedule, t, x):
     """Exact posterior mean E[x0 | x_t] over the atom set."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    w = posterior_weights(ds, s, t, x if not single else x[None, :])
-    out = w @ ds.atoms
+    e, z, _ = _posterior_kernel(ds, s, t, x[None, :] if single else x)
+    out = (e @ ds.atoms) / z
     return out[0] if single else out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ValidationError
+from .errors import DomainError, FormatError, ParameterError, ValidationError
 
 VP_DISCRETE = "vp-discrete"
 FLOW = "flow"
@@ -128,16 +128,30 @@ def make_vp_continuous(beta_min: float = 0.1, beta_max: float = 20.0) -> Schedul
 
 
 def make_schedule(descriptor: dict) -> Schedule:
-    """Rebuild a schedule from its ``descriptor()`` dictionary."""
-    fam = descriptor.get("family")
+    """Rebuild a schedule from its ``descriptor()`` dictionary.
+
+    A missing or ill-typed key raises :class:`FormatError`; a value out
+    of range raises :class:`ParameterError`, as from the ``make_*``
+    helpers.
+    """
+    if "family" not in descriptor:
+        raise FormatError("schedule is missing key 'family'")
+    fam = descriptor["family"]
     if fam == FLOW:
         return make_flow()
+    if fam not in (VP_DISCRETE, VP_CONTINUOUS):
+        raise ParameterError(f"unknown schedule family: {fam!r}")
+    try:
+        bmin = float(descriptor["beta_min"])
+        bmax = float(descriptor["beta_max"])
+        T = int(descriptor["T"]) if fam == VP_DISCRETE else None
+    except KeyError as exc:
+        raise FormatError(f"{fam} schedule is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed {fam} schedule: {exc}") from exc
     if fam == VP_DISCRETE:
-        return make_vp_linear(descriptor["beta_min"], descriptor["beta_max"],
-                              int(descriptor["T"]))
-    if fam == VP_CONTINUOUS:
-        return make_vp_continuous(descriptor["beta_min"], descriptor["beta_max"])
-    raise ParameterError(f"unknown schedule family: {fam!r}")
+        return make_vp_linear(bmin, bmax, T)
+    return make_vp_continuous(bmin, bmax)
 
 
 def _check_vp_discrete_time(s: Schedule, t) -> int:

@@ -58,6 +58,35 @@ class TestTraceCheck:
                         "--grid", f"explicit:{p}")
         assert got == code
 
+    @pytest.mark.parametrize("steps,code", [(None, 0), ("3", 0), ("6", 2)],
+                             ids=["omitted", "matching", "mismatch"])
+    def test_explicit_grid_steps(self, capsys, tmp_path, steps, code):
+        p = tmp_path / "grid.txt"
+        p.write_text("999\n600\n300\n")
+        out = tmp_path / "m.json"
+        argv = ["trace", "--sampler", "ddim", "--grid", f"explicit:{p}",
+                "--out", str(out)]
+        if steps is not None:
+            argv += ["--steps", steps]
+        got, _, stderr = run(capsys, *argv)
+        assert got == code
+        if code:
+            assert "--steps 6" in stderr and not out.exists()
+        else:
+            from nimatrix.coeffmatrix import load
+            assert load(out).n_evals == 3
+
+    def test_schedule_missing_key_is_format_error(self, capsys, tmp_path):
+        p = tmp_path / "p.json"
+        assert run(capsys, "presets", "export", "ddim-18",
+                   "--out", str(p))[0] == 0
+        payload = json.loads(p.read_text())
+        del payload["schedule"]["beta_min"]
+        p.write_text(json.dumps(payload))
+        code, _, stderr = run(capsys, "check", str(p))
+        assert code == 4
+        assert "beta_min" in stderr and "Traceback" not in stderr
+
     def test_unknown_sampler_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--sampler", "heun"])
@@ -79,6 +108,18 @@ class TestSample:
         assert code == 0
         rows = [r.split(",") for r in stdout.strip().splitlines()]
         assert len(rows) == 3 and len(rows[0]) == 16
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_prediction_is_numeric_error(self, capsys, tmp_path):
+        # means of 1e300 overflow the squared distances: NaN posterior means
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"weights": [0.5, 0.5],
+                                 "means": [[1e300, 0.0], [-1e300, 0.0]],
+                                 "variances": [1.0, 1.0]}))
+        code, stdout, stderr = run(capsys, "sample", "--matrix", "ddim-18",
+                                   "--predictor", f"gmm:{g}", "--n", "2")
+        assert code == 3
+        assert stdout == "" and "non-finite" in stderr
 
     def test_sample_to_dataset_file(self, capsys, tmp_path, small_dataset):
         d = tmp_path / "d.bin"

@@ -3,7 +3,7 @@ import pytest
 
 from nimatrix.coeffmatrix import trace_sampler
 from nimatrix.engine import RunConfig, over_enhance, run_matrix
-from nimatrix.errors import ParameterError, ValidationError
+from nimatrix.errors import NumericError, ParameterError, ValidationError
 from nimatrix.oracles import make_predictor
 from nimatrix.samplers import SamplerSpec
 
@@ -61,6 +61,22 @@ class TestRunMatrix:
                 return np.zeros((1, 16))
 
         with pytest.raises(ValidationError):
+            run_matrix(RunConfig(matrix=m, predictor=Bad(), n=2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_prediction_raises(self, ddim18, value):
+        m, pred = ddim18
+
+        class Bad:
+            d = 16
+
+            def __call__(self, t, x):
+                y = np.array(pred(t, x))
+                if t < 500:
+                    y[0, 3] = value
+                return y
+
+        with pytest.raises(NumericError, match="non-finite"):
             run_matrix(RunConfig(matrix=m, predictor=Bad(), n=2))
 
 

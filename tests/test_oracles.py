@@ -8,6 +8,36 @@ from nimatrix.oracles import (Dataset, GaussianMixture,
                               posterior_mean_dataset, posterior_mean_gmm,
                               posterior_weights, save_dataset,
                               score_from_x0hat)
+from nimatrix.schedule import mixing_coeffs
+
+
+def reference_weights(atoms, s, t, x):
+    """Brute-force log-domain posterior weights in extended precision:
+    direct squared distances to ``x / c0``, max-shifted log-softmax."""
+    c0, c1 = mixing_coeffs(s, t)
+    a = np.asarray(atoms, dtype=np.longdouble)
+    mu = np.atleast_2d(np.asarray(x, dtype=np.longdouble)) / c0
+    sigma2 = (np.longdouble(c1) / c0) ** 2
+    logits = -((mu[:, None, :] - a[None, :, :]) ** 2).sum(-1) / (2 * sigma2)
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def assert_matches_reference(ds, s, t, x):
+    want_w = reference_weights(ds.atoms, s, t, x)
+    want_m = want_w @ np.asarray(ds.atoms, dtype=np.longdouble)
+    w = posterior_weights(ds, s, t, x)
+    m = posterior_mean_dataset(ds, s, t, x)
+    assert np.isfinite(w).all() and np.isfinite(m).all()
+    assert float(np.abs(w - want_w).max()) <= 1e-12
+    assert float(np.abs(m - want_m).max()) <= 1e-12 * float(np.abs(want_m).max())
+    return w
+
+
+extended_precision = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="the reference needs a long double wider than float64")
 
 
 class TestDataset:
@@ -69,6 +99,49 @@ class TestPosteriorWeights:
         x = 0.999 * small_dataset.atoms[0]
         w = posterior_weights(small_dataset, flow, 0.001, x)
         assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0)
+
+
+class TestPosteriorKernel:
+    def test_tiny_noise_matches_reference(self, small_dataset, flow, rng):
+        # c0/c1^2 is about 1e6 here: the logits reach the millions and
+        # only the max subtraction keeps the exponentials finite.
+        t = 1e-3
+        c0, c1 = mixing_coeffs(flow, t)
+        idx = rng.integers(small_dataset.n, size=16)
+        x = (c0 * small_dataset.atoms[idx]
+             + c1 * rng.standard_normal((16, small_dataset.d)))
+        w = assert_matches_reference(small_dataset, flow, t, x)
+        assert np.array_equal(np.argmax(w, axis=1), idx)
+
+    @extended_precision
+    def test_far_state_matches_reference(self, small_dataset, flow, rng):
+        # |x| = 1e3 at c0 = 1e-3 puts x / c0 at 1e6: the expanded form
+        # |x / c0|^2 + |a|^2 - 2 x.a / c0 cancels and misses the weights
+        # by about 1e-11; the kernel never forms |x / c0|^2.
+        t = 0.999
+        x = rng.standard_normal((8, small_dataset.d))
+        x *= 1e3 / np.linalg.norm(x, axis=1, keepdims=True)
+        w = assert_matches_reference(small_dataset, flow, t, x)
+        assert w.max() < 0.9  # a spread posterior, not a trivial one-hot
+
+    def test_batch_matches_single(self, small_dataset, vp, rng):
+        xb = rng.standard_normal((6, small_dataset.d))
+        w = posterior_weights(small_dataset, vp, 300, xb)
+        m = posterior_mean_dataset(small_dataset, vp, 300, xb)
+        for i in range(6):
+            np.testing.assert_allclose(
+                w[i], posterior_weights(small_dataset, vp, 300, xb[i]),
+                rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(
+                m[i], posterior_mean_dataset(small_dataset, vp, 300, xb[i]),
+                rtol=1e-12, atol=1e-300)
+
+    def test_subset_caches_its_own_norms(self, small_dataset):
+        sub = small_dataset.subset(1)
+        assert sub.half_sqnorms.shape == (sub.n,)
+        np.testing.assert_allclose(sub.half_sqnorms,
+                                   0.5 * (sub.atoms ** 2).sum(axis=1),
+                                   rtol=1e-15)
 
 
 class TestPosteriorMeans:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nimatrix.errors import DomainError, ParameterError, ValidationError
+from nimatrix.errors import (DomainError, FormatError, ParameterError,
+                             ValidationError)
 from nimatrix.schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, make_flow,
                                make_grid, make_schedule, make_vp_continuous,
                                make_vp_linear, mixing_coeffs)
@@ -81,6 +82,27 @@ class TestDescriptorRoundtrip:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             make_schedule({"family": "nope"})
+
+    @pytest.mark.parametrize("edit", [
+        {"beta_min": None}, {"T": None}, {"family": None},
+        {"beta_max": "abc"}, {"beta_min": [0.1]}, {"T": "x"}],
+        ids=["no-beta_min", "no-T", "no-family", "str-beta_max",
+             "list-beta_min", "str-T"])
+    def test_malformed_descriptor_is_format_error(self, edit):
+        desc = make_vp_linear().descriptor()
+        for key, value in edit.items():
+            if value is None:
+                del desc[key]
+            else:
+                desc[key] = value
+        with pytest.raises(FormatError):
+            make_schedule(desc)
+
+    def test_out_of_range_value_is_parameter_error(self):
+        desc = make_vp_linear().descriptor()
+        desc["beta_min"] = -1.0
+        with pytest.raises(ParameterError):
+            make_schedule(desc)
 
 
 class TestGrids:

@@ -88,6 +88,19 @@ class _FailAfter:
         return self.pred(t, x)
 
 
+class _NanAfter:
+    """Delegates ``calls`` predictor calls to ``pred``, then returns NaN."""
+
+    def __init__(self, pred, calls):
+        self.pred, self.d, self.calls = pred, pred.d, calls
+
+    def __call__(self, t, x):
+        if self.calls == 0:
+            return np.full(np.shape(x), np.nan)
+        self.calls -= 1
+        return self.pred(t, x)
+
+
 @pytest.fixture()
 def ddim5():
     return trace_sampler(SamplerSpec(kind="ddim"), n_evals=5)
@@ -171,6 +184,18 @@ class TestOptimize:
         assert res.evaluations == 6
         assert len(res.objective_trace) == 1
         assert len(logged) == 5 and "bad state" in logged[0]
+
+    def test_non_finite_prediction_is_charged_and_skipped(self, ddim5,
+                                                          ring_gmm):
+        pred = _NanAfter(make_predictor(ring_gmm, ddim5.schedule()),
+                         ddim5.n_evals)
+        logged = []
+        res = optimize_matrix(SearchSpace(base=ddim5), pred, np.zeros((16, 2)),
+                              budget=6, n_samples=32, log=logged.append)
+        assert res.evaluations == 6
+        assert len(res.objective_trace) == 1
+        assert np.isfinite(res.best_objective)
+        assert len(logged) == 5 and "non-finite" in logged[0]
 
     def test_other_errors_propagate(self, ddim5, ring_gmm):
         pred = _FailAfter(make_predictor(ring_gmm, ddim5.schedule()),
