@@ -9,8 +9,7 @@ and search for improved matrices.
 
 from .affine import AffineState, RunContext, lin_combine
 from .analysis import (DegradationReport, degradation_table,
-                       degradation_trial, radial_spectrum, snr_profile,
-                       submerged_fraction)
+                       radial_spectrum, snr_profile, submerged_fraction)
 from .coeffmatrix import (CoefficientMatrix, MarginalReport,
                           deviation_trend, equivalent_marginals, load,
                           normalize_rows, save, to_csv, trace_sampler)

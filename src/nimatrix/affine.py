@@ -7,9 +7,10 @@ update in this package is affine, so running a sampler on affine states
 produces its coefficient matrix with no approximation beyond float
 arithmetic.
 
-The same sampler code also runs concretely: :class:`RunContext` decides
-whether ``apply_model`` invokes a predictor or records a matrix row, and
-whether ``fresh_noise`` draws a Gaussian vector or mints a basis term.
+The same sampler code also runs concretely: samplers call the two
+methods of :class:`RunContext`, and the context decides whether
+``apply_model`` invokes a predictor or records a matrix row, and whether
+``fresh_noise`` draws a Gaussian vector or mints a basis term.
 """
 
 from __future__ import annotations
@@ -108,40 +109,24 @@ class RunContext:
         self.shape = tuple(shape) if shape is not None else None
         self.rng = np.random.default_rng(seed)
         self.records: list = []
-        self.eval_times: list = []
         self.noise_ids: list = []
-        self.noise_draws: dict = {}
-        self.outputs: list = []
 
     # ----- protocol operations ---------------------------------------
     def fresh_noise(self, noise_id):
         """A standard-normal draw (concrete) or unit basis term (trace)."""
-        if noise_id in self.noise_draws or noise_id in self.noise_ids:
+        if noise_id in self.noise_ids:
             raise ProtocolError(f"noise id {noise_id!r} already used")
         self.noise_ids.append(noise_id)
         if self.mode == TRACE:
             return AffineState(noise={noise_id: 1.0})
-        draw = self.rng.standard_normal(self.shape)
-        self.noise_draws[noise_id] = draw
-        return draw
+        return self.rng.standard_normal(self.shape)
 
     def apply_model(self, t, x):
         """Evaluate the predictor at (t, x), or record the matrix row."""
         if self.mode == CONCRETE:
-            y = self.predictor(t, x)
-            self.outputs.append(np.asarray(y))
-            return y
+            return self.predictor(t, x)
         if not isinstance(x, AffineState):
             raise ProtocolError("trace mode requires affine states")
         idx = len(self.records)
         self.records.append((float(t), x))
-        self.eval_times.append(float(t))
         return AffineState(signal={idx: 1.0})
-
-
-def fresh_noise(ctx: RunContext, noise_id):
-    return ctx.fresh_noise(noise_id)
-
-
-def apply_model(ctx: RunContext, t, x):
-    return ctx.apply_model(t, x)

@@ -67,25 +67,14 @@ def wilson_center(successes: int, trials: int, z: float = 1.959964) -> float:
     return (p + z * z / (2.0 * trials)) / denom
 
 
-def degradation_trial(ds: Dataset, s: Schedule, t, rng,
-                      threshold: float = 0.9):
-    """One Monte-Carlo draw of the concentration statistic.
-
-    Returns ``(degraded, to_source)``: whether the posterior max weight
-    exceeds the threshold, and whether its argmax is the source atom.
-    """
-    idx = int(rng.integers(ds.n))
-    c0, c1 = mixing_coeffs(s, t)
-    x = c0 * ds.atoms[idx] + c1 * rng.standard_normal(ds.d)
-    w = posterior_weights(ds, s, t, x)
-    top = int(np.argmax(w))
-    degraded = bool(w[top] > threshold)
-    return degraded, degraded and top == idx
-
-
 def _degradation_batch(ds: Dataset, s: Schedule, t, trials: int, rng,
                        threshold: float):
-    """Vectorized trial batch; same semantics as degradation_trial."""
+    """Monte-Carlo draws of the concentration statistic at one time.
+
+    Each trial draws an atom and a forward state from it.  Returns how
+    many posteriors have max weight above the threshold (degraded), and
+    how many of those put it on the source atom (to source).
+    """
     idx = rng.integers(ds.n, size=trials)
     c0, c1 = mixing_coeffs(s, t)
     x = c0 * ds.atoms[idx] + c1 * rng.standard_normal((trials, ds.d))

@@ -23,7 +23,7 @@ from . import schedule as sched
 from . import search as searchmod
 from .errors import (DomainError, FormatError, NumericError, ParameterError,
                      ProtocolError, ValidationError)
-from .samplers import KINDS, SamplerSpec, default_schedule
+from .samplers import KINDS, SamplerSpec, default_grid, default_schedule
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,24 +33,48 @@ EXIT_IO = 4
 DEFAULT_STEPS = 18  # trace evaluations on the trailing and quadratic grids
 
 
+#: ``--schedule`` name -> (constructor, defaults of its numeric fields).
+_SCHEDULES = {"flow": (sched.make_flow, ()),
+              "vp-linear": (sched.make_vp_linear, (1e-4, 0.02, 1000)),
+              "vp-continuous": (sched.make_vp_continuous, (0.1, 20.0))}
+
+#: ``--family`` name -> its default schedule (degrade, spectrum).
+_FAMILIES = {"vp": sched.make_vp_linear, "flow": sched.make_flow}
+
+
+def _numbers(parts, text: str) -> list:
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise ParameterError(f"not a number in {text!r}") from None
+
+
 def _parse_schedule(text: str | None, spec: SamplerSpec | None = None):
     if text is None:
         if spec is None:
             raise ParameterError("a schedule is required")
         return default_schedule(spec)
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "flow":
-        return sched.make_flow()
+    kind, *fields = text.split(":")
+    if kind not in _SCHEDULES:
+        raise ParameterError(f"unknown schedule {text!r}")
+    make, defaults = _SCHEDULES[kind]
+    if len(fields) > len(defaults):
+        raise ParameterError(f"schedule {kind} takes at most "
+                             f"{len(defaults)} fields, got {text!r}")
+    args = _numbers(fields, text) + list(defaults[len(fields):])
     if kind == "vp-linear":
-        args = [float(p) for p in parts[1:]]
-        bmin, bmax, T = (args + [1e-4, 0.02, 1000][len(args):])[:3]
-        return sched.make_vp_linear(bmin, bmax, int(T))
-    if kind == "vp-continuous":
-        args = [float(p) for p in parts[1:]]
-        bmin, bmax = (args + [0.1, 20.0][len(args):])[:2]
-        return sched.make_vp_continuous(bmin, bmax)
-    raise ParameterError(f"unknown schedule {text!r}")
+        if not float(args[2]).is_integer():
+            raise ParameterError(f"vp-linear T must be an integer, "
+                                 f"got {args[2]!r}")
+        args[2] = int(args[2])
+    return make(*args)
+
+
+def _load_dataset(path: str):
+    """A dataset from a .csv file or the binary format."""
+    if path.endswith(".csv"):
+        return oracles.load_dataset_csv(path)
+    return oracles.load_dataset(path)
 
 
 def _parse_predictor(text: str, s, label=None):
@@ -58,11 +82,7 @@ def _parse_predictor(text: str, s, label=None):
         raise ParameterError("predictor must be dataset:FILE or gmm:FILE")
     kind, path = text.split(":", 1)
     if kind == "dataset":
-        if path.endswith(".csv"):
-            ds = oracles.load_dataset_csv(path)
-        else:
-            ds = oracles.load_dataset(path)
-        return oracles.make_predictor(ds, s, label=label)
+        return oracles.make_predictor(_load_dataset(path), s, label=label)
     if kind == "gmm":
         return oracles.make_predictor(oracles.load_mixture(path), s)
     raise ParameterError(f"unknown predictor kind {kind!r}")
@@ -96,11 +116,7 @@ def cmd_trace(args):
             raise FormatError(f"{path}: {exc}") from exc
         grid = sched.make_grid(s, len(times), "explicit", explicit=times)
     elif args.grid == "quadratic":
-        from .samplers import default_grid
-        if spec.kind.startswith("deis"):
-            grid = default_grid(spec, s, steps)  # already quadratic
-        else:
-            grid = sched.make_grid(s, steps, "quadratic")
+        grid = default_grid(spec, s, steps, "quadratic")
     elif args.grid != "trailing":
         raise ParameterError(f"unknown grid {args.grid!r}: want trailing, "
                              "quadratic or explicit:FILE")
@@ -148,12 +164,9 @@ def cmd_sample(args):
 
 
 def cmd_degrade(args):
-    if args.data.endswith(".csv"):
-        ds = oracles.load_dataset_csv(args.data)
-    else:
-        ds = oracles.load_dataset(args.data)
-    s = {"vp": sched.make_vp_linear(), "flow": sched.make_flow()}[args.family]
-    times = [float(t) for t in args.times.split(",")]
+    ds = _load_dataset(args.data)
+    s = _FAMILIES[args.family]()
+    times = _numbers(args.times.split(","), args.times)
     report = analysis.degradation_table(
         ds, [s], [times], trials=args.trials, seed=args.seed,
         threshold=args.threshold)
@@ -179,7 +192,7 @@ def cmd_search(args):
     pred = _parse_predictor(args.predictor, base.schedule())
     rng = np.random.default_rng(args.seed)
     if args.reference:
-        ref = oracles.load_dataset(args.reference).atoms
+        ref = _load_dataset(args.reference).atoms
     else:
         # sample the predictor's own source distribution
         src = pred.source
@@ -207,7 +220,7 @@ def cmd_spectrum(args):
         img = np.load(args.image)
     else:
         img = np.loadtxt(args.image, delimiter=",", ndmin=2)
-    s = {"vp": sched.make_vp_linear(), "flow": sched.make_flow()}[args.family]
+    s = _FAMILIES[args.family]()
     profile = analysis.snr_profile(img, s, args.t)
     lines = ["band,snr"]
     lines += [f"{b},{float(v)!r}" for b, v in enumerate(profile)]
@@ -273,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("degrade", help="posterior-concentration statistics")
     d.add_argument("--data", required=True)
-    d.add_argument("--family", choices=("vp", "flow"), required=True)
+    d.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     d.add_argument("--times", required=True, help="comma-separated times")
     d.add_argument("--trials", type=int, default=1000)
     d.add_argument("--threshold", type=float, default=0.9)
@@ -299,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="per-band SNR profile of an image")
     sp.add_argument("--image", required=True, help=".npy or CSV matrix")
-    sp.add_argument("--family", choices=("vp", "flow"), required=True)
+    sp.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.set_defaults(func=cmd_spectrum)
 

@@ -25,11 +25,14 @@ from . import schedule as sched
 from .affine import RunContext, TRACE
 from .errors import FormatError, NumericError, ValidationError
 from .samplers import SamplerSpec, default_grid, default_schedule, run_native
-from .schedule import Schedule, TimeGrid, make_schedule, mixing_coeffs
+from .schedule import (Schedule, TimeGrid, make_schedule, mixing_coeffs,
+                       validate_decreasing)
 
 FORMAT_NAME = "nimatrix/1"
 
-NOISE_MODES = ("traced", "single-terminal", "custom")
+#: How ``run_matrix`` forms the noise of each row (see ``engine``);
+#: files that say ``custom`` load as ``traced``.
+NOISE_MODES = ("traced", "single-terminal")
 
 #: Terminal-row label for matrices whose sample is the final prediction
 #: itself (discrete-chain convention): not a real time point.
@@ -47,8 +50,10 @@ class CoefficientMatrix:
     noise_mode: str = "single-terminal"
 
     def __post_init__(self):
-        object.__setattr__(self, "signal", np.asarray(self.signal, dtype=np.float64))
-        object.__setattr__(self, "noise", np.asarray(self.noise, dtype=np.float64))
+        for name in ("signal", "noise"):
+            block = np.array(getattr(self, name), dtype=np.float64)
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
         self.validate()
 
     # ----- structure -------------------------------------------------
@@ -61,31 +66,39 @@ class CoefficientMatrix:
         return len(self.row_times)
 
     def validate(self) -> None:
-        r, c = self.signal.shape
-        if r != self.n_rows or c != self.n_evals:
+        if self.signal.ndim != 2 or self.noise.ndim != 2:
+            raise ValidationError("signal and noise blocks must be 2-D")
+        if self.n_rows != self.n_evals + 1:
+            raise ValidationError(
+                f"{self.n_rows} rows for {self.n_evals} evaluations: need "
+                "one input row per evaluation plus the terminal row")
+        if self.signal.shape != (self.n_rows, self.n_evals):
             raise ValidationError(
                 f"signal shape {self.signal.shape} does not match "
                 f"{self.n_rows} rows x {self.n_evals} columns")
-        if self.noise.size and self.noise.shape[0] != self.n_rows:
-            raise ValidationError("noise block row count mismatch")
-        if self.noise.size and len(self.noise_times) != self.noise.shape[1]:
-            raise ValidationError("noise_times length mismatch")
+        if self.noise.shape != (self.n_rows, len(self.noise_times)):
+            raise ValidationError(
+                f"noise shape {self.noise.shape} does not match {self.n_rows} "
+                f"rows x {len(self.noise_times)} noise times")
         if self.noise_mode not in NOISE_MODES:
             raise ValidationError(f"unknown noise mode {self.noise_mode!r}")
-        if not np.all(np.isfinite(self.signal)):
-            raise ValidationError("non-finite signal entry")
-        if self.noise.size and not np.all(np.isfinite(self.noise)):
-            raise ValidationError("non-finite noise entry")
+        if (self.noise_mode == "traced" and self.n_evals
+                and not self.noise_times):
+            raise ValidationError("traced matrix has no noise columns")
+        if not (np.all(np.isfinite(self.signal))
+                and np.all(np.isfinite(self.noise))):
+            raise ValidationError("non-finite signal or noise entry")
+        validate_decreasing(self.col_times, "col_times")
         # Rows before the terminal one are inputs of the evaluations in
-        # order, so they must be strictly lower triangular.
-        n_input_rows = min(self.n_rows - 1, self.n_evals)
-        for i in range(n_input_rows):
-            if np.any(self.signal[i, i:] != 0.0):
-                j = i + int(np.flatnonzero(self.signal[i, i:] != 0.0)[0])
+        # order: at the evaluation's own time, strictly lower triangular.
+        for i, t in enumerate(self.col_times):
+            if self.row_times[i] != t:
                 raise ValidationError(
-                    f"row {i} (time {self.row_times[i]}) has weight on "
-                    f"evaluation {j} (time {self.col_times[j]}): "
-                    "not lower triangular")
+                    f"input row {i} has time {self.row_times[i]}, but "
+                    f"evaluation {i} is at time {t}")
+            if np.any(self.signal[i, i:]):
+                raise ValidationError(f"row {i} (time {t}) weights evaluation "
+                                      f"{i} or later: not lower triangular")
 
     def schedule(self) -> Schedule:
         return make_schedule(self.schedule_info)
@@ -157,10 +170,16 @@ def trace_sampler(spec: SamplerSpec, s: Schedule | None = None,
 # Marginals
 # ---------------------------------------------------------------------
 
-def _ideal_coeffs(s: Schedule, t: float) -> tuple[float, float]:
+def ideal_coeffs(s: Schedule, t: float) -> tuple[float, float]:
+    """The schedule's (c0, c1) at a row time; (1, 0) at TERMINAL_OUTPUT."""
     if t == TERMINAL_OUTPUT:
         return 1.0, 0.0
     return mixing_coeffs(s, t)
+
+
+def row_sums(signal) -> np.ndarray:
+    """Correctly rounded (fsum) row sums of a signal block."""
+    return np.array([math.fsum(row) for row in signal])
 
 
 def equivalent_marginals(m: CoefficientMatrix,
@@ -168,16 +187,11 @@ def equivalent_marginals(m: CoefficientMatrix,
     """Row sums, row noise norms, and their ideal values per row."""
     if s is None:
         s = m.schedule()
-    eq_sig = np.array([math.fsum(row) for row in m.signal])
-    if m.noise.size:
-        eq_noi = np.sqrt(np.sum(m.noise ** 2, axis=1))
-    else:
-        eq_noi = np.zeros(m.n_rows)
-    ideals = [_ideal_coeffs(s, t) for t in m.row_times]
+    ideals = [ideal_coeffs(s, t) for t in m.row_times]
     return MarginalReport(
         row_times=m.row_times,
-        equivalent_signal=eq_sig,
-        equivalent_noise=eq_noi,
+        equivalent_signal=row_sums(m.signal),
+        equivalent_noise=np.sqrt(np.sum(m.noise ** 2, axis=1)),
         ideal_signal=np.array([c0 for c0, _ in ideals]),
         ideal_noise=np.array([c1 for _, c1 in ideals]))
 
@@ -216,12 +230,12 @@ def normalize_rows(m: CoefficientMatrix, s: Schedule | None = None,
     if targets is None:
         if s is None:
             s = m.schedule()
-        targets = [_ideal_coeffs(s, t)[0] for t in m.row_times]
+        targets = [ideal_coeffs(s, t)[0] for t in m.row_times]
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (m.n_rows,):
         raise ValidationError(
             f"need {m.n_rows} targets, got shape {targets.shape}")
-    sums = np.array([math.fsum(row) for row in m.signal])
+    sums = row_sums(m.signal)
     scales = np.ones(m.n_rows)
     signal = m.signal.copy()
     for i in range(m.n_rows):
@@ -255,27 +269,25 @@ def save(m: CoefficientMatrix, path) -> None:
 
 
 def from_payload(payload: dict) -> CoefficientMatrix:
-    if payload.get("format") != FORMAT_NAME:
-        raise FormatError(
-            f"not a {FORMAT_NAME} file (format={payload.get('format')!r})")
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
+        raise FormatError(f"not a {FORMAT_NAME} payload")
+    mode = payload.get("noise_mode", "single-terminal")
     try:
         noise = payload.get("noise") or []
         row_times = tuple(float(t) for t in payload["row_times"])
-        m = CoefficientMatrix(
+        return CoefficientMatrix(
             schedule_info=dict(payload["schedule"]),
             row_times=row_times,
             col_times=tuple(float(t) for t in payload["col_times"]),
-            signal=np.asarray(payload["signal"], dtype=np.float64),
-            noise=(np.asarray(noise, dtype=np.float64) if len(noise)
-                   else np.zeros((len(row_times), 0))),
+            signal=payload["signal"],
+            noise=noise if len(noise) else np.zeros((len(row_times), 0)),
             noise_times=tuple(float(t) for t in payload.get("noise_times", ())),
-            noise_mode=payload.get("noise_mode", "single-terminal"),
+            noise_mode="traced" if mode == "custom" else mode,
         )
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
         raise FormatError(f"malformed matrix payload: {exc}") from exc
-    return m
 
 
 def load(path) -> CoefficientMatrix:
@@ -286,6 +298,8 @@ def load(path) -> CoefficientMatrix:
             raise FormatError(
                 f"invalid matrix file: {exc.msg}", row=exc.lineno,
                 column=exc.colno) from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid matrix file: {exc}") from exc
     return from_payload(payload)
 
 

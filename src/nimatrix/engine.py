@@ -6,15 +6,21 @@ the model input as the stored linear combination of earlier outputs and
 noise draws, queries the predictor, and finally returns the terminal-row
 combination.  Run on a matrix traced from a sampler with the same seed
 and predictor, it reproduces the native sampler output.
+
+The two noise modes share one row rule.  A ``traced`` matrix supplies
+its own noise block; a ``single-terminal`` matrix gets a one-column block
+of ``c1`` at each row time (0 at ``TERMINAL_OUTPUT``): one shared draw
+at the schedule's noise amplitude.  Files saying ``custom`` load as
+``traced``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffmatrix import CoefficientMatrix, TERMINAL_OUTPUT
+from .coeffmatrix import CoefficientMatrix, ideal_coeffs
 from .errors import NumericError, ParameterError, ValidationError
 from .schedule import Schedule, mixing_coeffs
 
@@ -25,7 +31,6 @@ class RunConfig:
     predictor: object
     n: int = 1
     seed: int = 0
-    noise_mode: str | None = None  # default: the matrix's own mode
     record_trajectory: bool = False
 
 
@@ -35,57 +40,36 @@ class RunResult:
     trajectory: tuple = ()               # per-evaluation outputs if recorded
 
 
-def _noise_amplitude(s: Schedule, t: float) -> float:
-    if t == TERMINAL_OUTPUT:
-        return 0.0
-    return mixing_coeffs(s, t)[1]
+def _noise_block(m: CoefficientMatrix) -> np.ndarray:
+    """Per-row weights on the noise draws, one column per draw."""
+    if m.noise_mode == "traced":
+        return m.noise
+    s = m.schedule()
+    return np.array([[ideal_coeffs(s, t)[1]] for t in m.row_times])
 
 
 def run_matrix(cfg: RunConfig) -> RunResult:
     """Execute the matrix with the given predictor.
 
-    Noise handling:
-
-    - ``traced``: the matrix's noise block is used as stored; one
-      Gaussian batch is drawn per noise column, in column order.
-    - ``single-terminal``: rows carry noise ``c1(t) * eps_T`` with a
-      single shared draw (the deterministic-sampler convention for
-      matrices authored without a noise block).
-    - ``custom``: like traced (the stored block is trusted as-is).
+    One Gaussian batch is drawn per noise column, in column order, and
+    each row adds its weighted outputs and then its weighted draws.
     """
     m = cfg.matrix
     pred = cfg.predictor
-    mode = cfg.noise_mode or m.noise_mode
     if cfg.n < 1:
         raise ParameterError(f"need n >= 1, got {cfg.n}")
-    if mode in ("traced", "custom") and m.noise.size == 0 and m.n_evals > 0:
-        raise ValidationError(f"matrix has no noise block for mode {mode!r}")
-    d = pred.d
-    s = m.schedule()
+    noise = _noise_block(m)
+    shape = (cfg.n, pred.d)
     rng = np.random.default_rng(cfg.seed)
-    shape = (cfg.n, d)
-    if mode in ("traced", "custom"):
-        draws = [rng.standard_normal(shape) for _ in range(m.noise.shape[1])]
-    else:
-        draws = [rng.standard_normal(shape)]
+    draws = [rng.standard_normal(shape) for _ in range(noise.shape[1])]
     outputs: list = []
 
     def row_state(i: int) -> np.ndarray:
         x = np.zeros(shape)
-        row = m.signal[i]
-        for j in np.flatnonzero(row):
-            if j >= len(outputs):
-                raise ValidationError(
-                    f"row {i} references evaluation {j} before it exists")
-            x = x + row[j] * outputs[j]
-        if mode in ("traced", "custom"):
-            nrow = m.noise[i]
-            for j in np.flatnonzero(nrow):
-                x = x + nrow[j] * draws[j]
-        else:
-            amp = _noise_amplitude(s, m.row_times[i])
-            if amp:
-                x = x + amp * draws[0]
+        for block, terms in ((m.signal, outputs), (noise, draws)):
+            row = block[i]
+            for j in np.flatnonzero(row):
+                x = x + row[j] * terms[j]
         return x
 
     for i in range(m.n_evals):

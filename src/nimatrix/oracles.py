@@ -91,6 +91,8 @@ class GaussianMixture:
         if w.shape != (k,) or v.shape != (k,):
             raise ValidationError("weights/variances must have one entry "
                                   "per component")
+        if not all(np.all(np.isfinite(a)) for a in (w, mu, v)):
+            raise ValidationError("non-finite mixture parameter")
         if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValidationError("weights must be positive and sum to 1")
         if np.any(v <= 0.0):
@@ -292,7 +294,10 @@ def load_dataset(path) -> Dataset:
 
 
 def load_dataset_csv(path) -> Dataset:
-    atoms = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        atoms = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"malformed dataset CSV: {exc}") from exc
     return Dataset(atoms=atoms)
 
 
@@ -308,5 +313,7 @@ def load_mixture(path) -> GaussianMixture:
         return GaussianMixture(weights=np.asarray(cfg["weights"]),
                                means=np.asarray(cfg["means"]),
                                variances=np.asarray(cfg["variances"]))
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed mixture spec: {exc}") from exc

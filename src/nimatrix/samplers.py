@@ -47,6 +47,10 @@ _CONTINUOUS_KINDS = ("dpm-solver-2s", "dpm-solver-3s", "dpmpp-2s",
 #: start of the run).  ``deis-1`` degenerates to DDIM.
 DEIS_POINTS = {"deis-1": 1, "deis-2": 2, "deis-3": 4}
 
+#: Model evaluations per step of the singlestep solvers (one otherwise).
+_STAGES = {"dpm-solver-2s": 2, "dpmpp-2s": 2, "dpm-solver-3s": 3,
+           "dpmpp-3s": 3}
+
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -143,12 +147,6 @@ def eps_from_x0(s: Schedule, t, x, x0_hat):
     return lin_combine([(1.0 / c1, x), (-c0 / c1, x0_hat)])
 
 
-def velocity_from_x0(t, x, x0_hat):
-    if t == 0.0:
-        raise NumericError("velocity undefined at t = 0")
-    return lin_combine([(1.0 / t, x), (-1.0 / t, x0_hat)])
-
-
 # ---------------------------------------------------------------------
 # Default schedules and grids per sampler kind
 # ---------------------------------------------------------------------
@@ -161,22 +159,21 @@ def default_schedule(spec: SamplerSpec) -> Schedule:
     return sched.make_vp_continuous()
 
 
-def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int) -> TimeGrid:
-    """The grid giving exactly ``n_evals`` model evaluations."""
+def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int,
+                 rule: str | None = None) -> TimeGrid:
+    """The grid giving exactly ``n_evals`` model evaluations, spaced by
+    the ``make_grid`` rule: by default quadratic (dense near the terminal
+    time) for DEIS kinds and linspace-trailing for every other kind."""
     kind = spec.kind
+    if rule is None:
+        rule = "quadratic" if kind in DEIS_POINTS else "linspace-trailing"
     if kind in _VP_DISCRETE_KINDS or kind == "flow-euler":
-        return sched.make_grid(s, n_evals, "linspace-trailing")
-    if kind in ("dpm-solver-2s", "dpmpp-2s"):
-        if n_evals % 2:
-            raise ParameterError(f"{kind} needs an even evaluation count")
-        return sched.make_grid(s, n_evals // 2 + 1, "linspace-trailing")
-    if kind in ("dpm-solver-3s", "dpmpp-3s"):
-        if n_evals % 3:
-            raise ParameterError(
-                f"{kind} needs an evaluation count divisible by 3")
-        return sched.make_grid(s, n_evals // 3 + 1, "linspace-trailing")
-    # DEIS: quadratic grid concentrating points near the terminal time.
-    return sched.make_grid(s, n_evals + 1, "quadratic")
+        return sched.make_grid(s, n_evals, rule)
+    stages = _STAGES.get(kind, 1)
+    if n_evals % stages:
+        raise ParameterError(
+            f"{kind} needs an evaluation count divisible by {stages}")
+    return sched.make_grid(s, n_evals // stages + 1, rule)
 
 
 # ---------------------------------------------------------------------

@@ -46,7 +46,6 @@ class Schedule:
     beta_max: float = 0.0
     T: int = 0
     betas: np.ndarray | None = field(default=None, repr=False, compare=False)
-    alphas: np.ndarray | None = field(default=None, repr=False, compare=False)
     alpha_bars: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # ----- continuous-VP helpers -------------------------------------
@@ -108,10 +107,9 @@ def make_vp_linear(beta_min: float = 1e-4, beta_max: float = 0.02,
     if T < 1:
         raise ParameterError(f"need T >= 1, got {T}")
     betas = np.linspace(beta_min, beta_max, T)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas.astype(np.longdouble)).astype(np.float64)
+    alpha_bars = np.cumprod(1.0 - betas, dtype=np.longdouble)
     return Schedule(family=VP_DISCRETE, beta_min=beta_min, beta_max=beta_max,
-                    T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+                    T=T, betas=betas, alpha_bars=alpha_bars.astype(np.float64))
 
 
 def make_flow() -> Schedule:
@@ -121,9 +119,9 @@ def make_flow() -> Schedule:
 
 def make_vp_continuous(beta_min: float = 0.1, beta_max: float = 20.0) -> Schedule:
     """Continuous-time VP schedule on t in [0, 1]."""
-    if not (0.0 < beta_min <= beta_max):
-        raise ParameterError(
-            f"need 0 < beta_min <= beta_max, got ({beta_min}, {beta_max})")
+    if not (0.0 < beta_min <= beta_max < math.inf):
+        raise ParameterError(f"need 0 < beta_min <= beta_max < inf, "
+                             f"got ({beta_min}, {beta_max})")
     return Schedule(family=VP_CONTINUOUS, beta_min=beta_min, beta_max=beta_max)
 
 
@@ -155,6 +153,8 @@ def make_schedule(descriptor: dict) -> Schedule:
 
 
 def _check_vp_discrete_time(s: Schedule, t) -> int:
+    if not math.isfinite(float(t)):
+        raise DomainError(f"vp-discrete times must be finite, got {t}")
     ti = int(round(float(t)))
     if abs(float(t) - ti) > 1e-9:
         raise DomainError(f"vp-discrete times must be integers, got {t}")
@@ -210,10 +210,10 @@ class TimeGrid:
         return self.times[i]
 
 
-def _validate_decreasing(times) -> None:
+def validate_decreasing(times, what: str = "grid times") -> None:
     for a, b in zip(times, times[1:]):
         if not b < a:
-            raise ValidationError(f"grid times must strictly decrease: {a} -> {b}")
+            raise ValidationError(f"{what} must strictly decrease: {a} -> {b}")
 
 
 def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
@@ -236,7 +236,7 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
         if explicit is None or len(explicit) == 0:
             raise ParameterError("explicit rule requires a time list")
         times = tuple(float(t) for t in explicit)
-        _validate_decreasing(times)
+        validate_decreasing(times)
         for t in times:
             if s.family == VP_DISCRETE:
                 _check_vp_discrete_time(s, t)
@@ -256,7 +256,7 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
                     f"quadratic rule collapses duplicate integer times at n={n}")
         else:
             times = tuple(int(round(v)) for v in np.linspace(s.T - 1, 0, n))
-        _validate_decreasing(times)
+        validate_decreasing(times)
         return TimeGrid(times=tuple(float(t) for t in times), rule=rule,
                         family=s.family)
     if s.family == FLOW:
@@ -264,7 +264,7 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
             times = tuple(float(v) for v in np.linspace(1.0, 0.0, n + 1) ** 2)
         else:
             times = tuple(k / n for k in range(n, 0, -1)) + (0.0,)
-        _validate_decreasing(times)
+        validate_decreasing(times)
         return TimeGrid(times=times, rule=rule, family=s.family)
     # vp-continuous
     if rule == "quadratic":
@@ -272,5 +272,5 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
         times = tuple(float(v) for v in u ** 2)
     else:
         times = tuple(float(v) for v in np.linspace(t_max, t_min, n))
-    _validate_decreasing(times)
+    validate_decreasing(times)
     return TimeGrid(times=times, rule=rule, family=s.family)

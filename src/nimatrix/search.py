@@ -4,20 +4,22 @@ The objective is the energy distance between samples produced by a
 candidate matrix and a reference sample set from the target
 distribution — a feature-free two-sample statistic that is zero iff the
 distributions agree.  The search is a banded coordinate descent: only
-entries within ``band`` columns left of the diagonal move, every
-candidate row is re-normalized to its marginal signal target before
-evaluation, evaluations share common random numbers, and only
-improvements are accepted, so the objective trace is monotone.
+entries within ``band`` columns left of the diagonal move, a
+candidate rescales only its edited row back to that row's marginal
+signal target (every other row stays bitwise equal to the current
+matrix), evaluations share common random numbers, and only improvements
+are accepted, so the objective trace is monotone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .coeffmatrix import CoefficientMatrix
+from .coeffmatrix import CoefficientMatrix, normalize_rows, row_sums
 from .engine import RunConfig, run_matrix
 from .errors import NimatrixError, ParameterError, ValidationError
 
@@ -108,7 +110,8 @@ class SearchSpace:
     Free entries form a band of ``band`` columns immediately left of the
     diagonal in each row (for the terminal row, left of the last
     column).  Row signal sums are pinned to ``targets`` — by default the
-    base matrix's own row sums, so the marginal structure is preserved.
+    base matrix's own (fsum) row sums, so the marginal structure is
+    preserved.
     """
 
     base: CoefficientMatrix
@@ -122,15 +125,12 @@ class SearchSpace:
         lo, hi = self.bounds
         if not lo < hi:
             raise ParameterError(f"invalid bounds {self.bounds}")
-        if self.targets is None:
-            sums = self.base.signal.sum(axis=1)
-            object.__setattr__(self, "targets", sums)
-        else:
-            t = np.asarray(self.targets, dtype=np.float64)
-            if t.shape != (self.base.n_rows,):
-                raise ValidationError(
-                    f"need {self.base.n_rows} targets, got {t.shape}")
-            object.__setattr__(self, "targets", t)
+        t = (row_sums(self.base.signal) if self.targets is None
+             else np.asarray(self.targets, dtype=np.float64))
+        if t.shape != (self.base.n_rows,):
+            raise ValidationError(
+                f"need {self.base.n_rows} targets, got {t.shape}")
+        object.__setattr__(self, "targets", t)
 
     def free_entries(self):
         """(row, col) positions allowed to move, row-major order."""
@@ -141,10 +141,6 @@ class SearchSpace:
             for j in range(max(0, diag - self.band), diag + 1):
                 out.append((i, j))
         return out
-
-    def clamp(self, v: float) -> float:
-        lo, hi = self.bounds
-        return min(max(v, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -159,19 +155,6 @@ class SearchResult:
         return self.objective_trace[-1]
 
 
-def _renormalize(space: SearchSpace, signal: np.ndarray):
-    """Scale each row to its target sum; None if any row is unfixable."""
-    out = signal.copy()
-    for i in range(out.shape[0]):
-        rs = out[i].sum()
-        if space.targets[i] == 0.0 and rs == 0.0:
-            continue
-        if rs == 0.0 or not np.isfinite(rs):
-            return None
-        out[i] *= space.targets[i] / rs
-    return out
-
-
 def optimize_matrix(space: SearchSpace, predictor, reference,
                     budget: int = 2000, seed: int = 0,
                     n_samples: int = 512, step: float = 0.25,
@@ -182,9 +165,10 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     seed and scores it against the fixed reference set, whose side of
     the energy distance is prepared once per search.  Candidates that
     fail with a package or arithmetic error are charged against the
-    budget and skipped; any other exception propagates.  The
-    first evaluation scores the (re-normalized) starting matrix, so the
-    final objective never exceeds the baseline.
+    budget and skipped, as is an edit that leaves its row summing to
+    zero against a nonzero target; any other exception propagates.  The
+    first evaluation scores the starting matrix normalized to the
+    targets, so the final objective never exceeds the baseline.
     """
     if budget < 0:
         raise ParameterError(f"need budget >= 0, got {budget}")
@@ -196,19 +180,14 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
                                    n=n_samples, seed=seed))
         return energy_distance(res.samples, reference)
 
-    signal = _renormalize(space, space.base.signal.copy())
-    if signal is None:
-        raise ValidationError("base matrix has a zero row with nonzero target")
-    current = replace(space.base, signal=signal)
-    trace = []
-    used = 0
+    current, _ = normalize_rows(space.base, targets=space.targets)
     if budget == 0:
         return SearchResult(best=current, objective_trace=(), evaluations=0,
                             seed=seed)
     best_obj = evaluate(current)
-    used += 1
-    trace.append(best_obj)
+    trace, used = [best_obj], 1
     entries = space.free_entries()
+    lo, hi = space.bounds
     scale = step
     while used < budget:
         improved = False
@@ -217,14 +196,16 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
             if used >= budget:
                 break
             i, j = entries[k]
-            base_val = current.signal[i, j]
             ref_scale = max(abs(space.targets[i]), 0.1)
             delta = scale * ref_scale * (1.0 if rng.random() < 0.5 else -1.0)
             cand_signal = current.signal.copy()
-            cand_signal[i, j] = space.clamp(base_val + delta)
-            cand_signal = _renormalize(space, cand_signal)
+            row = cand_signal[i]
+            row[j] = min(max(row[j] + delta, lo), hi)
+            rs = math.fsum(row)
             used += 1
-            if cand_signal is None:
+            if rs != 0.0:
+                row *= space.targets[i] / rs
+            elif space.targets[i] != 0.0:
                 continue
             try:
                 cand = replace(current, signal=cand_signal)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nimatrix.analysis import (degradation_table, degradation_trial,
-                               radial_spectrum, snr_profile,
+from nimatrix.analysis import (degradation_table, radial_spectrum,
+                               snr_profile,
                                submerged_fraction, wilson_center,
                                wilson_halfwidth)
 from nimatrix.errors import ParameterError, ValidationError
@@ -27,11 +27,13 @@ class TestWilson:
 
 
 class TestDegradation:
-    def test_trial_flags_consistent(self, small_dataset, vp, rng):
-        degraded, to_source = degradation_trial(small_dataset, vp, 100, rng)
-        assert isinstance(degraded, bool)
-        if to_source:
-            assert degraded
+    def test_to_source_implies_degraded(self, small_dataset, vp):
+        # the times span both regimes, so both counts take inner values
+        rep = degradation_table(small_dataset, [vp], [[50, 200, 400, 700]],
+                                trials=400, seed=1)
+        for r in rep.rows:
+            assert 0.0 <= r.rate_to_source <= r.rate_degraded <= 1.0
+        assert any(0.0 < r.rate_degraded < 1.0 for r in rep.rows)
 
     def test_low_noise_always_concentrates(self, vp, rng):
         ds = Dataset(atoms=10.0 * np.eye(8))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from nimatrix.cli import main
+from nimatrix.coeffmatrix import load
 from nimatrix.oracles import Dataset, save_dataset
+from nimatrix.samplers import KINDS
 
 
 def run(capsys, *argv):
@@ -73,7 +75,6 @@ class TestTraceCheck:
         if code:
             assert "--steps 6" in stderr and not out.exists()
         else:
-            from nimatrix.coeffmatrix import load
             assert load(out).n_evals == 3
 
     def test_schedule_missing_key_is_format_error(self, capsys, tmp_path):
@@ -86,6 +87,36 @@ class TestTraceCheck:
         code, _, stderr = run(capsys, "check", str(p))
         assert code == 4
         assert "beta_min" in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("sampler,schedule", [
+        ("ddim", "vp-linear:abc"),
+        ("ddim", "vp-linear:1e-4:0.02:1000:7"),
+        ("ddim", "vp-linear:1e-4:0.02:10.5"),
+        ("flow-euler", "flow:x"),
+        ("dpmpp-2s", "vp-continuous:0.1:inf"),
+        ("ddim", "cosine")])
+    def test_malformed_schedule_is_usage_error(self, capsys, sampler,
+                                               schedule):
+        code, _, stderr = run(capsys, "trace", "--sampler", sampler,
+                              "--steps", "6", "--schedule", schedule)
+        assert code == 2 and stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quadratic_grid_gives_the_requested_evaluations(self, capsys,
+                                                            tmp_path, kind):
+        out = tmp_path / "m.json"
+        code, _, _ = run(capsys, "trace", "--sampler", kind, "--steps", "6",
+                         "--grid", "quadratic", "--out", str(out))
+        assert code == 0
+        assert load(out).n_evals == 6
+
+    @pytest.mark.parametrize("kind", ["dpm-solver-2s", "dpmpp-3s"])
+    def test_quadratic_grid_rejects_an_untakeable_count(self, capsys,
+                                                        tmp_path, kind):
+        out = tmp_path / "m.json"
+        code, _, stderr = run(capsys, "trace", "--sampler", kind, "--steps",
+                              "5", "--grid", "quadratic", "--out", str(out))
+        assert code == 2 and "divisible" in stderr and not out.exists()
 
     def test_unknown_sampler_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -147,6 +178,18 @@ class TestDegrade:
         lines = stdout.strip().splitlines()
         assert lines[0].startswith("family,t,")
         assert len(lines) == 3
+
+
+    @pytest.mark.parametrize("times", ["a,b", "100,", "nan", "100,inf"])
+    def test_malformed_times_is_usage_error(self, capsys, tmp_path,
+                                            small_dataset, times):
+        d = tmp_path / "d.bin"
+        save_dataset(small_dataset, d)
+        code, stdout, stderr = run(capsys, "degrade", "--data", str(d),
+                                   "--family", "vp", "--times", times,
+                                   "--trials", "5")
+        assert code == 2 and stdout == ""
+        assert "error" in stderr
 
 
 class TestGuidance:

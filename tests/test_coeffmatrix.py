@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
                                   trace_sampler)
 from nimatrix.errors import FormatError, NumericError, ValidationError
 from nimatrix.presets import list_presets, load_preset
-from nimatrix.samplers import SamplerSpec
+from nimatrix.samplers import KINDS, SamplerSpec
 
 
 def tiny_matrix(vp):
@@ -48,6 +49,50 @@ class TestValidation:
                 schedule_info=vp.descriptor(),
                 row_times=(999.0, TERMINAL_OUTPUT), col_times=(999.0,),
                 signal=np.array([[0.0], [np.nan]]), noise=np.zeros((2, 0)))
+
+    def test_rejects_row_count_mismatch(self):
+        # a ddim-18 file with its last two rows dropped used to load, and
+        # then failed with an IndexError when executed
+        m = load_preset("ddim-18")
+        with pytest.raises(ValidationError, match="18 evaluations"):
+            replace(m, row_times=m.row_times[:-2], signal=m.signal[:-2],
+                    noise=m.noise[:-2])
+
+    def test_rejects_non_2d_signal(self, vp):
+        with pytest.raises(ValidationError, match="2-D"):
+            CoefficientMatrix(schedule_info=vp.descriptor(),
+                              row_times=(999.0, TERMINAL_OUTPUT),
+                              col_times=(999.0,), signal=np.zeros(2),
+                              noise=np.zeros((2, 0)))
+
+    def test_traced_matrix_needs_noise_columns(self, vp):
+        with pytest.raises(ValidationError, match="no noise columns"):
+            replace(tiny_matrix(vp), noise=np.zeros((3, 0)), noise_times=())
+
+    def test_rejects_col_times_not_decreasing(self, vp):
+        with pytest.raises(ValidationError, match="strictly decrease"):
+            replace(tiny_matrix(vp), row_times=(500.0, 999.0, TERMINAL_OUTPUT),
+                    col_times=(500.0, 999.0))
+
+    def test_rejects_input_row_off_its_evaluation_time(self, vp):
+        with pytest.raises(ValidationError, match="input row 1"):
+            replace(tiny_matrix(vp), row_times=(999.0, 400.0, TERMINAL_OUTPUT))
+
+    def test_blocks_are_read_only_copies(self, vp):
+        signal = np.array([[0.0, 0.0], [0.3, 0.0], [0.5, 0.5]])
+        m = replace(tiny_matrix(vp), signal=signal)
+        signal[1, 0] = 7.0
+        assert m.signal[1, 0] == 0.3
+        with pytest.raises(ValueError):
+            m.signal[1, 0] = 7.0
+        with pytest.raises(ValueError):
+            m.noise[0, 0] = 7.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_traced_matrices_satisfy_every_rule(self, kind):
+        for n in (6, 18):
+            m = trace_sampler(SamplerSpec(kind=kind), n_evals=n)
+            assert m.n_rows == n + 1 and m.noise.shape[1] > 0
 
     def test_rejects_bad_noise_mode(self, vp):
         with pytest.raises(ValidationError):
@@ -106,6 +151,27 @@ class TestSerialization:
         assert np.array_equal(m.noise, m2.noise)
         assert m2.row_times == m.row_times
         assert m2.noise_mode == "traced"
+
+    def test_custom_mode_loads_as_traced(self, vp, tmp_path):
+        p = tmp_path / "m.json"
+        save(tiny_matrix(vp), p)
+        payload = json.loads(p.read_text())
+        payload["noise_mode"] = "custom"
+        m = from_payload(payload)
+        assert m.noise_mode == "traced"
+        assert np.array_equal(m.noise, tiny_matrix(vp).noise)
+        with pytest.raises(ValidationError):
+            replace(m, noise_mode="custom")
+
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_bytes(b'{"format": "nimatrix/1\xff"}')
+        with pytest.raises(FormatError):
+            load(p)
+
+    def test_non_object_payload_is_format_error(self):
+        with pytest.raises(FormatError):
+            from_payload([1, 2])
 
     def test_bad_format_name(self, tmp_path):
         p = tmp_path / "m.json"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nimatrix.engine import RunConfig, over_enhance, run_matrix
 from nimatrix.errors import NumericError, ParameterError, ValidationError
 from nimatrix.oracles import make_predictor
 from nimatrix.samplers import SamplerSpec
+from nimatrix.schedule import mixing_coeffs
 
 
 @pytest.fixture()
@@ -33,18 +36,31 @@ class TestRunMatrix:
 
     def test_single_terminal_mode_runs_noise_free_rows(self, ddim18):
         m, pred = ddim18
-        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=2, seed=1,
-                                 noise_mode="single-terminal"))
+        r = run_matrix(RunConfig(matrix=replace(m, noise_mode="single-terminal"),
+                                 predictor=pred, n=2, seed=1))
         assert np.isfinite(r.samples).all()
 
-    def test_traced_mode_requires_noise_block(self, ddim18, vp, gmm16):
-        from dataclasses import replace
+    def test_single_terminal_is_a_one_column_traced_block(self, ddim18):
+        # single-terminal rows carry c1(row time) on one shared draw, 0 on
+        # the terminal row: the same run as that block stored and traced
         m, pred = ddim18
-        bare = replace(m, noise=np.zeros((m.n_rows, 0)), noise_times=(),
-                       noise_mode="single-terminal")
-        with pytest.raises(ValidationError):
-            run_matrix(RunConfig(matrix=bare, predictor=pred,
-                                 noise_mode="traced"))
+        s = m.schedule()
+        c1 = [mixing_coeffs(s, t)[1] for t in m.row_times[:-1]] + [0.0]
+        traced = replace(m, noise=np.array(c1)[:, None],
+                         noise_times=(m.row_times[0],))
+        single = replace(m, noise_mode="single-terminal")
+        a = run_matrix(RunConfig(matrix=single, predictor=pred, n=3, seed=2,
+                                 record_trajectory=True))
+        b = run_matrix(RunConfig(matrix=traced, predictor=pred, n=3, seed=2,
+                                 record_trajectory=True))
+        assert np.array_equal(a.samples, b.samples)
+        assert all(np.array_equal(u, v)
+                   for u, v in zip(a.trajectory, b.trajectory))
+
+    def test_traced_mode_requires_noise_block(self, ddim18):
+        m, _ = ddim18
+        with pytest.raises(ValidationError, match="no noise columns"):
+            replace(m, noise=np.zeros((m.n_rows, 0)), noise_times=())
 
     def test_bad_n(self, ddim18):
         m, pred = ddim18

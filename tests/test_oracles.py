@@ -4,7 +4,7 @@ import pytest
 from nimatrix.errors import FormatError, ParameterError, ValidationError
 from nimatrix.oracles import (Dataset, GaussianMixture,
                               gmm_marginal_logdensity, load_dataset,
-                              load_mixture, make_predictor,
+                              load_dataset_csv, load_mixture, make_predictor,
                               posterior_mean_dataset, posterior_mean_gmm,
                               posterior_weights, save_dataset,
                               score_from_x0hat)
@@ -67,6 +67,12 @@ class TestDataset:
         p.write_bytes(b"HELLO")
         with pytest.raises(FormatError):
             load_dataset(p)
+
+    def test_malformed_csv_is_format_error(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0\n3.0,abc\n")
+        with pytest.raises(FormatError):
+            load_dataset_csv(p)
 
     def test_truncated(self, tmp_path, small_dataset):
         p = tmp_path / "d.bin"
@@ -219,5 +225,30 @@ class TestMixtureFile:
     def test_malformed(self, tmp_path):
         p = tmp_path / "g.json"
         p.write_text('{"weights": [1.0]}')
+        with pytest.raises(FormatError):
+            load_mixture(p)
+
+    @pytest.mark.parametrize("key,index", [("weights", 0), ("means", 1),
+                                           ("variances", 0)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected_at_load(self, tmp_path, key,
+                                                   index, value):
+        import json
+        spec = {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [1.0, 1.0]],
+                "variances": [1.0, 1.0]}
+        cell = spec[key][index]
+        if isinstance(cell, list):
+            cell[0] = value
+        else:
+            spec[key][index] = value
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(spec))
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_mixture(p)
+
+    def test_non_numeric_entry_is_format_error(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text('{"weights": ["a", 0.5], "means": [[0.0], [1.0]], '
+                     '"variances": [1.0, 1.0]}')
         with pytest.raises(FormatError):
             load_mixture(p)

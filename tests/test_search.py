@@ -156,6 +156,28 @@ class TestOptimize:
         assert np.allclose(res.best.signal.sum(axis=1), space.targets,
                            atol=1e-9)
 
+    def test_candidates_change_only_the_edited_row(self, ddim5, ring_gmm,
+                                                   monkeypatch):
+        # every candidate is the current matrix (the start or an earlier
+        # candidate) with one row edited and rescaled; the others are
+        # bitwise unchanged
+        import nimatrix.search as searchmod
+        seen = []
+
+        def recording_run(cfg):
+            seen.append(cfg.matrix.signal)
+            return run_matrix(cfg)
+
+        monkeypatch.setattr(searchmod, "run_matrix", recording_run)
+        pred = make_predictor(ring_gmm, ddim5.schedule())
+        ref = ring_gmm.means[np.arange(64) % 8]
+        optimize_matrix(SearchSpace(base=ddim5), pred, ref, budget=40,
+                        seed=1, n_samples=64)
+        assert np.array_equal(seen[0], ddim5.signal)
+        for k, cand in enumerate(seen[1:], start=1):
+            changed = [np.any(cand != prev, axis=1).sum() for prev in seen[:k]]
+            assert min(changed) <= 1
+
     def test_negative_budget_rejected(self, ddim5, ring_gmm):
         pred = make_predictor(ring_gmm, ddim5.schedule())
         with pytest.raises(ParameterError):
