@@ -134,6 +134,8 @@ def radial_spectrum(img) -> np.ndarray:
     n = a.shape[0]
     if n < 4:
         raise ValidationError("side must be at least 4")
+    if not np.isfinite(a).all():
+        raise ValidationError("image has a non-finite pixel")
     f = np.abs(np.fft.fft2(a))
     kx = np.fft.fftfreq(n, d=1.0 / n)
     r = np.sqrt(kx[:, None] ** 2 + kx[None, :] ** 2)

@@ -215,11 +215,22 @@ def cmd_search(args):
     return EXIT_OK
 
 
+def _load_image(path: str) -> np.ndarray:
+    """A real image from a .npy file or a CSV file."""
+    try:
+        if not path.endswith(".npy"):
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path, "rb") as fh:
+            img = np.load(fh)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a numeric image: {exc}") from exc
+    if not isinstance(img, np.ndarray) or img.dtype.kind not in "biuf":
+        raise FormatError(f"{path}: not a real numeric array")
+    return img
+
+
 def cmd_spectrum(args):
-    if args.image.endswith(".npy"):
-        img = np.load(args.image)
-    else:
-        img = np.loadtxt(args.image, delimiter=",", ndmin=2)
+    img = _load_image(args.image)
     s = _FAMILIES[args.family]()
     profile = analysis.snr_profile(img, s, args.t)
     lines = ["band,snr"]

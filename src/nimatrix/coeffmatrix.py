@@ -253,19 +253,31 @@ def normalize_rows(m: CoefficientMatrix, s: Schedule | None = None,
 # ---------------------------------------------------------------------
 
 def save(m: CoefficientMatrix, path) -> None:
-    payload = {
+    """Write the matrix as JSON, one line per header key and block row.
+
+    Each line goes through ``json.dumps`` without indentation, which uses
+    the C encoder; the rows are streamed, so no whole-file string is
+    built.  Floats are written as their ``repr`` and load back bitwise.
+    """
+    header = {
         "format": FORMAT_NAME,
         "schedule": m.schedule_info,
         "row_times": list(m.row_times),
         "col_times": list(m.col_times),
         "noise_mode": m.noise_mode,
         "noise_times": list(m.noise_times),
-        "signal": [[float(v) for v in row] for row in m.signal],
-        "noise": [[float(v) for v in row] for row in m.noise],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write("{\n")
+        for key, value in header.items():
+            fh.write(f"{json.dumps(key)}: {json.dumps(value)},\n")
+        for key, block, end in (("signal", m.signal, ","),
+                                ("noise", m.noise, "")):
+            fh.write(f"{json.dumps(key)}: [")
+            for i, row in enumerate(block):
+                fh.write((",\n" if i else "\n") + json.dumps(row.tolist()))
+            fh.write(f"\n]{end}\n")
+        fh.write("}\n")
 
 
 def from_payload(payload: dict) -> CoefficientMatrix:

@@ -1,11 +1,15 @@
 """Generic executor for coefficient matrices, plus the repeated
 self-enhancement loop.
 
-``run_matrix`` plays a coefficient matrix forward: for each row it forms
-the model input as the stored linear combination of earlier outputs and
-noise draws, queries the predictor, and finally returns the terminal-row
-combination.  Run on a matrix traced from a sampler with the same seed
-and predictor, it reproduces the native sampler output.
+``run_matrix`` plays a coefficient matrix forward as matrix products.
+All noise is drawn in one call, and every predictor output is written
+into one preallocated ``(n_evals, n*d)`` buffer.  Row ``i``'s model input
+is then two GEMVs, its signal weights times the earlier outputs plus its
+noise weights times the draws; the terminal row's combination is the
+returned sample.  The draws are the same stream, in the same column
+order, as one ``(n, d)`` batch per noise column.  Run on a matrix traced
+from a sampler with the same seed and predictor, the executor reproduces
+the native sampler output.
 
 The two noise modes share one row rule.  A ``traced`` matrix supplies
 its own noise block; a ``single-terminal`` matrix gets a one-column block
@@ -51,8 +55,11 @@ def _noise_block(m: CoefficientMatrix) -> np.ndarray:
 def run_matrix(cfg: RunConfig) -> RunResult:
     """Execute the matrix with the given predictor.
 
-    One Gaussian batch is drawn per noise column, in column order, and
-    each row adds its weighted outputs and then its weighted draws.
+    One ``standard_normal((m, n, d))`` call draws the ``m`` noise columns,
+    the same stream as one ``(n, d)`` batch per column in column order.
+    Each predictor output fills one row of an ``(n_evals, n*d)`` buffer;
+    row ``i``'s state is ``signal[i, :i] @ outputs[:i] + noise[i] @ draws``
+    and the terminal row uses its full signal row.
     """
     m = cfg.matrix
     pred = cfg.predictor
@@ -61,30 +68,25 @@ def run_matrix(cfg: RunConfig) -> RunResult:
     noise = _noise_block(m)
     shape = (cfg.n, pred.d)
     rng = np.random.default_rng(cfg.seed)
-    draws = [rng.standard_normal(shape) for _ in range(noise.shape[1])]
-    outputs: list = []
-
-    def row_state(i: int) -> np.ndarray:
-        x = np.zeros(shape)
-        for block, terms in ((m.signal, outputs), (noise, draws)):
-            row = block[i]
-            for j in np.flatnonzero(row):
-                x = x + row[j] * terms[j]
-        return x
-
+    width = cfg.n * pred.d
+    draws = rng.standard_normal((noise.shape[1],) + shape).reshape(-1, width)
+    outputs = np.empty((m.n_evals, width))
     for i in range(m.n_evals):
-        x = row_state(i)
-        y = np.asarray(pred(m.row_times[i], x))
+        x = noise[i] @ draws
+        x += m.signal[i, :i] @ outputs[:i]
+        y = np.asarray(pred(m.row_times[i], x.reshape(shape)))
         if y.shape != shape:
             raise ValidationError(
                 f"predictor returned shape {y.shape}, expected {shape}")
         if not np.isfinite(y).all():
             raise NumericError(f"predictor returned a non-finite value at "
                                f"row {i} (t = {m.row_times[i]!r})")
-        outputs.append(y)
-    samples = row_state(m.n_rows - 1)
-    return RunResult(samples=samples,
-                     trajectory=tuple(outputs) if cfg.record_trajectory else ())
+        outputs[i] = y.reshape(-1)
+    samples = (m.signal[-1] @ outputs + noise[-1] @ draws).reshape(shape)
+    trajectory = ()
+    if cfg.record_trajectory:
+        trajectory = tuple(outputs.reshape((m.n_evals,) + shape))
+    return RunResult(samples=samples, trajectory=trajectory)
 
 
 def over_enhance(pred, s: Schedule, t, x_init, k: int,

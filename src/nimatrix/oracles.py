@@ -309,6 +309,8 @@ def load_mixture(path) -> GaussianMixture:
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid mixture file: {exc.msg}",
                               row=exc.lineno, column=exc.colno) from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid mixture file: {exc}") from exc
     try:
         return GaussianMixture(weights=np.asarray(cfg["weights"]),
                                means=np.asarray(cfg["means"]),

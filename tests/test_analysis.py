@@ -81,6 +81,15 @@ class TestSpectrum:
         with pytest.raises(ValidationError):
             radial_spectrum(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, flow, value):
+        img = np.ones((8, 8))
+        img[3, 5] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            radial_spectrum(img)
+        with pytest.raises(ValidationError, match="non-finite"):
+            snr_profile(img, flow, 0.5)
+
     def test_snr_decreases_with_noise_level(self, flow):
         rng = np.random.default_rng(1)
         img = rng.standard_normal((32, 32)).cumsum(axis=0).cumsum(axis=1)

@@ -152,6 +152,14 @@ class TestSample:
         assert code == 3
         assert stdout == "" and "non-finite" in stderr
 
+    def test_non_utf8_mixture_is_format_error(self, capsys, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_bytes(b'{"weights": [1.0\xff]}')
+        code, stdout, stderr = run(capsys, "sample", "--matrix", "ddim-18",
+                                   "--predictor", f"gmm:{g}")
+        assert code == 4
+        assert stdout == "" and "invalid mixture file" in stderr
+
     def test_sample_to_dataset_file(self, capsys, tmp_path, small_dataset):
         d = tmp_path / "d.bin"
         save_dataset(small_dataset, d)
@@ -210,6 +218,44 @@ class TestSpectrum:
         assert stdout.splitlines()[0] == "band,snr"
         assert "submerged fraction" in stderr
 
+    def test_profile_from_npy_image(self, capsys, tmp_path):
+        p = tmp_path / "img.npy"
+        np.save(p, np.random.default_rng(0).standard_normal((8, 8)))
+        code, stdout, _ = run(capsys, "spectrum", "--image", str(p),
+                              "--family", "vp", "--t", "300")
+        assert code == 0
+        assert len(stdout.splitlines()) > 1
+
+    @pytest.mark.parametrize("name,write", [
+        ("img.csv", lambda p: p.write_text("1,2\n3,abc\n")),
+        ("img.csv", lambda p: p.write_bytes(b"1,2\xff\n3,4\n")),
+        ("img.npy", lambda p: p.write_bytes(b"\x00garbage bytes\xff" * 8)),
+        ("img.npy", lambda p: np.save(p, np.array([[1, "a"], [None, 2]],
+                                                  dtype=object),
+                                      allow_pickle=True)),
+        ("img.npy", lambda p: np.save(p, np.full((8, 8), "a"))),
+        ("img.npy", lambda p: np.save(p, np.ones((8, 8), dtype=complex))),
+    ], ids=["csv-text", "csv-non-utf8", "npy-garbage", "npy-object",
+            "npy-strings", "npy-complex"])
+    def test_malformed_image_is_format_error(self, capsys, tmp_path, name,
+                                             write):
+        p = tmp_path / name
+        write(p)
+        code, stdout, stderr = run(capsys, "spectrum", "--image", str(p),
+                                   "--family", "flow", "--t", "0.5")
+        assert code == 4
+        assert stdout == "" and str(p) in stderr
+
+    def test_nan_pixel_is_usage_error(self, capsys, tmp_path):
+        img = np.ones((8, 8))
+        img[2, 2] = np.nan
+        p = tmp_path / "img.csv"
+        np.savetxt(p, img, delimiter=",")
+        code, stdout, stderr = run(capsys, "spectrum", "--image", str(p),
+                                   "--family", "flow", "--t", "0.5")
+        assert code == 2
+        assert stdout == "" and "non-finite" in stderr
+
 
 class TestPresets:
     def test_list(self, capsys):
@@ -242,3 +288,11 @@ class TestSearchCommand:
         assert code == 0
         assert out.exists()
         assert stdout.splitlines()[0] == "evaluation,best_objective"
+
+    def test_non_utf8_mixture_is_format_error(self, capsys, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_bytes(b'{"weights": [1.0\xff]}')
+        code, stdout, stderr = run(capsys, "search", "--steps", "5",
+                                   "--predictor", f"gmm:{g}", "--budget", "4")
+        assert code == 4
+        assert stdout == "" and "invalid mixture file" in stderr

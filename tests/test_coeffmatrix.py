@@ -198,6 +198,85 @@ class TestSerialization:
         assert len(lines) == 4
 
 
+def _old_layout_save(m, path):
+    """The writer's earlier layout: one ``json.dump`` with ``indent=1``."""
+    payload = {"format": "nimatrix/1", "schedule": m.schedule_info,
+               "row_times": list(m.row_times), "col_times": list(m.col_times),
+               "noise_mode": m.noise_mode, "noise_times": list(m.noise_times),
+               "signal": m.signal.tolist(), "noise": m.noise.tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_bitwise_equal(a, b):
+    for name in ("signal", "noise", "row_times", "col_times", "noise_times"):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    assert a.signal.shape == b.signal.shape and a.noise.shape == b.noise.shape
+    assert a.schedule_info == b.schedule_info
+    assert a.noise_mode == b.noise_mode
+
+
+SAVED_KEYS = ["format", "schedule", "row_times", "col_times", "noise_mode",
+              "noise_times", "signal", "noise"]
+
+
+class TestWriter:
+    @pytest.mark.parametrize("name", list_presets())
+    def test_preset_roundtrip_is_bitwise(self, tmp_path, name):
+        m = load_preset(name)
+        save(m, tmp_path / "m.json")
+        assert_bitwise_equal(load(tmp_path / "m.json"), m)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_evals", [6, 18])
+    def test_traced_roundtrip_is_bitwise(self, tmp_path, kind, n_evals):
+        m = trace_sampler(SamplerSpec(kind=kind), n_evals=n_evals)
+        save(m, tmp_path / "m.json")
+        assert_bitwise_equal(load(tmp_path / "m.json"), m)
+
+    def test_negative_zero_survives(self, vp, tmp_path):
+        m = tiny_matrix(vp)
+        signal = m.signal.copy()
+        signal[2, 0] = -0.0
+        m = replace(m, signal=signal)
+        save(m, tmp_path / "m.json")
+        assert_bitwise_equal(load(tmp_path / "m.json"), m)
+
+    def test_file_is_json_with_the_same_keys(self, tmp_path):
+        m = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=6)
+        p = tmp_path / "m.json"
+        save(m, p)
+        payload = json.loads(p.read_text(encoding="utf-8"))
+        assert list(payload) == SAVED_KEYS
+        assert payload["signal"] == m.signal.tolist()
+        assert payload["noise"] == m.noise.tolist()
+
+    def test_one_line_per_block_row(self, tmp_path):
+        m = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=6)
+        p = tmp_path / "m.json"
+        save(m, p)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        # braces, six header keys, and per block a key line, rows, "]"
+        assert len(lines) == 2 + 6 + 2 * (m.n_rows + 2)
+
+    def test_old_indented_layout_still_loads(self, tmp_path):
+        m = trace_sampler(SamplerSpec(kind="sde-euler"), n_evals=6)
+        p = tmp_path / "old.json"
+        _old_layout_save(m, p)
+        assert_bitwise_equal(load(p), m)
+
+    def test_empty_noise_block_roundtrips(self, vp, tmp_path):
+        m = replace(tiny_matrix(vp), noise_mode="single-terminal",
+                    noise=np.zeros((3, 0)), noise_times=())
+        save(m, tmp_path / "m.json")
+        assert_bitwise_equal(load(tmp_path / "m.json"), m)
+
+
 class TestPresets:
     def test_all_presets_load(self):
         for name in list_presets():

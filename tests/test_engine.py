@@ -3,12 +3,53 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nimatrix.coeffmatrix import trace_sampler
-from nimatrix.engine import RunConfig, over_enhance, run_matrix
+from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
+                                  trace_sampler)
+from nimatrix.engine import RunConfig, _noise_block, over_enhance, run_matrix
 from nimatrix.errors import NumericError, ParameterError, ValidationError
 from nimatrix.oracles import make_predictor
-from nimatrix.samplers import SamplerSpec
+from nimatrix.samplers import KINDS, SamplerSpec
 from nimatrix.schedule import mixing_coeffs
+
+
+def per_entry_run(m, pred, n, seed):
+    """Reference executor: one axpy per nonzero entry, one draw per column.
+
+    This is the row rule ``run_matrix`` used before it formed rows as
+    matrix products; the products must agree with it to rounding.
+    """
+    noise = _noise_block(m)
+    shape = (n, pred.d)
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_normal(shape) for _ in range(noise.shape[1])]
+    outputs = []
+
+    def row_state(i):
+        x = np.zeros(shape)
+        for block, terms in ((m.signal, outputs), (noise, draws)):
+            row = block[i]
+            for j in np.flatnonzero(row):
+                x = x + row[j] * terms[j]
+        return x
+
+    for i in range(m.n_evals):
+        outputs.append(np.asarray(pred(m.row_times[i], row_state(i))))
+    return row_state(m.n_rows - 1), outputs
+
+
+def _traceable(kind, n_evals):
+    try:
+        trace_sampler(SamplerSpec(kind=kind), n_evals=n_evals)
+    except ParameterError:  # e.g. a three-stage solver at 100 evaluations
+        return False
+    return True
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+TRACEABLE = [(k, n) for k in KINDS for n in (6, 18, 100) if _traceable(k, n)]
 
 
 @pytest.fixture()
@@ -94,6 +135,69 @@ class TestRunMatrix:
 
         with pytest.raises(NumericError, match="non-finite"):
             run_matrix(RunConfig(matrix=m, predictor=Bad(), n=2))
+
+
+class TestMatrixProducts:
+    @pytest.mark.parametrize("mode", ["traced", "single-terminal"])
+    @pytest.mark.parametrize("kind,n_evals", TRACEABLE)
+    def test_matches_per_entry_rule(self, gmm16, kind, n_evals, mode):
+        m = trace_sampler(SamplerSpec(kind=kind), n_evals=n_evals)
+        m = replace(m, noise_mode=mode)
+        pred = make_predictor(gmm16, m.schedule())
+        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=3, seed=4,
+                                 record_trajectory=True))
+        want, outputs = per_entry_run(m, pred, n=3, seed=4)
+        assert _rel(r.samples, want) <= 1e-12
+        assert len(r.trajectory) == len(outputs) == m.n_evals
+        for got, ref in zip(r.trajectory, outputs):
+            assert got.shape == ref.shape
+            assert _rel(got, ref) <= 1e-12
+
+    def test_covers_every_kind_at_100_where_allowed(self):
+        assert {k for k, _ in TRACEABLE} == set(KINDS)
+        assert sum(n == 100 for _, n in TRACEABLE) >= len(KINDS) - 2
+
+    def test_one_call_draws_equal_per_column_draws(self):
+        a = np.random.default_rng(3).standard_normal((5, 4, 7))
+        rng = np.random.default_rng(3)
+        b = [rng.standard_normal((4, 7)) for _ in range(5)]
+        assert all(np.array_equal(a[j], b[j]) for j in range(5))
+
+    @pytest.mark.parametrize("column", [0, 2, 5])
+    def test_noise_column_j_is_the_jth_draw(self, gmm16, column):
+        # a terminal row that selects one noise column returns exactly
+        # the draw a per-column executor makes for that column
+        m = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=6)
+        signal = m.signal.copy()
+        noise = m.noise.copy()
+        signal[-1] = 0.0
+        noise[-1] = 0.0
+        noise[-1, column] = 1.0
+        m = replace(m, signal=signal, noise=noise)
+        pred = make_predictor(gmm16, m.schedule())
+        got = run_matrix(RunConfig(matrix=m, predictor=pred, n=2, seed=8))
+        rng = np.random.default_rng(8)
+        draws = [rng.standard_normal((2, 16)) for _ in range(m.noise.shape[1])]
+        assert np.array_equal(got.samples, draws[column])
+
+
+    def test_terminal_row_only_matrix_returns_zeros(self, vp):
+        # no evaluations and no noise columns: empty products, no draws
+        m = CoefficientMatrix(schedule_info=vp.descriptor(),
+                              row_times=(TERMINAL_OUTPUT,), col_times=(),
+                              signal=np.zeros((1, 0)), noise=np.zeros((1, 0)),
+                              noise_mode="traced")
+
+        class Identity:
+            d = 3
+
+            def __call__(self, t, x):
+                return x
+
+        r = run_matrix(RunConfig(matrix=m, predictor=Identity(), n=2,
+                                 record_trajectory=True))
+        assert np.array_equal(r.samples, np.zeros((2, 3)))
+        assert r.trajectory == ()
 
 
 class TestOverEnhance:
