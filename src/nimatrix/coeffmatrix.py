@@ -23,7 +23,7 @@ import numpy as np
 
 from . import schedule as sched
 from .affine import RunContext, TRACE
-from .errors import FormatError, NumericError, ValidationError
+from .errors import FormatError, NimatrixError, NumericError, ValidationError
 from .samplers import SamplerSpec, default_grid, default_schedule, run_native
 from .schedule import (Schedule, TimeGrid, make_schedule, mixing_coeffs,
                        validate_decreasing)
@@ -48,6 +48,8 @@ class CoefficientMatrix:
     noise: np.ndarray = field(repr=False)
     noise_times: tuple = ()
     noise_mode: str = "single-terminal"
+    # built from schedule_info once, when the matrix is constructed
+    _schedule: Schedule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("signal", "noise"):
@@ -55,6 +57,13 @@ class CoefficientMatrix:
             block.setflags(write=False)
             object.__setattr__(self, name, block)
         self.validate()
+        s = make_schedule(self.schedule_info)
+        # every row time lies in the schedule's domain; only the terminal
+        # row may be TERMINAL_OUTPUT
+        for i, t in enumerate(self.row_times):
+            if not (i == self.n_evals and t == TERMINAL_OUTPUT):
+                mixing_coeffs(s, t)
+        object.__setattr__(self, "_schedule", s)
 
     # ----- structure -------------------------------------------------
     @property
@@ -101,7 +110,7 @@ class CoefficientMatrix:
                                       f"{i} or later: not lower triangular")
 
     def schedule(self) -> Schedule:
-        return make_schedule(self.schedule_info)
+        return self._schedule
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,7 @@ def from_payload(payload: dict) -> CoefficientMatrix:
             noise_times=tuple(float(t) for t in payload.get("noise_times", ())),
             noise_mode="traced" if mode == "custom" else mode,
         )
-    except ValidationError:
+    except NimatrixError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed matrix payload: {exc}") from exc

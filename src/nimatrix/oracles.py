@@ -10,15 +10,18 @@ Two oracle families stand in for a trained network:
   posteriors, giving a smooth predictor, an analytic marginal density,
   and therefore an analytic score for cross-checks.
 
-The dataset posterior runs as one fused kernel.  Up to a per-state
-constant the logits are ``(c0/c1^2) x . a - (c0^2/c1^2) |a|^2 / 2``: one
-GEMM of the pre-scaled states against the atoms, minus the half squared
-atom norms that each :class:`Dataset` caches.  The row maximum is
-subtracted before the exponential, because at small ``sigma`` the logits
-reach the thousands or more and would overflow or underflow otherwise; the
-exponentials are taken in place, and the weights and the posterior mean
-are both normalised by the same row sums.  The GMM oracle keeps its
-log-domain responsibilities.
+Both families weight their atoms or components with one stabilised
+softmax over a ``(b, k)`` logit buffer formed by a GEMM.  For the dataset,
+up to a per-state constant the logits are
+``(c0/c1^2) x . a - (c0^2/c1^2) |a|^2 / 2``: the pre-scaled states against
+the atoms, minus the half squared atom norms that each :class:`Dataset`
+caches.  For the mixture they are the component log marginals, the states
+against ``c0 m_k / tot_k`` plus per-component and per-state terms.  The
+row maximum is subtracted before the exponential, because at small
+``sigma`` the logits reach the thousands or more and would overflow or
+underflow otherwise; the exponentials are taken in place, the weights and
+the posterior mean are both normalised by the same row sums, and the
+mixture log-density is the row maximum plus the log of the row sum.
 """
 
 from __future__ import annotations
@@ -106,100 +109,96 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
-def _logsumexp(a, axis=-1, keepdims=False):
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return out if keepdims else np.squeeze(out, axis=axis)
+def _softmax_rows(e):
+    """Max-shifted exponentials of a (b, k) logit buffer, in place.
 
-
-def _sqdist(a, b):
-    """Pairwise squared Euclidean distances, (m, d) x (n, d) -> (m, n)."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    Returns the (b, 1) row sums ``z`` and row maxima ``top``: the softmax
+    is ``e / z`` and the log-sum-exp of the logits is ``top + log z``.
+    """
+    top = e.max(axis=1, keepdims=True)
+    e -= top
+    np.exp(e, out=e)
+    return e.sum(axis=1, keepdims=True), top
 
 
 def _posterior_kernel(ds: Dataset, s: Schedule, t, xb):
     """Unnormalised posterior weights over the atoms for (b, d) states.
 
-    Returns ``(e, z, degenerate)``: the (b, n) weights ``e``, their (b, 1)
-    row sums ``z``, and whether this is the c0 = 0 uniform limit.  The
-    posterior weights are ``e / z``.
+    Returns ``(e, z)``: the (b, n) weights ``e`` and their (b, 1) row
+    sums ``z``.  The posterior weights are ``e / z``.
     """
     c0, c1 = mixing_coeffs(s, t)
     b = xb.shape[0]
     if c0 == 0.0:
-        return np.ones((b, ds.n)), np.full((b, 1), float(ds.n)), True
+        return np.ones((b, ds.n)), np.full((b, 1), float(ds.n))
     if c1 == 0.0:
         # one-hot at the nearest atom to x / c0 (lowest index on ties)
         idx = np.argmax((xb / c0) @ ds.atoms.T - ds.half_sqnorms, axis=1)
         e = np.zeros((b, ds.n))
         e[np.arange(b), idx] = 1.0
-        return e, np.ones((b, 1)), False
+        return e, np.ones((b, 1))
     scale = c0 / (c1 * c1)
     e = (xb * scale) @ ds.atoms.T
     e -= (c0 * scale) * ds.half_sqnorms
-    e -= e.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    return e, e.sum(axis=1, keepdims=True), False
+    z, _ = _softmax_rows(e)
+    return e, z
 
 
-def posterior_weights(ds: Dataset, s: Schedule, t, x,
-                      return_status: bool = False):
+def posterior_weights(ds: Dataset, s: Schedule, t, x):
     """Posterior probabilities over the atoms given the state x at t."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    e, z, degenerate = _posterior_kernel(ds, s, t, x[None, :] if single else x)
+    e, z = _posterior_kernel(ds, s, t, x[None, :] if single else x)
     e /= z
-    w = e[0] if single else e
-    if return_status:
-        return w, degenerate
-    return w
+    return e[0] if single else e
 
 
 def posterior_mean_dataset(ds: Dataset, s: Schedule, t, x):
     """Exact posterior mean E[x0 | x_t] over the atom set."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    e, z, _ = _posterior_kernel(ds, s, t, x[None, :] if single else x)
+    e, z = _posterior_kernel(ds, s, t, x[None, :] if single else x)
     out = (e @ ds.atoms) / z
     return out[0] if single else out
+
+
+def _mixture_kernel(g: GaussianMixture, c0, tot, xb):
+    """Unnormalised component responsibilities for (b, d) states.
+
+    The logits are ``log w_k - (d/2) log tot_k - |x - c0 m_k|^2 / (2 tot_k)``,
+    expanded into one GEMM of the states against ``c0 m_k / tot_k``, a
+    per-component bias and the outer product ``|x|^2 (x) 1 / (2 tot_k)``.
+    Returns ``(e, z, top)`` as :func:`_softmax_rows` leaves them.
+    """
+    m = g.means
+    half_inv = 0.5 / tot
+    e = xb @ (m * (c0 / tot)[:, None]).T
+    e += (np.log(g.weights) - 0.5 * g.d * np.log(tot)
+          - (c0 * c0) * half_inv * np.einsum("kd,kd->k", m, m))
+    e -= np.multiply.outer(np.einsum("bd,bd->b", xb, xb), half_inv)
+    z, top = _softmax_rows(e)
+    return e, z, top
 
 
 def posterior_mean_gmm(g: GaussianMixture, s: Schedule, t, x):
     """Posterior mean under an isotropic Gaussian mixture prior.
 
     Each component posterior mean is the conjugate-Gaussian update
-    ``m_k + c0 v_k / (c0^2 v_k + c1^2) (x - c0 m_k)``; components
-    combine via log-domain responsibilities under the state marginal
-    ``N(c0 m_k, (c0^2 v_k + c1^2) I)``.  Well defined whenever the
-    state has any variance; at ``c0 = 0`` it reduces to the prior mean.
+    ``(c1^2 / tot_k) m_k + gain_k x`` with ``tot_k = c0^2 v_k + c1^2`` and
+    ``gain_k = c0 v_k / tot_k``; components combine with their
+    responsibilities under the state marginal ``N(c0 m_k, tot_k I)``.
+    ``tot_k > 0`` because ``v_k > 0`` and every schedule keeps
+    ``c0^2 + c1^2 > 0``; at ``c0 = 0`` this is the prior mean.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = x[None, :] if single else x
     c0, c1 = mixing_coeffs(s, t)
     v = g.variances
-    tot = c0 * c0 * v + c1 * c1  # per-component marginal variance
-    if np.any(tot == 0.0):
-        if c0 == 0.0:
-            raise ParameterError("posterior undefined: state has no "
-                                 "signal and no noise")
-        # c1 = 0 and v = 0: the state pins x0 = x / c0 exactly
-        out = xb / c0
-        return out[0] if single else out
-    d = g.d
-    d2 = _sqdist(xb, c0 * g.means)  # (b, k)
-    log_r = (np.log(g.weights)[None, :] - 0.5 * d * np.log(tot)[None, :]
-             - d2 / (2.0 * tot)[None, :])
-    log_r = log_r - _logsumexp(log_r, axis=1, keepdims=True)
-    r = np.exp(log_r)  # (b, k)
-    # per-component posterior means, (b, k, d)
-    gain = (c0 * v / tot)[None, :, None]
-    comp = (g.means[None, :, :]
-            + gain * (xb[:, None, :] - c0 * g.means[None, :, :]))
-    out = np.sum(r[:, :, None] * comp, axis=1)
+    tot = c0 * c0 * v + c1 * c1
+    e, z, _ = _mixture_kernel(g, c0, tot, xb)
+    out = (e @ (g.means * (c1 * c1 / tot)[:, None])
+           + (e @ (c0 * v / tot))[:, None] * xb) / z
     return out[0] if single else out
 
 
@@ -207,15 +206,10 @@ def gmm_marginal_logdensity(g: GaussianMixture, s: Schedule, t, x) -> float:
     """log p(x_t): each component marginal is N(c0 m_k, (c0^2 v_k + c1^2) I)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    xb = x[None, :] if single else x
     c0, c1 = mixing_coeffs(s, t)
-    var = c0 * c0 * g.variances + c1 * c1
-    d = g.d
-    d2 = _sqdist(xb, c0 * g.means)
-    log_p = (np.log(g.weights)[None, :]
-             - 0.5 * d * (np.log(2.0 * np.pi) + np.log(var))[None, :]
-             - d2 / (2.0 * var)[None, :])
-    out = _logsumexp(log_p, axis=1)
+    _, z, top = _mixture_kernel(g, c0, c0 * c0 * g.variances + c1 * c1,
+                                x[None, :] if single else x)
+    out = (top + np.log(z))[:, 0] - 0.5 * g.d * np.log(2.0 * np.pi)
     return float(out[0]) if single else out
 
 

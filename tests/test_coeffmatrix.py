@@ -8,7 +8,8 @@ from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
                                   equivalent_marginals, from_payload, load,
                                   normalize_rows, save, to_csv,
                                   trace_sampler)
-from nimatrix.errors import FormatError, NumericError, ValidationError
+from nimatrix.errors import (DomainError, FormatError, NumericError,
+                             ValidationError)
 from nimatrix.presets import list_presets, load_preset
 from nimatrix.samplers import KINDS, SamplerSpec
 
@@ -77,6 +78,21 @@ class TestValidation:
     def test_rejects_input_row_off_its_evaluation_time(self, vp):
         with pytest.raises(ValidationError, match="input row 1"):
             replace(tiny_matrix(vp), row_times=(999.0, 400.0, TERMINAL_OUTPUT))
+
+    @pytest.mark.parametrize("row_times,col_times", [
+        ((999.0, 500.0, 5000.0), (999.0, 500.0)),  # terminal row past T - 1
+        ((999.0, 500.5, TERMINAL_OUTPUT), (999.0, 500.5)),
+        ((999.0, TERMINAL_OUTPUT, TERMINAL_OUTPUT), (999.0, TERMINAL_OUTPUT)),
+    ])
+    def test_rejects_row_time_outside_schedule(self, vp, row_times,
+                                               col_times):
+        with pytest.raises(DomainError):
+            replace(tiny_matrix(vp), row_times=row_times, col_times=col_times)
+
+    def test_schedule_is_built_once(self, vp):
+        m = tiny_matrix(vp)
+        assert m.schedule() is m.schedule()
+        assert m.schedule().descriptor() == vp.descriptor()
 
     def test_blocks_are_read_only_copies(self, vp):
         signal = np.array([[0.0, 0.0], [0.3, 0.0], [0.5, 0.5]])

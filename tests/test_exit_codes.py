@@ -1,10 +1,12 @@
 """The CLI exit-code contract on mutated input files.
 
-``nimatrix check`` and ``nimatrix sample`` read a matrix file and a
+``nimatrix check``, ``guidance`` and ``sample`` read a matrix file and a
 dataset file.  Whatever those files hold, ``cli.main`` returns 0, 2, 3
-or 4 and never raises.  The mutations start from preset payloads and a
-small binary dataset: rows dropped or duplicated, a time changed, NaN
-or a string put in a cell, a key deleted, bytes truncated or flipped.
+or 4 and never raises, and ``guidance`` rejects exactly the matrix files
+that ``check`` rejects, with the same code.  The mutations start from
+preset payloads and a small binary dataset: rows dropped or duplicated,
+a time changed, NaN or a string put in a cell, a key deleted, bytes
+truncated or flipped.
 """
 
 import contextlib
@@ -98,6 +100,27 @@ def _dropped_last_two_rows() -> bytes:
     return json.dumps(payload).encode()
 
 
+def _without_beta_min() -> bytes:
+    payload = preset_payload("ddim-18")
+    del payload["schedule"]["beta_min"]
+    return json.dumps(payload).encode()
+
+
+def _evaluation_at(i: int, t: float) -> bytes:
+    """ddim-18 with evaluation ``i`` (its input row and column) moved to t."""
+    payload = preset_payload("ddim-18")
+    payload["row_times"][i] = payload["col_times"][i] = t
+    return json.dumps(payload).encode()
+
+
+# Files that loaded fine for ``guidance`` while ``check`` rejected them:
+# a schedule header that cannot be built, a time outside [0, T - 1] and a
+# non-integer time on the vp-discrete schedule.
+SCHEDULE_DOMAIN_FILES = [(_without_beta_min(), 4),
+                         (_evaluation_at(0, 5000.0), 2),
+                         (_evaluation_at(1, 981.5), 2)]
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("exit-codes")
@@ -114,10 +137,24 @@ def _exit_code(*argv) -> int:
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(matrix=matrix_files(), dataset=dataset_files())
 @example(matrix=_dropped_last_two_rows(), dataset=DATASET)
+@example(matrix=SCHEDULE_DOMAIN_FILES[0][0], dataset=DATASET)
+@example(matrix=SCHEDULE_DOMAIN_FILES[1][0], dataset=DATASET)
+@example(matrix=SCHEDULE_DOMAIN_FILES[2][0], dataset=DATASET)
 def test_check_and_sample_exit_codes(files, matrix, dataset):
     mpath, dpath = files
     mpath.write_bytes(matrix)
     dpath.write_bytes(dataset)
-    assert _exit_code("check", str(mpath)) in EXIT_CODES
+    code = _exit_code("check", str(mpath))
+    assert code in EXIT_CODES
+    assert _exit_code("guidance", str(mpath)) == code
     assert _exit_code("sample", "--matrix", str(mpath), "--predictor",
                       f"dataset:{dpath}", "--n", "2") in EXIT_CODES
+
+
+@pytest.mark.parametrize("matrix,code", SCHEDULE_DOMAIN_FILES,
+                         ids=["no-beta-min", "time-5000", "time-981.5"])
+def test_guidance_rejects_what_check_rejects(files, matrix, code):
+    mpath, _ = files
+    mpath.write_bytes(matrix)
+    assert _exit_code("check", str(mpath)) == code
+    assert _exit_code("guidance", str(mpath)) == code

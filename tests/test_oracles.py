@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from nimatrix.errors import FormatError, ParameterError, ValidationError
 from nimatrix.oracles import (Dataset, GaussianMixture,
@@ -8,7 +10,7 @@ from nimatrix.oracles import (Dataset, GaussianMixture,
                               posterior_mean_dataset, posterior_mean_gmm,
                               posterior_weights, save_dataset,
                               score_from_x0hat)
-from nimatrix.schedule import mixing_coeffs
+from nimatrix.schedule import make_flow, make_vp_linear, mixing_coeffs
 
 
 def reference_weights(atoms, s, t, x):
@@ -38,6 +40,42 @@ def assert_matches_reference(ds, s, t, x):
 extended_precision = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
     reason="the reference needs a long double wider than float64")
+
+
+def reference_mixture(g, s, t, x):
+    """Brute-force posterior mean and log-density under a mixture in
+    extended precision: direct squared distances to ``c0 m_k``, the
+    per-component conjugate means, max-shifted log-domain weights."""
+    c0, c1 = (np.longdouble(c) for c in mixing_coeffs(s, t))
+    m = np.asarray(g.means, dtype=np.longdouble)
+    v = np.asarray(g.variances, dtype=np.longdouble)
+    x = np.atleast_2d(np.asarray(x, dtype=np.longdouble))
+    tot = c0 * c0 * v + c1 * c1
+    diff = x[:, None, :] - c0 * m[None, :, :]
+    logits = (np.log(np.asarray(g.weights, dtype=np.longdouble))
+              - 0.5 * g.d * np.log(tot) - (diff ** 2).sum(-1) / (2 * tot))
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    z = e.sum(axis=1, keepdims=True)
+    comp = m[None, :, :] + (c0 * v / tot)[None, :, None] * diff
+    mean = (e[:, :, None] * comp).sum(axis=1) / z
+    log_2pi = np.log(2 * np.longdouble(np.pi))
+    logp = (top + np.log(z))[:, 0] - 0.5 * g.d * log_2pi
+    return mean, logp
+
+
+def uneven_mixture(k, d, seed=3):
+    """A mixture with unequal weights and variances."""
+    r = np.random.default_rng(seed)
+    w = r.uniform(0.5, 1.5, k)
+    return GaussianMixture(weights=w / w.sum(),
+                           means=2.0 * r.standard_normal((k, d)),
+                           variances=r.uniform(0.01, 1.0, k))
+
+
+MIXTURE_SHAPES = [(512, 8, 2), (16, 8, 64)]  # (b, k, d)
+MIXTURE_TIMES = [(make_vp_linear(), t) for t in (999, 500, 100, 10, 0)] + [
+    (make_flow(), t) for t in (1.0, 0.9, 0.5, 0.1, 0.0)]
 
 
 class TestDataset:
@@ -91,10 +129,9 @@ class TestPosteriorWeights:
 
     def test_zero_signal_is_uniform(self, small_dataset, flow, rng):
         x = rng.standard_normal(small_dataset.d)
-        w, degenerate = posterior_weights(small_dataset, flow, 1.0, x,
-                                          return_status=True)
-        assert degenerate
-        assert np.allclose(w, 1.0 / small_dataset.n)
+        w = posterior_weights(small_dataset, flow, 1.0, x)
+        n = small_dataset.n
+        assert np.array_equal(w, np.full(n, 1.0 / n))
 
     def test_zero_noise_is_one_hot(self, small_dataset, flow):
         x = small_dataset.atoms[4].copy()
@@ -183,6 +220,47 @@ class TestPosteriorMeans:
             assert np.allclose(got[i],
                                posterior_mean_gmm(gmm16, vp, 300, xb[i]),
                                atol=1e-12)
+
+
+class TestMixtureKernel:
+    @extended_precision
+    @pytest.mark.parametrize("scale,tol", [(1.0, 1e-13), (100.0, 1e-10)])
+    @pytest.mark.parametrize("b,k,d", MIXTURE_SHAPES)
+    def test_matches_reference(self, b, k, d, scale, tol):
+        # unequal variances make |x|^2 / (2 tot_k) differ per component;
+        # at |x| x 100 that term dominates the logits and cancels
+        g = uneven_mixture(k, d)
+        x = scale * np.random.default_rng(5).standard_normal((b, d))
+        for s, t in MIXTURE_TIMES:
+            want_m, want_l = reference_mixture(g, s, t, x)
+            got_m = posterior_mean_gmm(g, s, t, x)
+            got_l = gmm_marginal_logdensity(g, s, t, x)
+            err = (np.linalg.norm((got_m - want_m).astype(np.float64), axis=1)
+                   / np.linalg.norm(want_m.astype(np.float64), axis=1))
+            assert err.max() <= tol, (s.family, t)
+            assert float(np.abs((got_l - want_l) / want_l).max()) <= 1e-13
+
+    @pytest.mark.parametrize("b,k,d", MIXTURE_SHAPES)
+    def test_logdensity_matches_scipy(self, b, k, d):
+        g = uneven_mixture(k, d)
+        x = np.random.default_rng(6).standard_normal((b, d))
+        for s, t in MIXTURE_TIMES:
+            c0, c1 = mixing_coeffs(s, t)
+            comps = [np.log(w) + multivariate_normal.logpdf(
+                         x, c0 * m, (c0 * c0 * v + c1 * c1) * np.eye(d))
+                     for w, m, v in zip(g.weights, g.means, g.variances)]
+            want = logsumexp(np.stack(comps, axis=1), axis=1)
+            np.testing.assert_allclose(gmm_marginal_logdensity(g, s, t, x),
+                                       want, rtol=1e-12)
+            assert gmm_marginal_logdensity(g, s, t, x[0]) == pytest.approx(
+                want[0], rel=1e-12)
+
+    def test_flow_t0_closed_form(self, flow):
+        # no noise: the state is x0 itself
+        g = uneven_mixture(8, 3)
+        x = np.random.default_rng(7).standard_normal((32, 3))
+        np.testing.assert_allclose(posterior_mean_gmm(g, flow, 0.0, x), x,
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestScore:
