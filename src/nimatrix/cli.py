@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from tokenize import TokenError
 
 import numpy as np
 
@@ -114,6 +115,9 @@ def cmd_trace(args):
             times = np.loadtxt(path, ndmin=1)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
+        if times.ndim != 1:
+            raise FormatError(f"{path}: want one time per line, got a "
+                              f"{times.shape[0]} x {times.shape[1]} table")
         grid = sched.make_grid(s, len(times), "explicit", explicit=times)
     elif args.grid == "quadratic":
         grid = default_grid(spec, s, steps, "quadratic")
@@ -222,7 +226,8 @@ def _load_image(path: str) -> np.ndarray:
             return np.loadtxt(path, delimiter=",", ndmin=2)
         with open(path, "rb") as fh:
             img = np.load(fh)
-    except ValueError as exc:
+    except (ValueError, TypeError, SyntaxError, TokenError, EOFError) as exc:
+        # np.load raises each of these on an empty file or a bad .npy header
         raise FormatError(f"{path}: not a numeric image: {exc}") from exc
     if not isinstance(img, np.ndarray) or img.dtype.kind not in "biuf":
         raise FormatError(f"{path}: not a real numeric array")

@@ -11,10 +11,17 @@ outputs.
 For every row, the *equivalent marginal coefficients* are the signal row
 sum and the noise row norm; a well-behaved matrix keeps them close to
 the schedule's ideal amplitudes ``(c0, c1)`` at the row's time.
+
+Matrix files are JSON.  ``save`` writes ``nimatrix/2``, where each block
+is one base64 string of its row-major little-endian float64 bytes and
+its shape comes from the header's time lists.  ``load`` also reads
+``nimatrix/1``, where each block is a list of rows: the embedded
+presets and older files use it.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -28,7 +35,10 @@ from .samplers import SamplerSpec, default_grid, default_schedule, run_native
 from .schedule import (Schedule, TimeGrid, make_schedule, mixing_coeffs,
                        validate_decreasing)
 
-FORMAT_NAME = "nimatrix/1"
+#: The format ``save`` writes: each block a base64 string of ``<f8`` bytes.
+FORMAT_NAME = "nimatrix/2"
+#: The list form of the presets and older files: each block a list of rows.
+LIST_FORMAT = "nimatrix/1"
 
 #: How ``run_matrix`` forms the noise of each row (see ``engine``);
 #: files that say ``custom`` load as ``traced``.
@@ -262,11 +272,12 @@ def normalize_rows(m: CoefficientMatrix, s: Schedule | None = None,
 # ---------------------------------------------------------------------
 
 def save(m: CoefficientMatrix, path) -> None:
-    """Write the matrix as JSON, one line per header key and block row.
+    """Write the matrix as ``nimatrix/2`` JSON, one line per key.
 
-    Each line goes through ``json.dumps`` without indentation, which uses
-    the C encoder; the rows are streamed, so no whole-file string is
-    built.  Floats are written as their ``repr`` and load back bitwise.
+    The header keys are written through ``json.dumps``; each block is
+    one base64 string of its row-major little-endian float64 bytes, so
+    every entry, ``-0.0`` included, loads back bitwise.  The lines are
+    streamed, so no whole-file string is built.
     """
     header = {
         "format": FORMAT_NAME,
@@ -282,27 +293,55 @@ def save(m: CoefficientMatrix, path) -> None:
             fh.write(f"{json.dumps(key)}: {json.dumps(value)},\n")
         for key, block, end in (("signal", m.signal, ","),
                                 ("noise", m.noise, "")):
-            fh.write(f"{json.dumps(key)}: [")
-            for i, row in enumerate(block):
-                fh.write((",\n" if i else "\n") + json.dumps(row.tolist()))
-            fh.write(f"\n]{end}\n")
+            raw = block.astype("<f8", copy=False).tobytes()
+            fh.write(f'{json.dumps(key)}: "'
+                     f'{base64.b64encode(raw).decode("ascii")}"{end}\n')
         fh.write("}\n")
 
 
+def _block(value, rows: int, cols: int, fmt: str):
+    """A payload's signal or noise block, to be read as (rows, cols).
+
+    Under ``nimatrix/1`` the block is a list of rows, and ``[]`` is an
+    empty block.  Under ``nimatrix/2`` it is the base64 of exactly
+    ``8 * rows * cols`` little-endian float64 bytes.  Shape and
+    finiteness are checked when the matrix is built.
+    """
+    if fmt == LIST_FORMAT:
+        if not isinstance(value, list):
+            raise FormatError(f"a {fmt} block must be a list of rows")
+        return value if value else np.zeros((rows, 0))
+    if not isinstance(value, str):
+        raise FormatError(f"a {fmt} block must be a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise FormatError(f"bad base64 block: {exc}") from exc
+    need = 8 * rows * cols
+    if len(raw) != need:
+        raise FormatError(f"block holds {len(raw)} bytes, want {need} for "
+                          f"{rows} x {cols} float64 entries")
+    return np.frombuffer(raw, "<f8").reshape(rows, cols)
+
+
 def from_payload(payload: dict) -> CoefficientMatrix:
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
-        raise FormatError(f"not a {FORMAT_NAME} payload")
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt not in (FORMAT_NAME, LIST_FORMAT):
+        raise FormatError(f"not a {FORMAT_NAME} or {LIST_FORMAT} payload")
     mode = payload.get("noise_mode", "single-terminal")
     try:
-        noise = payload.get("noise") or []
         row_times = tuple(float(t) for t in payload["row_times"])
+        col_times = tuple(float(t) for t in payload["col_times"])
+        noise_times = tuple(float(t) for t in payload.get("noise_times", ()))
+        rows = len(row_times)
         return CoefficientMatrix(
             schedule_info=dict(payload["schedule"]),
             row_times=row_times,
-            col_times=tuple(float(t) for t in payload["col_times"]),
-            signal=payload["signal"],
-            noise=noise if len(noise) else np.zeros((len(row_times), 0)),
-            noise_times=tuple(float(t) for t in payload.get("noise_times", ())),
+            col_times=col_times,
+            signal=_block(payload["signal"], rows, len(col_times), fmt),
+            noise=_block(payload.get("noise", []), rows, len(noise_times),
+                         fmt),
+            noise_times=noise_times,
             noise_mode="traced" if mode == "custom" else mode,
         )
     except NimatrixError:

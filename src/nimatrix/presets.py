@@ -1,7 +1,9 @@
 """Embedded reference coefficient matrices.
 
-Each preset is a ``nimatrix/1`` payload shipped as package data, with a
-few extra metadata keys:
+Each preset is a ``nimatrix/1`` payload shipped as package data: its
+blocks stay lists of rows, which ``presets export`` writes as they are
+(``save`` writes ``nimatrix/2``).  A preset has a few extra metadata
+keys:
 
 - ``printed_row_sums`` / ``printed_row_norms``: the per-row check
   columns published alongside the matrix (3-decimal precision).

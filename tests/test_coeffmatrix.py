@@ -1,3 +1,4 @@
+import base64
 import json
 from dataclasses import replace
 
@@ -225,6 +226,24 @@ def _old_layout_save(m, path):
         fh.write("\n")
 
 
+def _streamed_list_save(m, path):
+    """The ``nimatrix/1`` writer: one line per header key and block row."""
+    header = {"format": "nimatrix/1", "schedule": m.schedule_info,
+              "row_times": list(m.row_times), "col_times": list(m.col_times),
+              "noise_mode": m.noise_mode, "noise_times": list(m.noise_times)}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n")
+        for key, value in header.items():
+            fh.write(f"{json.dumps(key)}: {json.dumps(value)},\n")
+        for key, block, end in (("signal", m.signal, ","),
+                                ("noise", m.noise, "")):
+            fh.write(f"{json.dumps(key)}: [")
+            for i, row in enumerate(block):
+                fh.write((",\n" if i else "\n") + json.dumps(row.tolist()))
+            fh.write(f"\n]{end}\n")
+        fh.write("}\n")
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -263,22 +282,26 @@ class TestWriter:
         save(m, tmp_path / "m.json")
         assert_bitwise_equal(load(tmp_path / "m.json"), m)
 
-    def test_file_is_json_with_the_same_keys(self, tmp_path):
+    def test_file_is_json_with_base64_blocks(self, tmp_path):
         m = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=6)
         p = tmp_path / "m.json"
         save(m, p)
         payload = json.loads(p.read_text(encoding="utf-8"))
         assert list(payload) == SAVED_KEYS
-        assert payload["signal"] == m.signal.tolist()
-        assert payload["noise"] == m.noise.tolist()
+        assert payload["format"] == "nimatrix/2"
+        for name in ("signal", "noise"):
+            block = payload[name]
+            assert isinstance(block, str)
+            want = getattr(m, name).astype("<f8").tobytes()
+            assert base64.b64decode(block, validate=True) == want
 
-    def test_one_line_per_block_row(self, tmp_path):
+    def test_one_line_per_key(self, tmp_path):
         m = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=6)
         p = tmp_path / "m.json"
         save(m, p)
         lines = p.read_text(encoding="utf-8").splitlines()
-        # braces, six header keys, and per block a key line, rows, "]"
-        assert len(lines) == 2 + 6 + 2 * (m.n_rows + 2)
+        # braces, six header keys, one line per block
+        assert len(lines) == 2 + 6 + 2
 
     def test_old_indented_layout_still_loads(self, tmp_path):
         m = trace_sampler(SamplerSpec(kind="sde-euler"), n_evals=6)
@@ -286,11 +309,82 @@ class TestWriter:
         _old_layout_save(m, p)
         assert_bitwise_equal(load(p), m)
 
+    @pytest.mark.parametrize("kind", ["ddpm", "ddim"])
+    def test_streamed_list_layout_still_loads(self, tmp_path, kind):
+        m = trace_sampler(SamplerSpec(kind=kind), n_evals=6)
+        if kind == "ddim":  # an empty noise block, written as []
+            m = replace(m, noise=np.zeros((m.n_rows, 0)), noise_times=(),
+                        noise_mode="single-terminal")
+        p = tmp_path / "old.json"
+        _streamed_list_save(m, p)
+        assert json.loads(p.read_text(encoding="utf-8"))["format"] == \
+            "nimatrix/1"
+        assert_bitwise_equal(load(p), m)
+
     def test_empty_noise_block_roundtrips(self, vp, tmp_path):
         m = replace(tiny_matrix(vp), noise_mode="single-terminal",
                     noise=np.zeros((3, 0)), noise_times=())
         save(m, tmp_path / "m.json")
         assert_bitwise_equal(load(tmp_path / "m.json"), m)
+
+
+def _saved_payload(m, tmp_path):
+    save(m, tmp_path / "m.json")
+    return json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("char", ["*", " ", "\n", "\u00e9", "=", "-"])
+    def test_bad_base64_is_format_error(self, vp, tmp_path, char):
+        # a lenient decoder skips every one but the non-ASCII one
+        payload = _saved_payload(tiny_matrix(vp), tmp_path)
+        payload["noise"] = payload["noise"][:8] + char + payload["noise"][8:]
+        with pytest.raises(FormatError, match="base64"):
+            from_payload(payload)
+
+    def test_missing_padding_is_format_error(self, tmp_path):
+        m = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=4)
+        payload = _saved_payload(m, tmp_path)
+        assert payload["signal"].endswith("==")  # 160 bytes
+        payload["signal"] = payload["signal"].rstrip("=")
+        with pytest.raises(FormatError, match="base64"):
+            from_payload(payload)
+
+    @pytest.mark.parametrize("cut", [4, 8, 40])
+    def test_wrong_byte_count_is_format_error(self, vp, tmp_path, cut):
+        payload = _saved_payload(tiny_matrix(vp), tmp_path)
+        payload["signal"] = payload["signal"][:cut]
+        with pytest.raises(FormatError, match="bytes"):
+            from_payload(payload)
+
+    def test_wrong_kind_of_block_is_format_error(self, vp, tmp_path):
+        m = tiny_matrix(vp)
+        payload = _saved_payload(m, tmp_path)
+        as_list = dict(payload, signal=m.signal.tolist())
+        with pytest.raises(FormatError, match="base64 string"):
+            from_payload(as_list)
+        as_v1 = dict(payload, format="nimatrix/1", noise=m.noise.tolist())
+        with pytest.raises(FormatError, match="list of rows"):
+            from_payload(as_v1)
+        with pytest.raises(FormatError, match="base64 string"):
+            from_payload({k: v for k, v in payload.items() if k != "noise"})
+
+    def test_nan_in_binary_is_validation_error(self, vp, tmp_path):
+        m = tiny_matrix(vp)
+        payload = _saved_payload(m, tmp_path)
+        signal = m.signal.copy()
+        signal[2, 0] = np.nan
+        raw = signal.astype("<f8").tobytes()
+        payload["signal"] = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(ValidationError, match="non-finite"):
+            from_payload(payload)
+
+    def test_empty_block_decodes_to_zero_columns(self, vp, tmp_path):
+        m = replace(tiny_matrix(vp), noise_mode="single-terminal",
+                    noise=np.zeros((3, 0)), noise_times=())
+        payload = _saved_payload(m, tmp_path)
+        assert payload["noise"] == ""
+        assert from_payload(payload).noise.shape == (3, 0)
 
 
 class TestPresets:
