@@ -37,17 +37,6 @@ class AffineState:
     signal: dict = field(default_factory=dict)
     noise: dict = field(default_factory=dict)
 
-    def evaluate(self, outputs: dict, noises: dict):
-        """Substitute concrete vectors for the symbolic terms."""
-        total = None
-        for k, c in self.signal.items():
-            v = c * np.asarray(outputs[k])
-            total = v if total is None else total + v
-        for k, c in self.noise.items():
-            v = c * np.asarray(noises[k])
-            total = v if total is None else total + v
-        return total
-
 
 def _combine_affine(terms):
     sig: dict = {}

@@ -111,10 +111,7 @@ def cmd_trace(args):
     grid = None  # the sampler's own trailing grid
     if args.grid.startswith("explicit:"):
         path = args.grid.split(":", 1)[1]
-        try:
-            times = np.loadtxt(path, ndmin=1)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        times = oracles._read_table(path, 1)
         if times.ndim != 1:
             raise FormatError(f"{path}: want one time per line, got a "
                               f"{times.shape[0]} x {times.shape[1]} table")
@@ -221,9 +218,9 @@ def cmd_search(args):
 
 def _load_image(path: str) -> np.ndarray:
     """A real image from a .npy file or a CSV file."""
+    if not path.endswith(".npy"):
+        return oracles._read_table(path, 2, ",")
     try:
-        if not path.endswith(".npy"):
-            return np.loadtxt(path, delimiter=",", ndmin=2)
         with open(path, "rb") as fh:
             img = np.load(fh)
     except (ValueError, TypeError, SyntaxError, TokenError, EOFError) as exc:

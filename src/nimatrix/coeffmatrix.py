@@ -16,7 +16,8 @@ Matrix files are JSON.  ``save`` writes ``nimatrix/2``, where each block
 is one base64 string of its row-major little-endian float64 bytes and
 its shape comes from the header's time lists.  ``load`` also reads
 ``nimatrix/1``, where each block is a list of rows: the embedded
-presets and older files use it.
+presets and older files use it.  A matrix is exactly its two blocks: a
+file's noise mode is read only at load (``from_payload``).
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ FORMAT_NAME = "nimatrix/2"
 #: The list form of the presets and older files: each block a list of rows.
 LIST_FORMAT = "nimatrix/1"
 
-#: How ``run_matrix`` forms the noise of each row (see ``engine``);
-#: files that say ``custom`` load as ``traced``.
-NOISE_MODES = ("traced", "single-terminal")
-
 #: Terminal-row label for matrices whose sample is the final prediction
 #: itself (discrete-chain convention): not a real time point.
 TERMINAL_OUTPUT = -1.0
@@ -57,7 +54,6 @@ class CoefficientMatrix:
     signal: np.ndarray = field(repr=False)
     noise: np.ndarray = field(repr=False)
     noise_times: tuple = ()
-    noise_mode: str = "single-terminal"
     # built from schedule_info once, when the matrix is constructed
     _schedule: Schedule = field(init=False, compare=False, repr=False)
 
@@ -99,11 +95,9 @@ class CoefficientMatrix:
             raise ValidationError(
                 f"noise shape {self.noise.shape} does not match {self.n_rows} "
                 f"rows x {len(self.noise_times)} noise times")
-        if self.noise_mode not in NOISE_MODES:
-            raise ValidationError(f"unknown noise mode {self.noise_mode!r}")
-        if (self.noise_mode == "traced" and self.n_evals
-                and not self.noise_times):
-            raise ValidationError("traced matrix has no noise columns")
+        if self.n_evals and not self.noise_times:
+            raise ValidationError("matrix with evaluations has no noise "
+                                  "columns")
         if not (np.all(np.isfinite(self.signal))
                 and np.all(np.isfinite(self.noise))):
             raise ValidationError("non-finite signal or noise entry")
@@ -181,8 +175,7 @@ def trace_sampler(spec: SamplerSpec, s: Schedule | None = None,
     return CoefficientMatrix(
         schedule_info=s.descriptor(), row_times=row_times,
         col_times=col_times, signal=signal, noise=noise,
-        noise_times=tuple(nid[0] for nid in ctx.noise_ids),
-        noise_mode="traced")
+        noise_times=tuple(nid[0] for nid in ctx.noise_ids))
 
 
 # ---------------------------------------------------------------------
@@ -284,7 +277,7 @@ def save(m: CoefficientMatrix, path) -> None:
         "schedule": m.schedule_info,
         "row_times": list(m.row_times),
         "col_times": list(m.col_times),
-        "noise_mode": m.noise_mode,
+        "noise_mode": "traced",  # older readers default to single-terminal
         "noise_times": list(m.noise_times),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -325,24 +318,37 @@ def _block(value, rows: int, cols: int, fmt: str):
 
 
 def from_payload(payload: dict) -> CoefficientMatrix:
+    """The matrix a payload describes.  ``traced`` or ``custom`` keeps the
+    stored noise block; ``single-terminal`` (also no ``noise_mode`` key)
+    stores none and loads as one draw at ``c1`` per row time, 0 at
+    ``TERMINAL_OUTPUT``."""
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt not in (FORMAT_NAME, LIST_FORMAT):
         raise FormatError(f"not a {FORMAT_NAME} or {LIST_FORMAT} payload")
     mode = payload.get("noise_mode", "single-terminal")
+    if mode not in ("traced", "custom", "single-terminal"):
+        raise ValidationError(f"unknown noise mode {mode!r}")
     try:
+        schedule_info = dict(payload["schedule"])
         row_times = tuple(float(t) for t in payload["row_times"])
         col_times = tuple(float(t) for t in payload["col_times"])
         noise_times = tuple(float(t) for t in payload.get("noise_times", ()))
         rows = len(row_times)
+        noise = _block(payload.get("noise", []), rows, len(noise_times), fmt)
+        if mode == "single-terminal":
+            if noise_times or np.shape(noise) != (rows, 0):
+                raise FormatError("a single-terminal matrix stores no noise "
+                                  "block and no noise times")
+            s = make_schedule(schedule_info)
+            noise = [[ideal_coeffs(s, t)[1]] for t in row_times]
+            noise_times = row_times[:1]
         return CoefficientMatrix(
-            schedule_info=dict(payload["schedule"]),
+            schedule_info=schedule_info,
             row_times=row_times,
             col_times=col_times,
             signal=_block(payload["signal"], rows, len(col_times), fmt),
-            noise=_block(payload.get("noise", []), rows, len(noise_times),
-                         fmt),
+            noise=noise,
             noise_times=noise_times,
-            noise_mode="traced" if mode == "custom" else mode,
         )
     except NimatrixError:
         raise

@@ -11,11 +11,8 @@ order, as one ``(n, d)`` batch per noise column.  Run on a matrix traced
 from a sampler with the same seed and predictor, the executor reproduces
 the native sampler output.
 
-The two noise modes share one row rule.  A ``traced`` matrix supplies
-its own noise block; a ``single-terminal`` matrix gets a one-column block
-of ``c1`` at each row time (0 at ``TERMINAL_OUTPUT``): one shared draw
-at the schedule's noise amplitude.  Files saying ``custom`` load as
-``traced``.
+The executor plays the matrix's noise block as stored; a single-terminal
+file loads as its one-column ``c1`` block (``coeffmatrix.from_payload``).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffmatrix import CoefficientMatrix, ideal_coeffs
+from .coeffmatrix import CoefficientMatrix
 from .errors import NumericError, ParameterError, ValidationError
 from .schedule import Schedule, mixing_coeffs
 
@@ -35,21 +32,12 @@ class RunConfig:
     predictor: object
     n: int = 1
     seed: int = 0
-    record_trajectory: bool = False
 
 
 @dataclass(frozen=True)
 class RunResult:
     samples: np.ndarray                  # (n, d)
-    trajectory: tuple = ()               # per-evaluation outputs if recorded
-
-
-def _noise_block(m: CoefficientMatrix) -> np.ndarray:
-    """Per-row weights on the noise draws, one column per draw."""
-    if m.noise_mode == "traced":
-        return m.noise
-    s = m.schedule()
-    return np.array([[ideal_coeffs(s, t)[1]] for t in m.row_times])
+    trajectory: np.ndarray               # (n_evals, n, d) predictor outputs
 
 
 def run_matrix(cfg: RunConfig) -> RunResult:
@@ -59,20 +47,20 @@ def run_matrix(cfg: RunConfig) -> RunResult:
     the same stream as one ``(n, d)`` batch per column in column order.
     Each predictor output fills one row of an ``(n_evals, n*d)`` buffer;
     row ``i``'s state is ``signal[i, :i] @ outputs[:i] + noise[i] @ draws``
-    and the terminal row uses its full signal row.
+    and the terminal row uses its full signal row.  The result's
+    ``trajectory`` is a view of that buffer, not a copy.
     """
     m = cfg.matrix
     pred = cfg.predictor
     if cfg.n < 1:
         raise ParameterError(f"need n >= 1, got {cfg.n}")
-    noise = _noise_block(m)
     shape = (cfg.n, pred.d)
     rng = np.random.default_rng(cfg.seed)
     width = cfg.n * pred.d
-    draws = rng.standard_normal((noise.shape[1],) + shape).reshape(-1, width)
+    draws = rng.standard_normal((m.noise.shape[1],) + shape).reshape(-1, width)
     outputs = np.empty((m.n_evals, width))
     for i in range(m.n_evals):
-        x = noise[i] @ draws
+        x = m.noise[i] @ draws
         x += m.signal[i, :i] @ outputs[:i]
         y = np.asarray(pred(m.row_times[i], x.reshape(shape)))
         if y.shape != shape:
@@ -82,11 +70,9 @@ def run_matrix(cfg: RunConfig) -> RunResult:
             raise NumericError(f"predictor returned a non-finite value at "
                                f"row {i} (t = {m.row_times[i]!r})")
         outputs[i] = y.reshape(-1)
-    samples = (m.signal[-1] @ outputs + noise[-1] @ draws).reshape(shape)
-    trajectory = ()
-    if cfg.record_trajectory:
-        trajectory = tuple(outputs.reshape((m.n_evals,) + shape))
-    return RunResult(samples=samples, trajectory=trajectory)
+    samples = (m.signal[-1] @ outputs + m.noise[-1] @ draws).reshape(shape)
+    return RunResult(samples=samples,
+                     trajectory=outputs.reshape((m.n_evals,) + shape))
 
 
 def over_enhance(pred, s: Schedule, t, x_init, k: int,

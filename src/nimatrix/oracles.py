@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,12 +288,19 @@ def load_dataset(path) -> Dataset:
     return Dataset(atoms=atoms, labels=labels)
 
 
-def load_dataset_csv(path) -> Dataset:
+def _read_table(path, ndmin: int, delimiter=None) -> np.ndarray:
+    """A numeric text table; a file that ``np.loadtxt`` cannot parse, or
+    would only warn about for holding no data, is ``FormatError``."""
     try:
-        atoms = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"malformed dataset CSV: {exc}") from exc
-    return Dataset(atoms=atoms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(path, delimiter=delimiter, ndmin=ndmin)
+    except (ValueError, UserWarning) as exc:
+        raise FormatError(f"{path}: not a numeric table: {exc}") from exc
+
+
+def load_dataset_csv(path) -> Dataset:
+    return Dataset(atoms=_read_table(path, 2, ","))
 
 
 def load_mixture(path) -> GaussianMixture:

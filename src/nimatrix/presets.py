@@ -2,8 +2,9 @@
 
 Each preset is a ``nimatrix/1`` payload shipped as package data: its
 blocks stay lists of rows, which ``presets export`` writes as they are
-(``save`` writes ``nimatrix/2``).  A preset has a few extra metadata
-keys:
+(``save`` writes ``nimatrix/2``).  All but ``ddpm-18`` are single-terminal:
+they store no noise block and load with the one-column ``c1`` block.  A
+preset has a few extra metadata keys:
 
 - ``printed_row_sums`` / ``printed_row_norms``: the per-row check
   columns published alongside the matrix (3-decimal precision).

@@ -32,9 +32,8 @@ VP_CONTINUOUS = "vp-continuous"
 
 FAMILIES = (VP_DISCRETE, FLOW, VP_CONTINUOUS)
 
-#: Default continuous-time range used by solvers on continuous families.
+#: Terminal time of the continuous-VP grids, which start at 1.0.
 T_EPS = 0.001
-T_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -217,18 +216,18 @@ def validate_decreasing(times, what: str = "grid times") -> None:
 
 
 def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
-              explicit=None, t_min: float = T_EPS,
-              t_max: float = T_MAX) -> TimeGrid:
+              explicit=None) -> TimeGrid:
     """Build an inference time grid for the given schedule family.
 
     - vp-discrete + linspace-trailing: ``round(linspace(T - 1, 0, n))``.
     - flow + linspace-trailing: ``k / n`` for ``k = n .. 1`` plus the
       terminal 0.0 (n evaluation times, n + 1 entries).
-    - vp-continuous + linspace-trailing: ``linspace(t_max, t_min, n)``.
-    - quadratic (continuous families): linspace in ``sqrt(t)`` from
-      ``sqrt(t_max)`` down to ``sqrt(t_min)``, squared — concentrating
-      points near ``t_min``.
-    - explicit: caller-provided list, validated.
+    - vp-continuous + linspace-trailing: ``linspace(1, T_EPS, n)``.
+    - quadratic (continuous families): linspace in ``sqrt(t)`` from 1
+      down to ``sqrt(T_EPS)``, squared — concentrating points near
+      ``T_EPS``.
+    - explicit: caller-provided list, strictly decreasing, each time in
+      the schedule's domain (``mixing_coeffs``).
     """
     if rule not in RULES:
         raise ParameterError(f"unknown grid rule {rule!r}")
@@ -238,10 +237,7 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
         times = tuple(float(t) for t in explicit)
         validate_decreasing(times)
         for t in times:
-            if s.family == VP_DISCRETE:
-                _check_vp_discrete_time(s, t)
-            elif not 0.0 <= t <= 1.0:
-                raise DomainError(f"time {t} outside [0, 1]")
+            mixing_coeffs(s, t)
         return TimeGrid(times=times, rule=rule, family=s.family)
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
@@ -268,9 +264,9 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
         return TimeGrid(times=times, rule=rule, family=s.family)
     # vp-continuous
     if rule == "quadratic":
-        u = np.linspace(math.sqrt(t_max), math.sqrt(t_min), n)
+        u = np.linspace(1.0, math.sqrt(T_EPS), n)
         times = tuple(float(v) for v in u ** 2)
     else:
-        times = tuple(float(v) for v in np.linspace(t_max, t_min, n))
+        times = tuple(float(v) for v in np.linspace(1.0, T_EPS, n))
     validate_decreasing(times)
     return TimeGrid(times=times, rule=rule, family=s.family)

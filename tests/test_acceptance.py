@@ -382,17 +382,17 @@ class TestBulkProperties:
         m = CoefficientMatrix(schedule_info={"family": "flow"},
                               row_times=times + (times[-1] / 2,),
                               col_times=times, signal=signal,
-                              noise=np.zeros((n + 1, 0)))
+                              noise=np.ones((n + 1, 1)), noise_times=(1.0,))
         assert m.n_evals == n
         i = data.draw(st.integers(0, n - 1))
         j = data.draw(st.integers(i, n - 1))
         bad = signal.copy()
         bad[i, j] = 1.0
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not lower triangular"):
             CoefficientMatrix(schedule_info={"family": "flow"},
                               row_times=times + (times[-1] / 2,),
                               col_times=times, signal=bad,
-                              noise=np.zeros((n + 1, 0)))
+                              noise=np.ones((n + 1, 1)), noise_times=(1.0,))
 
     @settings(max_examples=1000, deadline=None)
     @given(st.integers(0, 10 ** 6))

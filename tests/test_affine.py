@@ -30,14 +30,6 @@ class TestLinCombine:
         with pytest.raises(NumericError):
             lin_combine([(float("nan"), AffineState())])
 
-    def test_evaluate_matches_combination(self, rng):
-        a = AffineState(signal={0: 0.3, 1: -1.2}, noise={("t", 0): 0.7})
-        outs = {0: rng.standard_normal(4), 1: rng.standard_normal(4)}
-        noi = {("t", 0): rng.standard_normal(4)}
-        got = a.evaluate(outs, noi)
-        want = 0.3 * outs[0] - 1.2 * outs[1] + 0.7 * noi[("t", 0)]
-        assert np.allclose(got, want, atol=1e-15)
-
 
 class TestRunContext:
     def test_trace_records_rows(self):

@@ -1,6 +1,7 @@
 import base64
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
                                   equivalent_marginals, from_payload, load,
                                   normalize_rows, save, to_csv,
                                   trace_sampler)
+from nimatrix.engine import RunConfig, run_matrix
 from nimatrix.errors import (DomainError, FormatError, NumericError,
                              ValidationError)
-from nimatrix.presets import list_presets, load_preset
+from nimatrix.oracles import make_predictor
+from nimatrix.presets import list_presets, load_preset, preset_payload
 from nimatrix.samplers import KINDS, SamplerSpec
+from nimatrix.schedule import mixing_coeffs
 
 
 def tiny_matrix(vp):
@@ -22,8 +26,14 @@ def tiny_matrix(vp):
         col_times=(999.0, 500.0),
         signal=np.array([[0.0, 0.0], [0.3, 0.0], [0.5, 0.5]]),
         noise=np.array([[1.0], [0.9], [0.0]]),
-        noise_times=(999.0,),
-        noise_mode="traced")
+        noise_times=(999.0,))
+
+
+def terminal_only_matrix(vp):
+    """No evaluations, so no noise columns either: both blocks empty."""
+    return CoefficientMatrix(schedule_info=vp.descriptor(),
+                             row_times=(TERMINAL_OUTPUT,), col_times=(),
+                             signal=np.zeros((1, 0)), noise=np.zeros((1, 0)))
 
 
 class TestValidation:
@@ -37,20 +47,22 @@ class TestValidation:
                 row_times=(999.0, 500.0, TERMINAL_OUTPUT),
                 col_times=(999.0, 500.0),
                 signal=np.array([[0.1, 0.0], [0.3, 0.0], [0.5, 0.5]]),
-                noise=np.zeros((3, 0)))
+                noise=np.ones((3, 1)), noise_times=(999.0,))
 
     def test_rejects_shape_mismatch(self, vp):
         with pytest.raises(ValidationError):
             CoefficientMatrix(schedule_info=vp.descriptor(),
                               row_times=(999.0,), col_times=(999.0, 1.0),
-                              signal=np.zeros((1, 3)), noise=np.zeros((1, 0)))
+                              signal=np.zeros((1, 3)), noise=np.ones((1, 1)),
+                              noise_times=(999.0,))
 
     def test_rejects_nonfinite(self, vp):
         with pytest.raises(ValidationError):
             CoefficientMatrix(
                 schedule_info=vp.descriptor(),
                 row_times=(999.0, TERMINAL_OUTPUT), col_times=(999.0,),
-                signal=np.array([[0.0], [np.nan]]), noise=np.zeros((2, 0)))
+                signal=np.array([[0.0], [np.nan]]), noise=np.ones((2, 1)),
+                noise_times=(999.0,))
 
     def test_rejects_row_count_mismatch(self):
         # a ddim-18 file with its last two rows dropped used to load, and
@@ -65,11 +77,13 @@ class TestValidation:
             CoefficientMatrix(schedule_info=vp.descriptor(),
                               row_times=(999.0, TERMINAL_OUTPUT),
                               col_times=(999.0,), signal=np.zeros(2),
-                              noise=np.zeros((2, 0)))
+                              noise=np.ones((2, 1)), noise_times=(999.0,))
 
     def test_traced_matrix_needs_noise_columns(self, vp):
+        # every matrix with evaluations, traced or loaded, has noise columns
         with pytest.raises(ValidationError, match="no noise columns"):
             replace(tiny_matrix(vp), noise=np.zeros((3, 0)), noise_times=())
+        assert terminal_only_matrix(vp).noise.shape == (1, 0)
 
     def test_rejects_col_times_not_decreasing(self, vp):
         with pytest.raises(ValidationError, match="strictly decrease"):
@@ -111,13 +125,13 @@ class TestValidation:
             m = trace_sampler(SamplerSpec(kind=kind), n_evals=n)
             assert m.n_rows == n + 1 and m.noise.shape[1] > 0
 
-    def test_rejects_bad_noise_mode(self, vp):
-        with pytest.raises(ValidationError):
-            CoefficientMatrix(
-                schedule_info=vp.descriptor(),
-                row_times=(999.0, TERMINAL_OUTPUT), col_times=(999.0,),
-                signal=np.zeros((2, 1)), noise=np.zeros((2, 0)),
-                noise_mode="always")
+    def test_rejects_bad_noise_mode(self):
+        # the mode is a file field, read only by from_payload
+        payload = preset_payload("ddim-18")
+        for mode in ("always", "", None, ["traced"]):
+            payload["noise_mode"] = mode
+            with pytest.raises(ValidationError, match="unknown noise mode"):
+                from_payload(payload)
 
 
 class TestMarginals:
@@ -167,18 +181,14 @@ class TestSerialization:
         assert np.array_equal(m.signal, m2.signal)
         assert np.array_equal(m.noise, m2.noise)
         assert m2.row_times == m.row_times
-        assert m2.noise_mode == "traced"
+        assert json.loads(p.read_text())["noise_mode"] == "traced"
 
     def test_custom_mode_loads_as_traced(self, vp, tmp_path):
         p = tmp_path / "m.json"
         save(tiny_matrix(vp), p)
         payload = json.loads(p.read_text())
         payload["noise_mode"] = "custom"
-        m = from_payload(payload)
-        assert m.noise_mode == "traced"
-        assert np.array_equal(m.noise, tiny_matrix(vp).noise)
-        with pytest.raises(ValidationError):
-            replace(m, noise_mode="custom")
+        assert_bitwise_equal(from_payload(payload), tiny_matrix(vp))
 
     def test_non_utf8_file_is_format_error(self, tmp_path):
         p = tmp_path / "m.json"
@@ -215,6 +225,27 @@ class TestSerialization:
         assert len(lines) == 4
 
 
+def _held(m, noise_mode="traced"):
+    """``m`` as matrices were held while they carried a noise mode: a
+    single-terminal one stored no noise block and no noise times."""
+    single = noise_mode == "single-terminal"
+    return SimpleNamespace(
+        schedule_info=m.schedule_info, row_times=m.row_times,
+        col_times=m.col_times, signal=m.signal, noise_mode=noise_mode,
+        noise=np.zeros((m.n_rows, 0)) if single else m.noise,
+        noise_times=() if single else m.noise_times)
+
+
+def with_c1_column(m):
+    """``m`` with one shared draw at amplitude c1 of each row time, 0 at
+    ``TERMINAL_OUTPUT``: what a single-terminal file loads as."""
+    s = m.schedule()
+    c1 = [0.0 if t == TERMINAL_OUTPUT else mixing_coeffs(s, t)[1]
+          for t in m.row_times]
+    return replace(m, noise=np.array(c1)[:, None],
+                   noise_times=m.row_times[:1])
+
+
 def _old_layout_save(m, path):
     """The writer's earlier layout: one ``json.dump`` with ``indent=1``."""
     payload = {"format": "nimatrix/1", "schedule": m.schedule_info,
@@ -244,6 +275,29 @@ def _streamed_list_save(m, path):
         fh.write("}\n")
 
 
+def _base64_mode_save(m, path):
+    """The first ``nimatrix/2`` writer, which wrote ``m.noise_mode``: a
+    single-terminal matrix went out with an empty noise block."""
+    header = {
+        "format": "nimatrix/2",
+        "schedule": m.schedule_info,
+        "row_times": list(m.row_times),
+        "col_times": list(m.col_times),
+        "noise_mode": m.noise_mode,
+        "noise_times": list(m.noise_times),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n")
+        for key, value in header.items():
+            fh.write(f"{json.dumps(key)}: {json.dumps(value)},\n")
+        for key, block, end in (("signal", m.signal, ","),
+                                ("noise", m.noise, "")):
+            raw = block.astype("<f8", copy=False).tobytes()
+            fh.write(f'{json.dumps(key)}: "'
+                     f'{base64.b64encode(raw).decode("ascii")}"{end}\n')
+        fh.write("}\n")
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -253,7 +307,6 @@ def assert_bitwise_equal(a, b):
         assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
     assert a.signal.shape == b.signal.shape and a.noise.shape == b.noise.shape
     assert a.schedule_info == b.schedule_info
-    assert a.noise_mode == b.noise_mode
 
 
 SAVED_KEYS = ["format", "schedule", "row_times", "col_times", "noise_mode",
@@ -306,24 +359,24 @@ class TestWriter:
     def test_old_indented_layout_still_loads(self, tmp_path):
         m = trace_sampler(SamplerSpec(kind="sde-euler"), n_evals=6)
         p = tmp_path / "old.json"
-        _old_layout_save(m, p)
+        _old_layout_save(_held(m), p)
         assert_bitwise_equal(load(p), m)
 
     @pytest.mark.parametrize("kind", ["ddpm", "ddim"])
     def test_streamed_list_layout_still_loads(self, tmp_path, kind):
         m = trace_sampler(SamplerSpec(kind=kind), n_evals=6)
-        if kind == "ddim":  # an empty noise block, written as []
-            m = replace(m, noise=np.zeros((m.n_rows, 0)), noise_times=(),
-                        noise_mode="single-terminal")
+        held = _held(m)
+        if kind == "ddim":  # single-terminal: an empty noise block, as []
+            held = _held(m, "single-terminal")
+            m = with_c1_column(m)
         p = tmp_path / "old.json"
-        _streamed_list_save(m, p)
+        _streamed_list_save(held, p)
         assert json.loads(p.read_text(encoding="utf-8"))["format"] == \
             "nimatrix/1"
         assert_bitwise_equal(load(p), m)
 
     def test_empty_noise_block_roundtrips(self, vp, tmp_path):
-        m = replace(tiny_matrix(vp), noise_mode="single-terminal",
-                    noise=np.zeros((3, 0)), noise_times=())
+        m = terminal_only_matrix(vp)
         save(m, tmp_path / "m.json")
         assert_bitwise_equal(load(tmp_path / "m.json"), m)
 
@@ -380,11 +433,65 @@ class TestBlocks:
             from_payload(payload)
 
     def test_empty_block_decodes_to_zero_columns(self, vp, tmp_path):
-        m = replace(tiny_matrix(vp), noise_mode="single-terminal",
-                    noise=np.zeros((3, 0)), noise_times=())
-        payload = _saved_payload(m, tmp_path)
+        payload = _saved_payload(terminal_only_matrix(vp), tmp_path)
         assert payload["noise"] == ""
-        assert from_payload(payload).noise.shape == (3, 0)
+        assert from_payload(payload).noise.shape == (1, 0)
+
+
+SINGLE_TERMINAL = [name for name in list_presets()
+                   if preset_payload(name)["noise_mode"] == "single-terminal"]
+
+
+class TestSingleTerminalLoad:
+    """A single-terminal file stores no noise block; it loads as the
+    one-column c1 block, which both the executor and the report read."""
+
+    @pytest.mark.parametrize("name", SINGLE_TERMINAL)
+    def test_preset_loads_as_c1_column(self, name):
+        payload = preset_payload(name)
+        m = load_preset(name)
+        assert payload["noise"] == [] and payload["noise_times"] == []
+        assert_bitwise_equal(m, with_c1_column(m))
+        assert _bits(m.signal) == _bits(payload["signal"])
+        rep = equivalent_marginals(m)
+        # the noise norm of a one-entry row is that entry
+        ulp = np.spacing(rep.ideal_noise)
+        assert np.all(rep.noise_deviation <= ulp)
+
+    def test_missing_key_is_single_terminal(self):
+        payload = preset_payload("ddim-18")
+        del payload["noise_mode"]
+        assert_bitwise_equal(from_payload(payload), load_preset("ddim-18"))
+
+    @pytest.mark.parametrize("fmt", ["nimatrix/1", "nimatrix/2"])
+    def test_stored_noise_is_format_error(self, tmp_path, fmt):
+        # the executor never played a stored block in this mode, so a
+        # file that holds one is malformed rather than silently ignored
+        m = trace_sampler(SamplerSpec(kind="ddim"), n_evals=6)
+        save(m, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        if fmt == "nimatrix/1":
+            payload.update(format=fmt, signal=m.signal.tolist(),
+                           noise=m.noise.tolist())
+        payload["noise_mode"] = "single-terminal"
+        with pytest.raises(FormatError, match="single-terminal"):
+            from_payload(payload)
+        payload.update(noise="" if fmt == "nimatrix/2" else [])
+        with pytest.raises(FormatError):
+            from_payload(payload)  # noise times left behind
+
+    @pytest.mark.parametrize("name", ["ddim-18", "flow-euler-18", "opt-5"])
+    def test_base64_mode_file_samples_as_preset(self, tmp_path, gmm16,
+                                                name):
+        preset = load_preset(name)
+        p = tmp_path / "old.json"
+        _base64_mode_save(_held(preset, "single-terminal"), p)
+        m = load(p)
+        assert_bitwise_equal(m, preset)
+        pred = make_predictor(gmm16, preset.schedule())
+        a = run_matrix(RunConfig(matrix=m, predictor=pred, n=5, seed=3))
+        b = run_matrix(RunConfig(matrix=preset, predictor=pred, n=5, seed=3))
+        assert a.samples.tobytes() == b.samples.tobytes()
 
 
 class TestPresets:

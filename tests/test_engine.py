@@ -1,11 +1,12 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
-                                  trace_sampler)
-from nimatrix.engine import RunConfig, _noise_block, over_enhance, run_matrix
+                                  from_payload, save, trace_sampler)
+from nimatrix.engine import RunConfig, over_enhance, run_matrix
 from nimatrix.errors import NumericError, ParameterError, ValidationError
 from nimatrix.oracles import make_predictor
 from nimatrix.samplers import KINDS, SamplerSpec
@@ -18,7 +19,7 @@ def per_entry_run(m, pred, n, seed):
     This is the row rule ``run_matrix`` used before it formed rows as
     matrix products; the products must agree with it to rounding.
     """
-    noise = _noise_block(m)
+    noise = m.noise
     shape = (n, pred.d)
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal(shape) for _ in range(noise.shape[1])]
@@ -52,6 +53,14 @@ def _rel(got, want):
 TRACEABLE = [(k, n) for k in KINDS for n in (6, 18, 100) if _traceable(k, n)]
 
 
+def single_terminal_load(m, tmp_path):
+    """``m`` saved, then loaded as a single-terminal file: no noise block."""
+    save(m, tmp_path / "m.json")
+    payload = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+    payload.update(noise_mode="single-terminal", noise="", noise_times=[])
+    return from_payload(payload)
+
+
 @pytest.fixture()
 def ddim18(gmm16, vp):
     m = trace_sampler(SamplerSpec(kind="ddim"), n_evals=18)
@@ -69,34 +78,44 @@ class TestRunMatrix:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_trajectory_recorded(self, ddim18):
+        # the trajectory is the executor's (n_evals, n, d) output buffer:
+        # ddim's terminal row weights no noise, so the sample is its
+        # signal row times that buffer
         m, pred = ddim18
-        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=2, seed=0,
-                                 record_trajectory=True))
-        assert len(r.trajectory) == m.n_evals
-        assert r.trajectory[0].shape == (2, 16)
+        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=2, seed=0))
+        assert r.trajectory.shape == (m.n_evals, 2, 16)
+        assert not m.noise[-1].any()
+        want = m.signal[-1] @ r.trajectory.reshape(m.n_evals, -1)
+        assert np.array_equal(r.samples, want.reshape(2, 16))
 
-    def test_single_terminal_mode_runs_noise_free_rows(self, ddim18):
+    def test_single_terminal_mode_runs_noise_free_rows(self, ddim18,
+                                                       tmp_path):
+        # a single-terminal file runs to finite samples; its terminal row
+        # weights no noise, so the sample is its signal row times the buffer
         m, pred = ddim18
-        r = run_matrix(RunConfig(matrix=replace(m, noise_mode="single-terminal"),
-                                 predictor=pred, n=2, seed=1))
+        single = single_terminal_load(m, tmp_path)
+        assert not single.noise[-1].any()
+        r = run_matrix(RunConfig(matrix=single, predictor=pred, n=2, seed=1))
         assert np.isfinite(r.samples).all()
+        want = single.signal[-1] @ r.trajectory.reshape(single.n_evals, -1)
+        assert np.array_equal(r.samples, want.reshape(2, 16))
 
-    def test_single_terminal_is_a_one_column_traced_block(self, ddim18):
-        # single-terminal rows carry c1(row time) on one shared draw, 0 on
-        # the terminal row: the same run as that block stored and traced
+    def test_single_terminal_is_a_one_column_traced_block(self, ddim18,
+                                                          tmp_path):
+        # a single-terminal file loads with c1(row time) on one shared
+        # draw, 0 on the terminal row, and runs as that block stored traced
         m, pred = ddim18
         s = m.schedule()
         c1 = [mixing_coeffs(s, t)[1] for t in m.row_times[:-1]] + [0.0]
         traced = replace(m, noise=np.array(c1)[:, None],
                          noise_times=(m.row_times[0],))
-        single = replace(m, noise_mode="single-terminal")
-        a = run_matrix(RunConfig(matrix=single, predictor=pred, n=3, seed=2,
-                                 record_trajectory=True))
-        b = run_matrix(RunConfig(matrix=traced, predictor=pred, n=3, seed=2,
-                                 record_trajectory=True))
+        single = single_terminal_load(m, tmp_path)
+        assert single.noise_times == traced.noise_times
+        assert single.noise.tobytes() == traced.noise.tobytes()
+        a = run_matrix(RunConfig(matrix=single, predictor=pred, n=3, seed=2))
+        b = run_matrix(RunConfig(matrix=traced, predictor=pred, n=3, seed=2))
         assert np.array_equal(a.samples, b.samples)
-        assert all(np.array_equal(u, v)
-                   for u, v in zip(a.trajectory, b.trajectory))
+        assert np.array_equal(a.trajectory, b.trajectory)
 
     def test_traced_mode_requires_noise_block(self, ddim18):
         m, _ = ddim18
@@ -140,12 +159,13 @@ class TestRunMatrix:
 class TestMatrixProducts:
     @pytest.mark.parametrize("mode", ["traced", "single-terminal"])
     @pytest.mark.parametrize("kind,n_evals", TRACEABLE)
-    def test_matches_per_entry_rule(self, gmm16, kind, n_evals, mode):
+    def test_matches_per_entry_rule(self, gmm16, tmp_path, kind, n_evals,
+                                    mode):
         m = trace_sampler(SamplerSpec(kind=kind), n_evals=n_evals)
-        m = replace(m, noise_mode=mode)
+        if mode == "single-terminal":
+            m = single_terminal_load(m, tmp_path)
         pred = make_predictor(gmm16, m.schedule())
-        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=3, seed=4,
-                                 record_trajectory=True))
+        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=3, seed=4))
         want, outputs = per_entry_run(m, pred, n=3, seed=4)
         assert _rel(r.samples, want) <= 1e-12
         assert len(r.trajectory) == len(outputs) == m.n_evals
@@ -185,8 +205,7 @@ class TestMatrixProducts:
         # no evaluations and no noise columns: empty products, no draws
         m = CoefficientMatrix(schedule_info=vp.descriptor(),
                               row_times=(TERMINAL_OUTPUT,), col_times=(),
-                              signal=np.zeros((1, 0)), noise=np.zeros((1, 0)),
-                              noise_mode="traced")
+                              signal=np.zeros((1, 0)), noise=np.zeros((1, 0)))
 
         class Identity:
             d = 3
@@ -194,10 +213,9 @@ class TestMatrixProducts:
             def __call__(self, t, x):
                 return x
 
-        r = run_matrix(RunConfig(matrix=m, predictor=Identity(), n=2,
-                                 record_trajectory=True))
+        r = run_matrix(RunConfig(matrix=m, predictor=Identity(), n=2))
         assert np.array_equal(r.samples, np.zeros((2, 3)))
-        assert r.trajectory == ()
+        assert len(r.trajectory) == 0
 
 
 class TestOverEnhance:

@@ -8,9 +8,10 @@ explicit:FILE``) and images (``spectrum --image``).  Whatever those
 files hold, ``cli.main`` returns 0, 2, 3 or 4 and never raises, and
 ``guidance`` rejects exactly the matrix files that ``check`` rejects,
 with the same code.  The mutations start from preset payloads, files
-written by ``save`` and small valid files: rows dropped or duplicated, a
-time changed, NaN or a string put in a cell, a key deleted, a base64
-block cut or spoiled, the format tag swapped, bytes truncated or flipped.
+written by ``save`` or by the first ``nimatrix/2`` writer, and small valid
+files: rows dropped or duplicated, a time changed, NaN or a string put in
+a cell, a key deleted, a base64 block cut or spoiled, the format tag or
+the noise mode swapped, bytes truncated or flipped.
 """
 
 import base64
@@ -29,6 +30,7 @@ from nimatrix.coeffmatrix import save, trace_sampler
 from nimatrix.oracles import Dataset, save_dataset
 from nimatrix.presets import load_preset, preset_payload
 from nimatrix.samplers import SamplerSpec
+from test_coeffmatrix import _base64_mode_save, _held
 
 EXIT_CODES = {0, 2, 3, 4}
 BASES = ("ddim-18", "ddpm-18", "flow-euler-18", "dpmpp-2s-18")
@@ -36,6 +38,8 @@ ROW_KEYS = ("row_times", "signal", "noise")
 CELL_VALUES = (float("nan"), float("inf"), "x", None, [1.0])
 FORMATS = ("nimatrix/1", "nimatrix/2")
 NOT_BASE64 = ("*", "-", "_", " ", "\n", "é", "=")
+#: ``noise_mode`` values put in a file; None deletes the key.
+NOISE_MODES = ("traced", "custom", "single-terminal", "Traced", None)
 
 
 def _written(write, name: str) -> bytes:
@@ -61,6 +65,12 @@ IMAGE_NPY = _written(lambda p: np.save(p, IMAGE), "i.npy")
 SAVED = tuple(_written(lambda p, m=m: save(m, p), "m.json").decode("utf-8")
               for m in [load_preset(name) for name in BASES]
               + [trace_sampler(SamplerSpec(kind="ddpm"), n_evals=4)])
+# The single-terminal bases as the first ``nimatrix/2`` writer wrote them:
+# an empty noise block under ``"noise_mode": "single-terminal"``.
+MODE_SAVED = tuple(
+    _written(lambda p, m=m: _base64_mode_save(m, p), "m.json").decode("utf-8")
+    for m in [_held(load_preset(name), "single-terminal")
+              for name in BASES if name != "ddpm-18"])
 
 
 def _corrupt(draw, blob: bytes, how: str) -> bytes:
@@ -99,10 +109,10 @@ def matrix_files(draw):
     if fmt == "nimatrix/1":
         payload = preset_payload(draw(st.sampled_from(BASES)))
     else:
-        payload = json.loads(draw(st.sampled_from(SAVED)))
+        payload = json.loads(draw(st.sampled_from(SAVED + MODE_SAVED)))
     lists = [k for k in ROW_KEYS if isinstance(payload[k], list)]
     how = draw(st.sampled_from(("drop", "duplicate", "time", "cell", "key",
-                                "block", "tag", "truncate", "flip")))
+                                "block", "tag", "mode", "truncate", "flip")))
     if how in ("drop", "duplicate"):
         keys = draw(st.sampled_from([tuple(lists)] + [(k,) for k in lists]))
         k = draw(st.integers(0, len(payload["row_times"]) - 1))
@@ -140,6 +150,12 @@ def matrix_files(draw):
                                          len(payload["row_times"]))
     elif how == "tag":
         payload["format"] = FORMATS[1 - FORMATS.index(fmt)]
+    elif how == "mode":
+        mode = draw(st.sampled_from(NOISE_MODES))
+        if mode is None:
+            payload.pop("noise_mode", None)
+        else:
+            payload["noise_mode"] = mode
     return _corrupt(draw, json.dumps(payload).encode(), how)
 
 
@@ -345,6 +361,7 @@ def test_search_exit_codes(workdir, matrix, reference):
 @FILE_SETTINGS
 @given(grid=grid_files())
 @example(grid=("ddim", b"999 700\n400 100\n"))
+@example(grid=("ddim", b""))
 def test_trace_explicit_grid_exit_codes(workdir, grid):
     path = _write(workdir, "grid.txt", grid[1])
     assert _exit_code("trace", "--sampler", grid[0],
@@ -354,6 +371,7 @@ def test_trace_explicit_grid_exit_codes(workdir, grid):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @FILE_SETTINGS
 @given(data=any_dataset_files())
+@example(data=(".csv", b""))
 def test_degrade_exit_codes(workdir, data):
     path = _write(workdir, "data" + data[0], data[1])
     assert _exit_code("degrade", "--data", path, "--family", "vp",
@@ -365,10 +383,24 @@ def test_degrade_exit_codes(workdir, data):
 @given(image=image_files())
 @example(image=(".npy", b""))
 @example(image=(".npy", IMAGE_NPY.replace(b"'<f8'", b"',f8'")))
+@example(image=(".csv", b""))
 def test_spectrum_exit_codes(workdir, image):
     path = _write(workdir, "image" + image[0], image[1])
     assert _exit_code("spectrum", "--image", path, "--family", "vp",
                       "--t", "500") in EXIT_CODES
+
+
+@pytest.mark.parametrize("blob", [b"", b"\n\n", b"# no data\n"],
+                         ids=["empty", "blank", "comment"])
+@pytest.mark.parametrize("argv", [
+    ("degrade", "--data", "{}", "--family", "vp", "--times", "500"),
+    ("spectrum", "--image", "{}", "--family", "vp", "--t", "500"),
+    ("trace", "--sampler", "ddim", "--grid", "explicit:{}"),
+], ids=["degrade", "spectrum", "trace"])
+def test_table_with_no_data_exits_4(workdir, argv, blob):
+    # unreadable as a table, like every other unreadable file
+    path = _write(workdir, "empty.csv", blob)
+    assert _exit_code(*[a.format(path) for a in argv]) == 4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
