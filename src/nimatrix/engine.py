@@ -2,14 +2,18 @@
 self-enhancement loop.
 
 ``run_matrix`` plays a coefficient matrix forward as matrix products.
-All noise is drawn in one call, and every predictor output is written
-into one preallocated ``(n_evals, n*d)`` buffer.  Row ``i``'s model input
-is then two GEMVs, its signal weights times the earlier outputs plus its
-noise weights times the draws; the terminal row's combination is the
-returned sample.  The draws are the same stream, in the same column
-order, as one ``(n, d)`` batch per noise column.  Run on a matrix traced
-from a sampler with the same seed and predictor, the executor reproduces
-the native sampler output.
+All noise is drawn in one call (``_draw``), and every predictor output is
+written into one preallocated ``(n_evals, n*d)`` buffer.  The row loop is
+``_play``: row ``i``'s model input is two GEMVs, its signal weights times
+the earlier outputs plus its noise weights times the draws, and the
+terminal row's combination is the returned sample.  ``_play`` starts at
+any row, reading the rows before it from the buffer as already played, so
+the search replays a candidate from its edited row onward; ``run_matrix``
+is ``_draw`` then ``_play`` from row 0, and there is one executor.  The
+draws are the same stream, in the same column order, as one ``(n, d)``
+batch per noise column.  Run on a matrix traced from a sampler with the
+same seed and predictor, the executor reproduces the native sampler
+output.
 
 The executor plays the matrix's noise block as stored; a single-terminal
 file loads as its one-column ``c1`` block (``coeffmatrix.from_payload``).
@@ -40,26 +44,31 @@ class RunResult:
     trajectory: np.ndarray               # (n_evals, n, d) predictor outputs
 
 
-def run_matrix(cfg: RunConfig) -> RunResult:
-    """Execute the matrix with the given predictor.
+def _draw(m: CoefficientMatrix, n: int, d: int, seed: int) -> np.ndarray:
+    """The run's noise columns as one ``(k, n*d)`` array.
 
-    One ``standard_normal((m, n, d))`` call draws the ``m`` noise columns,
-    the same stream as one ``(n, d)`` batch per column in column order.
-    Each predictor output fills one row of an ``(n_evals, n*d)`` buffer;
-    row ``i``'s state is ``signal[i, :i] @ outputs[:i] + noise[i] @ draws``
-    and the terminal row uses its full signal row.  The result's
-    ``trajectory`` is a view of that buffer, not a copy.
+    One ``standard_normal((k, n, d))`` call draws the ``k`` noise
+    columns, the same stream as one ``(n, d)`` batch per column in
+    column order.
     """
-    m = cfg.matrix
-    pred = cfg.predictor
-    if cfg.n < 1:
-        raise ParameterError(f"need n >= 1, got {cfg.n}")
-    shape = (cfg.n, pred.d)
-    rng = np.random.default_rng(cfg.seed)
-    width = cfg.n * pred.d
-    draws = rng.standard_normal((m.noise.shape[1],) + shape).reshape(-1, width)
-    outputs = np.empty((m.n_evals, width))
-    for i in range(m.n_evals):
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m.noise.shape[1], n, d)).reshape(-1, n * d)
+
+
+def _play(m: CoefficientMatrix, pred, draws: np.ndarray,
+          outputs: np.ndarray, start: int) -> np.ndarray:
+    """Play rows ``start..n_evals-1`` into ``outputs``; return the sample.
+
+    ``outputs`` is the ``(n_evals, n*d)`` buffer of predictor outputs;
+    its rows before ``start`` are read as already played.  Row ``i``'s
+    state is ``signal[i, :i] @ outputs[:i] + noise[i] @ draws`` and the
+    terminal row's combination, using its full signal row, is returned
+    as an ``(n, d)`` array.
+    """
+    shape = (outputs.shape[1] // pred.d, pred.d)
+    for i in range(start, m.n_evals):
         x = m.noise[i] @ draws
         x += m.signal[i, :i] @ outputs[:i]
         y = np.asarray(pred(m.row_times[i], x.reshape(shape)))
@@ -70,9 +79,23 @@ def run_matrix(cfg: RunConfig) -> RunResult:
             raise NumericError(f"predictor returned a non-finite value at "
                                f"row {i} (t = {m.row_times[i]!r})")
         outputs[i] = y.reshape(-1)
-    samples = (m.signal[-1] @ outputs + m.noise[-1] @ draws).reshape(shape)
+    return (m.signal[-1] @ outputs + m.noise[-1] @ draws).reshape(shape)
+
+
+def run_matrix(cfg: RunConfig) -> RunResult:
+    """Execute the matrix with the given predictor.
+
+    The noise is drawn once (``_draw``) and every row is played into one
+    ``(n_evals, n*d)`` buffer (``_play`` from row 0).  The result's
+    ``trajectory`` is a view of that buffer, not a copy.
+    """
+    m = cfg.matrix
+    d = cfg.predictor.d
+    draws = _draw(m, cfg.n, d, cfg.seed)
+    outputs = np.empty((m.n_evals, cfg.n * d))
+    samples = _play(m, cfg.predictor, draws, outputs, 0)
     return RunResult(samples=samples,
-                     trajectory=outputs.reshape((m.n_evals,) + shape))
+                     trajectory=outputs.reshape((m.n_evals, cfg.n, d)))
 
 
 def over_enhance(pred, s: Schedule, t, x_init, k: int,

@@ -3,32 +3,83 @@
 The objective is the energy distance between samples produced by a
 candidate matrix and a reference sample set from the target
 distribution — a feature-free two-sample statistic that is zero iff the
-distributions agree.  The search is a banded coordinate descent: only
-entries within ``band`` columns left of the diagonal move, a
-candidate rescales only its edited row back to that row's marginal
-signal target (every other row stays bitwise equal to the current
-matrix), evaluations share common random numbers, and only improvements
-are accepted, so the objective trace is monotone.
+distributions agree.  Its all-pairs means fill their distance matrices
+in blocks of rows that the caller and a module-level worker thread take
+in turn (``_mean_dists``); every entry is computed on its own, so each
+mean is bitwise the single-threaded ``cdist(x, y).mean()``.
+
+The search is a banded coordinate descent: only entries within ``band``
+columns left of the diagonal move, a candidate rescales only its edited
+row back to that row's marginal signal target (every other row stays
+bitwise equal to the current matrix), evaluations share common random
+numbers, and only improvements are accepted, so the objective trace is
+monotone.  Because a candidate edits one row ``i`` and the noise draws are
+shared, its predictor outputs before row ``i`` are bitwise the current
+matrix's: a candidate copies those rows from the current matrix's output
+buffer and replays from row ``i`` on, so an edit to the terminal row calls
+the predictor no times.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .coeffmatrix import CoefficientMatrix, normalize_rows, row_sums
-from .engine import RunConfig, run_matrix
+from .engine import RunConfig, _draw, _play, run_matrix
 from .errors import NimatrixError, ParameterError, ValidationError
 
 
 MAX_PAIRS = 4_000_000
 
+# cdist releases the GIL, so one worker thread can fill distance rows
+# while the caller does.  A 64-row block against the 2000-point reference
+# is about half a millisecond: small enough that the caller waits at most
+# that long for the worker's last block, large enough that the per-call
+# overhead of cdist (about 10 us) stays small.
+_ROWS = 64
+_worker = ThreadPoolExecutor(max_workers=1,
+                             thread_name_prefix="nimatrix-cdist")
+
 
 def _cap(max_pairs: int) -> int:
     return max(1, int(np.sqrt(max_pairs)))
+
+
+def _mean_dists(*pairs) -> list:
+    """Mean Euclidean distance over all pairs of rows of each ``(x, y)``.
+
+    Each pair's distances fill one ``(n_x, n_y)`` buffer in blocks of
+    ``_ROWS`` rows, which the caller and the module's worker thread take
+    in turn; a worker that has not started when the caller runs out of
+    blocks is cancelled, so a busy worker costs at most one block.  Each
+    entry is computed on its own, so each mean is bitwise equal to
+    ``cdist(x, y).mean()``.
+    """
+    outs = [np.empty((x.shape[0], y.shape[0])) for x, y in pairs]
+    blocks = [(x[s:s + _ROWS], y, out[s:s + _ROWS])
+              for (x, y), out in zip(pairs, outs)
+              for s in range(0, x.shape[0], _ROWS)]
+    lock = threading.Lock()
+
+    def fill():
+        while True:
+            with lock:
+                if not blocks:
+                    return
+                x, y, out = blocks.pop()
+            cdist(x, y, out=out)
+
+    helper = _worker.submit(fill)
+    fill()
+    if not helper.cancel():
+        helper.result()
+    return [out.sum() / out.size for out in outs]
 
 
 def _points(x) -> np.ndarray:
@@ -61,7 +112,7 @@ def _prepare(points: np.ndarray, max_pairs: int, rng) -> PreparedReference:
     if points.shape[0] > cap:
         sub = points[rng.choice(points.shape[0], cap, replace=False)]
     return PreparedReference(points=points, subsample=sub,
-                             self_term=float(cdist(sub, sub).mean()),
+                             self_term=float(_mean_dists((sub, sub))[0]),
                              max_pairs=max_pairs)
 
 
@@ -98,8 +149,7 @@ def energy_distance(a, b, max_pairs: int = MAX_PAIRS) -> float:
         ref = None  # a's draw moved rng, so b's subsample is a different one
     if ref is None or ref.max_pairs != max_pairs:
         ref = _prepare(b, max_pairs, rng)
-    ab = cdist(a, ref.subsample).mean()
-    aa = cdist(a, a).mean()
+    ab, aa = _mean_dists((a, ref.subsample), (a, a))
     return float(2.0 * ab - aa - ref.self_term)
 
 
@@ -163,28 +213,34 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
 
     Every evaluation runs the candidate matrix with the same executor
     seed and scores it against the fixed reference set, whose side of
-    the energy distance is prepared once per search.  Candidates that
-    fail with a package or arithmetic error are charged against the
-    budget and skipped, as is an edit that leaves its row summing to
-    zero against a nonzero target; any other exception propagates.  The
-    first evaluation scores the starting matrix normalized to the
-    targets, so the final objective never exceeds the baseline.
+    the energy distance is prepared once per search; the caller and one
+    worker thread fill each distance matrix (``_mean_dists``).  The starting
+    matrix is run in full (``run_matrix``); its output buffer is kept as
+    the current one, and a candidate that edits row ``i`` copies rows
+    ``:i`` of it into a second buffer and replays only from row ``i``
+    (``engine._play``), with the same draws.  The buffers swap when a
+    candidate is accepted.  The samples are bitwise those of a full run
+    of the candidate.  Candidates that fail with a package or arithmetic
+    error are charged against the budget and skipped, as is an edit that
+    leaves its row summing to zero against a nonzero target; any other
+    exception propagates.  The first evaluation scores the starting
+    matrix normalized to the targets, so the final objective never
+    exceeds the baseline.
     """
     if budget < 0:
         raise ParameterError(f"need budget >= 0, got {budget}")
     reference = prepare_reference(reference)
     rng = np.random.default_rng(seed)
-
-    def evaluate(matrix: CoefficientMatrix) -> float:
-        res = run_matrix(RunConfig(matrix=matrix, predictor=predictor,
-                                   n=n_samples, seed=seed))
-        return energy_distance(res.samples, reference)
-
     current, _ = normalize_rows(space.base, targets=space.targets)
     if budget == 0:
         return SearchResult(best=current, objective_trace=(), evaluations=0,
                             seed=seed)
-    best_obj = evaluate(current)
+    run = run_matrix(RunConfig(matrix=current, predictor=predictor,
+                               n=n_samples, seed=seed))
+    best_obj = energy_distance(run.samples, reference)
+    draws = _draw(current, n_samples, predictor.d, seed)
+    outputs = run.trajectory.reshape(current.n_evals, draws.shape[1])
+    spare = np.empty_like(outputs)
     trace, used = [best_obj], 1
     entries = space.free_entries()
     lo, hi = space.bounds
@@ -207,9 +263,11 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
                 row *= space.targets[i] / rs
             elif space.targets[i] != 0.0:
                 continue
+            spare[:i] = outputs[:i]  # every row when i is the terminal row
             try:
                 cand = replace(current, signal=cand_signal)
-                obj = evaluate(cand)
+                obj = energy_distance(
+                    _play(cand, predictor, draws, spare, i), reference)
             except (NimatrixError, ArithmeticError) as exc:  # charge, log
                 if log is not None:
                     log(f"candidate at ({i},{j}) failed: {exc}")
@@ -217,6 +275,7 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
             if obj < best_obj:
                 best_obj = obj
                 current = cand
+                outputs, spare = spare, outputs
                 improved = True
             trace.append(best_obj)
         if not improved:

@@ -1,13 +1,18 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from nimatrix.coeffmatrix import trace_sampler
-from nimatrix.engine import RunConfig, run_matrix
+from nimatrix.engine import RunConfig, _play, run_matrix
 from nimatrix.errors import ParameterError, ValidationError
 from nimatrix.oracles import make_predictor
 from nimatrix.samplers import SamplerSpec
-from nimatrix.search import (SearchSpace, energy_distance, optimize_matrix,
-                             prepare_reference)
+from nimatrix.search import (SearchSpace, _mean_dists, energy_distance,
+                             optimize_matrix, prepare_reference)
 
 
 class TestEnergyDistance:
@@ -74,6 +79,81 @@ class TestEnergyDistance:
         b += 1.0
         assert energy_distance(a, ref, max_pairs=400) == expected
 
+    @pytest.mark.parametrize("n_x,n_y", [(1, 1), (1, 40), (7, 5), (33, 1),
+                                         (513, 31)])
+    def test_fill_is_bitwise_cdist_mean(self, rng, n_x, n_y):
+        x = rng.standard_normal((n_x, 3))
+        y = rng.standard_normal((n_y, 3)) + 0.5
+        assert _mean_dists((x, y)) == [cdist(x, y).mean()]
+        assert _mean_dists((x, y), (y, x), (x, x)) == \
+            [cdist(x, y).mean(), cdist(y, x).mean(), cdist(x, x).mean()]
+
+    def test_fill_does_not_wait_for_a_busy_worker(self, rng):
+        # the caller fills every block itself and cancels the queued helper
+        import nimatrix.search as searchmod
+        release = threading.Event()
+        busy = searchmod._worker.submit(release.wait, 30.0)
+        try:
+            x = rng.standard_normal((300, 2))
+            y = rng.standard_normal((70, 2))
+            assert _mean_dists((x, y)) == [cdist(x, y).mean()]
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result(timeout=30.0) is True
+
+    def test_concurrent_fills_are_bitwise(self, rng, monkeypatch):
+        # one-row blocks, more callers than cores and a short switch
+        # interval: a block skipped or filled twice breaks the equality
+        import nimatrix.search as searchmod
+        monkeypatch.setattr(searchmod, "_ROWS", 1)
+        sets = [(rng.standard_normal((n, 3)), rng.standard_normal((40, 3)))
+                for n in (33, 64, 65, 97)]
+        expected = [cdist(x, y).mean() for x, y in sets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda xy: [_mean_dists(xy, xy)
+                                                   for _ in range(20)], xy)
+                           for xy in sets]
+                got = [f.result(timeout=60.0) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for values, want in zip(got, expected):
+            assert values == [[want, want]] * 20
+
+    @staticmethod
+    def _one_thread(a, b, max_pairs):
+        # the energy distance as three single-threaded cdist means
+        cap = int(np.sqrt(max_pairs))
+        rng = np.random.default_rng(0)
+        if a.shape[0] > cap:
+            a = a[rng.choice(a.shape[0], cap, replace=False)]
+        if b.shape[0] > cap:
+            b = b[rng.choice(b.shape[0], cap, replace=False)]
+        return float(2.0 * cdist(a, b).mean() - cdist(a, a).mean()
+                     - cdist(b, b).mean())
+
+    # max_pairs=400 caps each set at 20 rows.
+    @pytest.mark.parametrize("n_a,n_b", [(1, 9), (13, 20), (31, 50), (45, 7)],
+                             ids=["one-row", "odd-under-cap", "a-over-cap",
+                                  "a-over-cap-b-odd"])
+    def test_energy_distance_is_bitwise_one_thread(self, rng, n_a, n_b):
+        a = rng.standard_normal((n_a, 2))
+        b = rng.standard_normal((n_b, 2)) + 0.2
+        expected = self._one_thread(a, b, 400)
+        assert energy_distance(a, b, max_pairs=400) == expected
+        assert energy_distance(a, prepare_reference(b, max_pairs=400),
+                               max_pairs=400) == expected
+
+    @pytest.mark.parametrize("n_b", [1, 19, 51])
+    def test_prepared_self_term_is_bitwise_cdist_mean(self, rng, n_b):
+        ref = prepare_reference(rng.standard_normal((n_b, 2)), max_pairs=400)
+        sub = ref.subsample
+        assert sub.shape[0] == min(n_b, 20)
+        assert ref.self_term == cdist(sub, sub).mean()
+
 
 class _FailAfter:
     """Delegates ``calls`` predictor calls to ``pred``, then raises ``exc``."""
@@ -85,6 +165,17 @@ class _FailAfter:
         if self.calls == 0:
             raise self.exc
         self.calls -= 1
+        return self.pred(t, x)
+
+
+class _Counting:
+    """Delegates to ``pred`` and counts the calls."""
+
+    def __init__(self, pred):
+        self.pred, self.d, self.calls = pred, pred.d, 0
+
+    def __call__(self, t, x):
+        self.calls += 1
         return self.pred(t, x)
 
 
@@ -168,21 +259,96 @@ class TestOptimize:
             seen.append(cfg.matrix.signal)
             return run_matrix(cfg)
 
+        def recording_play(m, *args):
+            seen.append(m.signal)
+            return _play(m, *args)
+
         monkeypatch.setattr(searchmod, "run_matrix", recording_run)
+        monkeypatch.setattr(searchmod, "_play", recording_play)
         pred = make_predictor(ring_gmm, ddim5.schedule())
         ref = ring_gmm.means[np.arange(64) % 8]
-        optimize_matrix(SearchSpace(base=ddim5), pred, ref, budget=40,
-                        seed=1, n_samples=64)
+        res = optimize_matrix(SearchSpace(base=ddim5), pred, ref, budget=40,
+                              seed=1, n_samples=64)
+        assert len(seen) == res.evaluations == 40
         assert np.array_equal(seen[0], ddim5.signal)
         for k, cand in enumerate(seen[1:], start=1):
             changed = [np.any(cand != prev, axis=1).sum() for prev in seen[:k]]
             assert min(changed) <= 1
+
+    def test_replays_are_bitwise_full_runs(self, ddim5, ring_gmm,
+                                           monkeypatch):
+        # a candidate replayed from its edited row gives the samples of a
+        # full run of that candidate, accepted or not
+        import nimatrix.search as searchmod
+        pred = make_predictor(ring_gmm, ddim5.schedule())
+        starts = []
+
+        def checked_play(m, p, draws, outputs, start):
+            starts.append(start)
+            samples = _play(m, p, draws, outputs, start)
+            full = run_matrix(RunConfig(matrix=m, predictor=pred, n=64,
+                                        seed=3)).samples
+            assert np.array_equal(samples, full)
+            return samples
+
+        monkeypatch.setattr(searchmod, "_play", checked_play)
+        rng = np.random.default_rng(5)
+        ref = (ring_gmm.means[rng.integers(8, size=256)]
+               + np.sqrt(0.02) * rng.standard_normal((256, 2)))
+        res = optimize_matrix(SearchSpace(base=ddim5), pred, ref, budget=60,
+                              seed=3, n_samples=64)
+        assert len(starts) == 59
+        assert set(starts) == set(range(1, ddim5.n_evals + 1))
+        assert len(set(res.objective_trace)) > 1  # some candidate accepted
 
     def test_negative_budget_rejected(self, ddim5, ring_gmm):
         pred = make_predictor(ring_gmm, ddim5.schedule())
         with pytest.raises(ParameterError):
             optimize_matrix(SearchSpace(base=ddim5), pred,
                             np.zeros((4, 2)), budget=-1)
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_bad_sample_count_rejected_before_any_call(self, ddim5, ring_gmm,
+                                                       n_samples):
+        pred = _Counting(make_predictor(ring_gmm, ddim5.schedule()))
+        with pytest.raises(ParameterError):
+            optimize_matrix(SearchSpace(base=ddim5), pred, np.zeros((4, 2)),
+                            budget=10, n_samples=n_samples)
+        assert pred.calls == 0
+
+    def test_candidates_call_the_predictor_from_their_edited_row(
+            self, ddim5, ring_gmm, monkeypatch):
+        # a candidate editing row i calls the predictor n_evals - i times,
+        # so a terminal-row edit calls it no times
+        import nimatrix.search as searchmod
+        pred = _Counting(make_predictor(ring_gmm, ddim5.schedule()))
+        per_play = []
+
+        def counted_play(m, p, draws, outputs, start):
+            before = pred.calls
+            samples = _play(m, p, draws, outputs, start)
+            per_play.append((start, pred.calls - before))
+            return samples
+
+        monkeypatch.setattr(searchmod, "_play", counted_play)
+        ref = ring_gmm.means[np.arange(64) % 8]
+        optimize_matrix(SearchSpace(base=ddim5), pred, ref, budget=40,
+                        seed=1, n_samples=32)
+        assert len(per_play) == 39
+        assert (ddim5.n_evals, 0) in per_play
+        assert all(calls == ddim5.n_evals - start for start, calls in per_play)
+        assert pred.calls == ddim5.n_evals + sum(c for _, c in per_play)
+
+    def test_search_makes_a_third_of_the_full_run_calls(self, ddim5,
+                                                        ring_gmm):
+        pred = _Counting(make_predictor(ring_gmm, ddim5.schedule()))
+        rng = np.random.default_rng(7)
+        ref = (ring_gmm.means[rng.integers(8, size=512)]
+               + np.sqrt(0.02) * rng.standard_normal((512, 2)))
+        res = optimize_matrix(SearchSpace(base=ddim5, band=3), pred, ref,
+                              budget=400, seed=7, n_samples=128)
+        assert res.evaluations == 400
+        assert 3 * pred.calls <= res.evaluations * ddim5.n_evals
 
     def test_best_objective_rescores_exactly(self, ddim5, ring_gmm):
         # 2048 points exceed the default 2000-row cap, as in the CLI.
@@ -206,6 +372,30 @@ class TestOptimize:
         assert res.evaluations == 6
         assert len(res.objective_trace) == 1
         assert len(logged) == 5 and "bad state" in logged[0]
+
+    def test_failing_predictor_charges_only_replaying_candidates(
+            self, ddim5, ring_gmm, monkeypatch):
+        # once the predictor fails, a candidate that replays a row is
+        # charged and logged, and a terminal-row candidate is still scored
+        import nimatrix.search as searchmod
+        pred = _FailAfter(make_predictor(ring_gmm, ddim5.schedule()),
+                          ddim5.n_evals, ValidationError("bad state"))
+        starts = []
+
+        def recording_play(m, p, draws, outputs, start):
+            starts.append(start)
+            return _play(m, p, draws, outputs, start)
+
+        monkeypatch.setattr(searchmod, "_play", recording_play)
+        logged = []
+        res = optimize_matrix(SearchSpace(base=ddim5), pred, np.zeros((16, 2)),
+                              budget=30, n_samples=32, log=logged.append)
+        terminal = starts.count(ddim5.n_evals)
+        assert res.evaluations == 30 and len(starts) == 29
+        assert 0 < terminal < 29
+        assert len(res.objective_trace) == 1 + terminal
+        assert len(logged) == 29 - terminal
+        assert all("bad state" in msg for msg in logged)
 
     def test_non_finite_prediction_is_charged_and_skipped(self, ddim5,
                                                           ring_gmm):
