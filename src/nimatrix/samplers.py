@@ -3,19 +3,21 @@
 Every sampler is written once against the :mod:`nimatrix.affine` element
 algebra, in x0-prediction form: the model is a predictor ``y = f_t(x)``
 estimating the clean signal.  The same code path executes concretely or
-traces the sampler into its coefficient matrix.
+traces the sampler into its coefficient matrix.  :data:`KIND_TABLE`
+holds each kind's schedule family, runner and evaluations per step:
 
-Supported kinds:
-
-- ``ddpm``: ancestral sampling on the discrete VP chain (stochastic).
-- ``ddim``: deterministic counterpart of the above.
+- ``ddpm`` / ``ddim``: ancestral sampling on the discrete VP chain and
+  its deterministic counterpart.
 - ``flow-euler``: Euler integration of the linear-interpolation path.
 - ``sde-euler`` / ``ode-euler``: Euler–Maruyama on the reverse VP SDE /
   Euler on the probability-flow ODE, with the score expressed through
-  the x0-prediction.
+  the x0-prediction.  These five kinds share one runner of the update
+  ``x' = d*x + e*y + g*eps`` and differ only in its coefficients.
 - ``dpm-solver-2s`` / ``dpm-solver-3s``: singlestep exponential-integrator
   solvers of order 2/3 in the noise-prediction parameterization.
-- ``dpmpp-2s`` / ``dpmpp-3s``: the data-prediction variants.
+  ``dpmpp-2s`` / ``dpmpp-3s`` are their data-prediction duals: swapping
+  alpha with sigma and the log-SNR step ``h`` with ``-h`` turns one into
+  the other, so each order has one step for both (:func:`_dpm_form`).
 - ``deis-1`` / ``deis-2`` / ``deis-3``: polynomial exponential-integrator
   (Adams–Bashforth style) steps with quadrature-computed weights.
 """
@@ -24,32 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 from scipy.integrate import quad
 
 from . import schedule as sched
 from .affine import RunContext, lin_combine
 from .errors import NumericError, ParameterError
-from .schedule import Schedule, TimeGrid, mixing_coeffs
-
-KINDS = (
-    "ddpm", "ddim", "flow-euler", "sde-euler", "ode-euler",
-    "dpm-solver-2s", "dpm-solver-3s", "dpmpp-2s", "dpmpp-3s",
-    "deis-1", "deis-2", "deis-3",
-)
-
-_VP_DISCRETE_KINDS = ("ddpm", "ddim", "sde-euler", "ode-euler")
-_CONTINUOUS_KINDS = ("dpm-solver-2s", "dpm-solver-3s", "dpmpp-2s",
-                     "dpmpp-3s", "deis-1", "deis-2", "deis-3")
+from .schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, Schedule, TimeGrid,
+                       mixing_coeffs)
 
 #: Evaluation-stencil size per DEIS kind: the named order k uses the
 #: current evaluation plus up to k previous ones (ramping up at the
 #: start of the run).  ``deis-1`` degenerates to DDIM.
 DEIS_POINTS = {"deis-1": 1, "deis-2": 2, "deis-3": 4}
-
-#: Model evaluations per step of the singlestep solvers (one otherwise).
-_STAGES = {"dpm-solver-2s": 2, "dpmpp-2s": 2, "dpm-solver-3s": 3,
-           "dpmpp-3s": 3}
 
 
 @dataclass(frozen=True)
@@ -75,17 +66,19 @@ class StepCoefficients:
 # First-order step coefficients (discrete VP and flow)
 # ---------------------------------------------------------------------
 
-def _alpha_bars(s: Schedule, t, t_prev):
-    if s.family != sched.VP_DISCRETE:
+def _vp_step(s: Schedule, t, t_prev):
+    """Checked integer times and alpha_bars ``(t, t_prev, ab, ab_prev)``
+    of one vp-discrete step."""
+    if s.family != VP_DISCRETE:
         raise ParameterError("requires a vp-discrete schedule")
-    ti, tp = int(round(float(t))), int(round(float(t_prev)))
+    ti = sched._check_vp_discrete_time(s, t)
+    tp = sched._check_vp_discrete_time(s, t_prev)
     if not tp < ti:
         raise ParameterError(f"need t_prev < t, got {t_prev} >= {t}")
     ab = float(s.alpha_bars[ti])
-    abp = float(s.alpha_bars[tp])
     if ab >= 1.0:
         raise NumericError(f"alpha_bar({ti}) = 1 makes the step singular")
-    return ab, abp
+    return ti, tp, ab, float(s.alpha_bars[tp])
 
 
 def ddpm_step_coeffs(s: Schedule, t, t_prev) -> StepCoefficients:
@@ -95,7 +88,7 @@ def ddpm_step_coeffs(s: Schedule, t, t_prev) -> StepCoefficients:
     ``alpha_bar(t) / alpha_bar(t_prev)`` and its complement, so coarse
     grids reuse the canonical fine-grained chain exactly.
     """
-    ab, abp = _alpha_bars(s, t, t_prev)
+    _, _, ab, abp = _vp_step(s, t, t_prev)
     a_int = ab / abp
     b_int = 1.0 - a_int
     d = math.sqrt(a_int) * (1.0 - abp) / (1.0 - ab)
@@ -105,7 +98,7 @@ def ddpm_step_coeffs(s: Schedule, t, t_prev) -> StepCoefficients:
 
 
 def ddim_step_coeffs(s: Schedule, t, t_prev) -> StepCoefficients:
-    ab, abp = _alpha_bars(s, t, t_prev)
+    _, _, ab, abp = _vp_step(s, t, t_prev)
     d = math.sqrt(1.0 - abp) / math.sqrt(1.0 - ab)
     e = math.sqrt(abp) - d * math.sqrt(ab)
     return StepCoefficients(d=d, e=e, g=0.0)
@@ -120,13 +113,19 @@ def flow_euler_step_coeffs(t: float, t_prev: float) -> StepCoefficients:
     return StepCoefficients(d=d, e=1.0 - d, g=0.0)
 
 
-def _score_coeffs(s: Schedule, t):
-    """Score as S0 * x0_hat + St * x for the discrete VP chain."""
-    ti = int(round(float(t)))
-    ab = float(s.alpha_bars[ti])
-    if not 0.0 < ab < 1.0:
+def _vp_euler_step_coeffs(s: Schedule, t, t_prev,
+                          stochastic: bool) -> StepCoefficients:
+    """Euler–Maruyama on the reverse VP SDE (``stochastic``) or Euler on
+    the probability-flow ODE, with the score ``s0 * y + st * x``."""
+    ti, tp, ab, _ = _vp_step(s, t, t_prev)
+    if not ab > 0.0:
         raise NumericError(f"score undefined at alpha_bar({ti}) = {ab}")
-    return math.sqrt(ab) / (1.0 - ab), -1.0 / (1.0 - ab)
+    s0, st = math.sqrt(ab) / (1.0 - ab), -1.0 / (1.0 - ab)
+    b = float(s.betas[ti]) * float(ti - tp)
+    if stochastic:
+        return StepCoefficients(d=1.0 + 0.5 * b + b * st, e=b * s0,
+                                g=math.sqrt(b))
+    return StepCoefficients(d=1.0 + 0.5 * b + 0.5 * b * st, e=0.5 * b * s0)
 
 
 # ---------------------------------------------------------------------
@@ -148,116 +147,62 @@ def eps_from_x0(s: Schedule, t, x, x0_hat):
 
 
 # ---------------------------------------------------------------------
-# Default schedules and grids per sampler kind
-# ---------------------------------------------------------------------
-
-def default_schedule(spec: SamplerSpec) -> Schedule:
-    if spec.kind in _VP_DISCRETE_KINDS:
-        return sched.make_vp_linear()
-    if spec.kind == "flow-euler":
-        return sched.make_flow()
-    return sched.make_vp_continuous()
-
-
-def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int,
-                 rule: str | None = None) -> TimeGrid:
-    """The grid giving exactly ``n_evals`` model evaluations, spaced by
-    the ``make_grid`` rule: by default quadratic (dense near the terminal
-    time) for DEIS kinds and linspace-trailing for every other kind."""
-    kind = spec.kind
-    if rule is None:
-        rule = "quadratic" if kind in DEIS_POINTS else "linspace-trailing"
-    if kind in _VP_DISCRETE_KINDS or kind == "flow-euler":
-        return sched.make_grid(s, n_evals, rule)
-    stages = _STAGES.get(kind, 1)
-    if n_evals % stages:
-        raise ParameterError(
-            f"{kind} needs an evaluation count divisible by {stages}")
-    return sched.make_grid(s, n_evals // stages + 1, rule)
-
-
-# ---------------------------------------------------------------------
 # Native runs
 # ---------------------------------------------------------------------
 
-def _run_first_order_vp(spec, s, grid, ctx):
-    times = [int(round(t)) for t in grid]
-    x = ctx.fresh_noise((float(times[0]), 0))
-    for t, tp in zip(times, times[1:]):
-        y = ctx.apply_model(t, x)
-        if spec.kind == "ddpm":
-            c = ddpm_step_coeffs(s, t, tp)
-        elif spec.kind == "ddim":
-            c = ddim_step_coeffs(s, t, tp)
-        elif spec.kind in ("sde-euler", "ode-euler"):
-            dt = float(t - tp)
-            b = float(s.betas[t]) * dt
-            s0, st = _score_coeffs(s, t)
-            if spec.kind == "sde-euler":
-                c = StepCoefficients(d=1.0 + 0.5 * b + b * st, e=b * s0,
-                                     g=math.sqrt(b))
-            else:
-                c = StepCoefficients(d=1.0 + 0.5 * b + 0.5 * b * st,
-                                     e=0.5 * b * s0, g=0.0)
-        terms = [(c.d, x), (c.e, y)]
-        if c.g:
-            terms.append((c.g, ctx.fresh_noise((float(tp), 0))))
-        x = lin_combine(terms)
-    # Final evaluation at the smallest grid time; its output is the sample.
-    return ctx.apply_model(times[-1], x)
-
-
-def _run_flow_euler(spec, s, grid, ctx):
-    times = list(grid)
+def _run_first_order(step, spec, s, grid, ctx):
+    times = [float(t) for t in grid]
     x = ctx.fresh_noise((times[0], 0))
     for t, tp in zip(times, times[1:]):
-        c = flow_euler_step_coeffs(t, tp)
         y = ctx.apply_model(t, x)
-        x = lin_combine([(c.d, x), (c.e, y)])
+        c = step(s, t, tp)
+        terms = [(c.d, x), (c.e, y)]
+        if c.g:
+            terms.append((c.g, ctx.fresh_noise((tp, 0))))
+        x = lin_combine(terms)
+    if s.family == VP_DISCRETE:
+        # A final evaluation at the smallest time gives the sample.
+        return ctx.apply_model(times[-1], x)
     return x
 
 
-def _eps_hat(s, t, x, y):
-    a, sg = s.alpha(t), s.sigma(t)
-    return lin_combine([(1.0 / sg, x), (-a / sg, y)])
+def _dpm_form(spec, s):
+    """Scales ``q``, ``p``, step sign and prediction map ``z`` of a
+    DPM-Solver step: noise prediction over ``h``, or for ++ the
+    x0-prediction over ``-h`` with alpha and sigma swapped."""
+    if spec.kind.startswith("dpmpp"):
+        return s.sigma, s.alpha, -1.0, lambda t, x, y: y
+    return s.alpha, s.sigma, 1.0, partial(eps_from_x0, s)
 
 
-def _run_dpm_2s(spec, s, grid, ctx, plusplus: bool):
+def _run_dpm_2s(spec, s, grid, ctx):
     r1 = float(spec.options.get("r1", 0.5))
+    q, p, sign, z = _dpm_form(spec, s)
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
     for t, tn in zip(times, times[1:]):
         lt, ln = s.log_snr(t), s.log_snr(tn)
         h = ln - lt
         t1 = s.t_from_log_snr(lt + r1 * h)
-        y0 = ctx.apply_model(t, x)
-        if plusplus:
-            u = lin_combine([(s.sigma(t1) / s.sigma(t), x),
-                             (-s.alpha(t1) * math.expm1(-r1 * h), y0)])
-            y1 = ctx.apply_model(t1, u)
-            d1 = lin_combine([(1.0, y1), (-1.0, y0)])
-            x = lin_combine([(s.sigma(tn) / s.sigma(t), x),
-                             (-s.alpha(tn) * math.expm1(-h), y0),
-                             (-s.alpha(tn) * math.expm1(-h) / (2.0 * r1), d1)])
-        else:
-            e0 = _eps_hat(s, t, x, y0)
-            u = lin_combine([(s.alpha(t1) / s.alpha(t), x),
-                             (-s.sigma(t1) * math.expm1(r1 * h), e0)])
-            y1 = ctx.apply_model(t1, u)
-            e1 = _eps_hat(s, t1, u, y1)
-            d1 = lin_combine([(1.0, e1), (-1.0, e0)])
-            x = lin_combine([(s.alpha(tn) / s.alpha(t), x),
-                             (-s.sigma(tn) * math.expm1(h), e0),
-                             (-s.sigma(tn) * math.expm1(h) / (2.0 * r1), d1)])
+        z0 = z(t, x, ctx.apply_model(t, x))
+        u = lin_combine([(q(t1) / q(t), x),
+                         (-p(t1) * math.expm1(sign * r1 * h), z0)])
+        d1 = lin_combine([(1.0, z(t1, u, ctx.apply_model(t1, u))),
+                          (-1.0, z0)])
+        x = lin_combine([(q(tn) / q(t), x),
+                         (-p(tn) * math.expm1(sign * h), z0),
+                         (-p(tn) * math.expm1(sign * h) / (2.0 * r1), d1)])
     return x
 
 
-def _run_dpm_3s(spec, s, grid, ctx, plusplus: bool):
+def _run_dpm_3s(spec, s, grid, ctx):
     r1 = float(spec.options.get("r1", 1.0 / 3.0))
     r2 = float(spec.options.get("r2", 2.0 / 3.0))
-    # Sign applied to the difference-correction terms of the ++ variant;
-    # the default reproduces the reference coefficient tables.
-    csign = float(spec.options.get("correction_sign", -1.0))
+    q, p, sign, z = _dpm_form(spec, s)
+    # Sign of the difference-correction terms; an option of the ++ variant
+    # whose default reproduces the reference coefficient tables.
+    c = sign * (float(spec.options.get("correction_sign", -1.0))
+                if sign < 0 else -1.0)
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
     for t, tn in zip(times, times[1:]):
@@ -265,43 +210,23 @@ def _run_dpm_3s(spec, s, grid, ctx, plusplus: bool):
         h = ln - lt
         t1 = s.t_from_log_snr(lt + r1 * h)
         t2 = s.t_from_log_snr(lt + r2 * h)
-        y0 = ctx.apply_model(t, x)
-        if plusplus:
-            u1 = lin_combine([(s.sigma(t1) / s.sigma(t), x),
-                              (-s.alpha(t1) * math.expm1(-r1 * h), y0)])
-            y1 = ctx.apply_model(t1, u1)
-            d1 = lin_combine([(1.0, y1), (-1.0, y0)])
-            u2 = lin_combine([
-                (s.sigma(t2) / s.sigma(t), x),
-                (-s.alpha(t2) * math.expm1(-r2 * h), y0),
-                (csign * s.alpha(t2) * (r2 / r1)
-                 * (math.expm1(-r2 * h) / (r2 * h) + 1.0), d1)])
-            y2 = ctx.apply_model(t2, u2)
-            d2 = lin_combine([(1.0, y2), (-1.0, y0)])
-            x = lin_combine([
-                (s.sigma(tn) / s.sigma(t), x),
-                (-s.alpha(tn) * math.expm1(-h), y0),
-                (csign * (s.alpha(tn) / r2)
-                 * (math.expm1(-h) / h + 1.0), d2)])
-        else:
-            e0 = _eps_hat(s, t, x, y0)
-            u1 = lin_combine([(s.alpha(t1) / s.alpha(t), x),
-                              (-s.sigma(t1) * math.expm1(r1 * h), e0)])
-            y1 = ctx.apply_model(t1, u1)
-            e1 = _eps_hat(s, t1, u1, y1)
-            d1 = lin_combine([(1.0, e1), (-1.0, e0)])
-            u2 = lin_combine([
-                (s.alpha(t2) / s.alpha(t), x),
-                (-s.sigma(t2) * math.expm1(r2 * h), e0),
-                (-s.sigma(t2) * (r2 / r1)
-                 * (math.expm1(r2 * h) / (r2 * h) - 1.0), d1)])
-            y2 = ctx.apply_model(t2, u2)
-            e2 = _eps_hat(s, t2, u2, y2)
-            d2 = lin_combine([(1.0, e2), (-1.0, e0)])
-            x = lin_combine([
-                (s.alpha(tn) / s.alpha(t), x),
-                (-s.sigma(tn) * math.expm1(h), e0),
-                (-(s.sigma(tn) / r2) * (math.expm1(h) / h - 1.0), d2)])
+        z0 = z(t, x, ctx.apply_model(t, x))
+        u1 = lin_combine([(q(t1) / q(t), x),
+                          (-p(t1) * math.expm1(sign * r1 * h), z0)])
+        d1 = lin_combine([(1.0, z(t1, u1, ctx.apply_model(t1, u1))),
+                          (-1.0, z0)])
+        u2 = lin_combine([
+            (q(t2) / q(t), x),
+            (-p(t2) * math.expm1(sign * r2 * h), z0),
+            (c * p(t2) * (r2 / r1)
+             * (math.expm1(sign * r2 * h) / (sign * r2 * h) - 1.0), d1)])
+        d2 = lin_combine([(1.0, z(t2, u2, ctx.apply_model(t2, u2))),
+                          (-1.0, z0)])
+        x = lin_combine([
+            (q(tn) / q(t), x),
+            (-p(tn) * math.expm1(sign * h), z0),
+            (c * (p(tn) / r2) * (math.expm1(sign * h) / (sign * h) - 1.0),
+             d2)])
     return x
 
 
@@ -341,13 +266,66 @@ def _run_deis(spec, s, grid, ctx):
     history: list = []  # (time, eps-expression), newest last
     for t, tn in zip(times, times[1:]):
         y = ctx.apply_model(t, x)
-        history.append((t, _eps_hat(s, t, x, y)))
+        history.append((t, eps_from_x0(s, t, x, y)))
         use = history[-min(len(history), points):]
         ws = deis_weights(s, [tj for tj, _ in use], t, tn)
         terms = [(s.alpha(tn) / s.alpha(t), x)]
         terms.extend((w, ej) for w, (_, ej) in zip(ws, use))
         x = lin_combine(terms)
     return x
+
+
+# ---------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------
+
+class Kind(NamedTuple):
+    family: str
+    run: Callable  # (spec, schedule, grid, ctx) -> sample or terminal row
+    evals_per_step: int = 1
+
+
+KIND_TABLE = {
+    "ddpm": Kind(VP_DISCRETE, partial(_run_first_order, ddpm_step_coeffs)),
+    "ddim": Kind(VP_DISCRETE, partial(_run_first_order, ddim_step_coeffs)),
+    "flow-euler": Kind(FLOW, partial(
+        _run_first_order, lambda s, t, tp: flow_euler_step_coeffs(t, tp))),
+    "sde-euler": Kind(VP_DISCRETE, partial(
+        _run_first_order, partial(_vp_euler_step_coeffs, stochastic=True))),
+    "ode-euler": Kind(VP_DISCRETE, partial(
+        _run_first_order, partial(_vp_euler_step_coeffs, stochastic=False))),
+    "dpm-solver-2s": Kind(VP_CONTINUOUS, _run_dpm_2s, 2),
+    "dpm-solver-3s": Kind(VP_CONTINUOUS, _run_dpm_3s, 3),
+    "dpmpp-2s": Kind(VP_CONTINUOUS, _run_dpm_2s, 2),
+    "dpmpp-3s": Kind(VP_CONTINUOUS, _run_dpm_3s, 3),
+    "deis-1": Kind(VP_CONTINUOUS, _run_deis),
+    "deis-2": Kind(VP_CONTINUOUS, _run_deis),
+    "deis-3": Kind(VP_CONTINUOUS, _run_deis),
+}
+
+KINDS = tuple(KIND_TABLE)
+
+
+def default_schedule(spec: SamplerSpec) -> Schedule:
+    return {VP_DISCRETE: sched.make_vp_linear, FLOW: sched.make_flow,
+            VP_CONTINUOUS: sched.make_vp_continuous,
+            }[KIND_TABLE[spec.kind].family]()
+
+
+def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int,
+                 rule: str | None = None) -> TimeGrid:
+    """The grid giving exactly ``n_evals`` model evaluations, spaced by
+    the ``make_grid`` rule: by default quadratic (dense near the terminal
+    time) for DEIS kinds and linspace-trailing for every other kind."""
+    kind = KIND_TABLE[spec.kind]
+    if rule is None:
+        rule = "quadratic" if spec.kind in DEIS_POINTS else "linspace-trailing"
+    if n_evals < 1 or n_evals % kind.evals_per_step:
+        raise ParameterError(f"{spec.kind} needs a positive evaluation count "
+                             f"divisible by {kind.evals_per_step}")
+    if kind.family == VP_CONTINUOUS:  # n grid points span n - 1 steps
+        n_evals = n_evals // kind.evals_per_step + 1
+    return sched.make_grid(s, n_evals, rule)
 
 
 def run_native(spec: SamplerSpec, s: Schedule, grid: TimeGrid,
@@ -358,23 +336,7 @@ def run_native(spec: SamplerSpec, s: Schedule, grid: TimeGrid,
     ``ctx.records`` and the returned element is the terminal-row
     expression.  In concrete mode the returned element is the sample.
     """
-    kind = spec.kind
-    if kind in _VP_DISCRETE_KINDS:
-        if s.family != sched.VP_DISCRETE:
-            raise ParameterError(f"{kind} requires a vp-discrete schedule")
-        return _run_first_order_vp(spec, s, grid, ctx)
-    if kind == "flow-euler":
-        if s.family != sched.FLOW:
-            raise ParameterError("flow-euler requires a flow schedule")
-        return _run_flow_euler(spec, s, grid, ctx)
-    if s.family != sched.VP_CONTINUOUS:
-        raise ParameterError(f"{kind} requires a vp-continuous schedule")
-    if kind == "dpm-solver-2s":
-        return _run_dpm_2s(spec, s, grid, ctx, plusplus=False)
-    if kind == "dpmpp-2s":
-        return _run_dpm_2s(spec, s, grid, ctx, plusplus=True)
-    if kind == "dpm-solver-3s":
-        return _run_dpm_3s(spec, s, grid, ctx, plusplus=False)
-    if kind == "dpmpp-3s":
-        return _run_dpm_3s(spec, s, grid, ctx, plusplus=True)
-    return _run_deis(spec, s, grid, ctx)
+    kind = KIND_TABLE[spec.kind]
+    if s.family != kind.family:
+        raise ParameterError(f"{spec.kind} requires a {kind.family} schedule")
+    return kind.run(spec, s, grid, ctx)

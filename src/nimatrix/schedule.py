@@ -227,7 +227,8 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
       down to ``sqrt(T_EPS)``, squared — concentrating points near
       ``T_EPS``.
     - explicit: caller-provided list, strictly decreasing, each time in
-      the schedule's domain (``mixing_coeffs``).
+      the schedule's domain (``mixing_coeffs``); vp-discrete times are
+      stored as the integers they name.
     """
     if rule not in RULES:
         raise ParameterError(f"unknown grid rule {rule!r}")
@@ -238,6 +239,8 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
         validate_decreasing(times)
         for t in times:
             mixing_coeffs(s, t)
+        if s.family == VP_DISCRETE:
+            times = tuple(float(round(t)) for t in times)
         return TimeGrid(times=times, rule=rule, family=s.family)
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")

@@ -229,6 +229,10 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     """
     if budget < 0:
         raise ParameterError(f"need budget >= 0, got {budget}")
+    if n_samples < 1:
+        raise ParameterError(f"need n_samples >= 1, got {n_samples}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ParameterError(f"need a finite step > 0, got {step}")
     reference = prepare_reference(reference)
     rng = np.random.default_rng(seed)
     current, _ = normalize_rows(space.base, targets=space.targets)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nimatrix.errors import NumericError, ParameterError
-from nimatrix.samplers import (DEIS_POINTS, KINDS, SamplerSpec,
+from nimatrix.errors import DomainError, NumericError, ParameterError
+from nimatrix.samplers import (DEIS_POINTS, KIND_TABLE, KINDS, SamplerSpec,
                                ddim_step_coeffs, ddpm_step_coeffs,
                                default_grid, default_schedule, deis_weights,
                                flow_euler_step_coeffs, x0_from_eps,
                                eps_from_x0)
-from nimatrix.schedule import mixing_coeffs
+from nimatrix.schedule import (FAMILIES, make_flow, make_vp_continuous,
+                               make_vp_linear, mixing_coeffs)
 from nimatrix.affine import AffineState
 from nimatrix.coeffmatrix import trace_sampler
 
@@ -46,6 +47,13 @@ class TestStepCoefficients:
         with pytest.raises(ParameterError):
             ddpm_step_coeffs(vp, 100, 200)
 
+    @pytest.mark.parametrize("step", [ddpm_step_coeffs, ddim_step_coeffs])
+    @pytest.mark.parametrize("t,tp", [(5, -3), (1000, 0), (5.4, 2)])
+    def test_times_off_the_chain_rejected(self, vp, step, t, tp):
+        # a negative index, an index past T - 1 and a fractional time
+        with pytest.raises(DomainError):
+            step(vp, t, tp)
+
     def test_flow_step_at_zero_rejected(self):
         with pytest.raises(NumericError):
             flow_euler_step_coeffs(0.0, 0.0)
@@ -78,6 +86,14 @@ class TestDefaults:
             default_grid(SamplerSpec(kind="dpm-solver-2s"), vpc, 17)
         with pytest.raises(ParameterError):
             default_grid(SamplerSpec(kind="dpmpp-3s"), vpc, 17)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_evaluations_rejected(self, kind):
+        # a one-point continuous grid would trace a matrix with no
+        # evaluation at all
+        spec = SamplerSpec(kind=kind)
+        with pytest.raises(ParameterError, match="positive"):
+            default_grid(spec, default_schedule(spec), 0)
 
     def test_eval_counts_match_grid(self, vpc):
         g2 = default_grid(SamplerSpec(kind="dpm-solver-2s"), vpc, 18)
@@ -131,10 +147,14 @@ class TestTracedStructure:
         assert m.signal.shape == (n + 1, n)
         assert m.n_rows == n + 1
 
-    def test_family_mismatch_rejected(self, flow):
+    @pytest.mark.parametrize("kind,family", [
+        (k, f) for k in KINDS for f in FAMILIES if f != KIND_TABLE[k].family])
+    def test_family_mismatch_rejected(self, kind, family):
         from nimatrix.samplers import run_native
         from nimatrix.affine import RunContext
         from nimatrix.schedule import make_grid
-        g = make_grid(flow, 4)
-        with pytest.raises(ParameterError):
-            run_native(SamplerSpec(kind="ddim"), flow, g, RunContext())
+        s = {"vp-discrete": make_vp_linear, "flow": make_flow,
+             "vp-continuous": make_vp_continuous}[family]()
+        want = f"{kind} requires a {KIND_TABLE[kind].family} schedule"
+        with pytest.raises(ParameterError, match=want):
+            run_native(SamplerSpec(kind=kind), s, make_grid(s, 4), RunContext())

@@ -136,6 +136,9 @@ class TestGrids:
     def test_explicit_validated(self, vp):
         g = make_grid(vp, 0, "explicit", explicit=[900, 500, 100, 0])
         assert list(g) == [900.0, 500.0, 100.0, 0.0]
+        # a time within the integer tolerance is stored as its integer
+        g = make_grid(vp, 0, "explicit", explicit=[900.0000000001, 0])
+        assert list(g) == [900.0, 0.0]
         with pytest.raises(ValidationError):
             make_grid(vp, 0, "explicit", explicit=[100, 500])
         with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -307,13 +308,20 @@ class TestOptimize:
             optimize_matrix(SearchSpace(base=ddim5), pred,
                             np.zeros((4, 2)), budget=-1)
 
-    @pytest.mark.parametrize("n_samples", [0, -1])
+    @pytest.mark.parametrize("budget,n_samples,step", [
+        pytest.param(10, 0, 0.25, id="0"),
+        pytest.param(10, -1, 0.25, id="-1"),
+        pytest.param(0, 0, 0.25, id="budget0"),
+        pytest.param(10, 32, math.nan, id="step-nan"),
+        pytest.param(10, 32, 0.0, id="step-0")])
     def test_bad_sample_count_rejected_before_any_call(self, ddim5, ring_gmm,
-                                                       n_samples):
+                                                       budget, n_samples,
+                                                       step):
+        # a zero budget makes no run, so only an up-front check sees these
         pred = _Counting(make_predictor(ring_gmm, ddim5.schedule()))
         with pytest.raises(ParameterError):
             optimize_matrix(SearchSpace(base=ddim5), pred, np.zeros((4, 2)),
-                            budget=10, n_samples=n_samples)
+                            budget=budget, n_samples=n_samples, step=step)
         assert pred.calls == 0
 
     def test_candidates_call_the_predictor_from_their_edited_row(
