@@ -25,8 +25,11 @@ holds each kind's schedule family, runner and evaluations per step:
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from scipy.integrate import quad
@@ -51,6 +54,43 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown sampler kind {self.kind!r}")
+        _check_options(self.kind, self.options)
+        # a read-only copy, so the checked values cannot change later
+        object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
+
+    def option(self, name: str):
+        """The option's value, or the kind's default for it."""
+        return self.options.get(name, KIND_TABLE[self.kind].options[name])
+
+
+def _check_options(kind: str, options) -> None:
+    """Reject any option the kind does not read or any value out of range."""
+    if not isinstance(options, Mapping):
+        raise ParameterError(f"options must be a mapping, got {options!r}")
+    defaults = KIND_TABLE[kind].options
+    for name, v in options.items():
+        if name not in defaults:
+            raise ParameterError(f"{kind} has no option {name!r} (it takes "
+                                 f"{', '.join(defaults) or 'none'})")
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                or not math.isfinite(v):
+            raise ParameterError(f"option {name} must be a finite number, "
+                                 f"got {v!r}")
+    values = {**defaults, **options}
+    fractions = [name for name in ("r1", "r2") if name in defaults]
+    rs = [values[name] for name in fractions]
+    if rs and not (0.0 < rs[0] and rs[-1] < 1.0
+                   and all(a < b for a, b in zip(rs, rs[1:]))):
+        raise ParameterError(
+            f"{kind} needs {' < '.join(['0', *fractions, '1'])}, got "
+            + ", ".join(f"{n}={r!r}" for n, r in zip(fractions, rs)))
+    if options.get("correction_sign", -1) not in (-1, 1):
+        raise ParameterError(f"correction_sign must be +1 or -1, got "
+                             f"{options['correction_sign']!r}")
+    points = options.get("points", 1)
+    if not (isinstance(points, numbers.Integral) and points >= 1):
+        raise ParameterError(f"points must be a positive integer, got "
+                             f"{points!r}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +216,7 @@ def _dpm_form(spec, s):
 
 
 def _run_dpm_2s(spec, s, grid, ctx):
-    r1 = float(spec.options.get("r1", 0.5))
+    r1 = float(spec.option("r1"))
     q, p, sign, z = _dpm_form(spec, s)
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
@@ -196,13 +236,11 @@ def _run_dpm_2s(spec, s, grid, ctx):
 
 
 def _run_dpm_3s(spec, s, grid, ctx):
-    r1 = float(spec.options.get("r1", 1.0 / 3.0))
-    r2 = float(spec.options.get("r2", 2.0 / 3.0))
+    r1, r2 = float(spec.option("r1")), float(spec.option("r2"))
     q, p, sign, z = _dpm_form(spec, s)
     # Sign of the difference-correction terms; an option of the ++ variant
     # whose default reproduces the reference coefficient tables.
-    c = sign * (float(spec.options.get("correction_sign", -1.0))
-                if sign < 0 else -1.0)
+    c = sign * (float(spec.option("correction_sign")) if sign < 0 else -1.0)
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
     for t, tn in zip(times, times[1:]):
@@ -258,9 +296,7 @@ def deis_weights(s: Schedule, eval_times, t: float, t_next: float):
 
 
 def _run_deis(spec, s, grid, ctx):
-    points = int(spec.options.get("points", DEIS_POINTS[spec.kind]))
-    if points < 1:
-        raise ParameterError(f"need points >= 1, got {points}")
+    points = int(spec.option("points"))
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
     history: list = []  # (time, eps-expression), newest last
@@ -283,7 +319,12 @@ class Kind(NamedTuple):
     family: str
     run: Callable  # (spec, schedule, grid, ctx) -> sample or terminal row
     evals_per_step: int = 1
+    options: dict = {}  # the options the runner reads, with their defaults
 
+
+# The intermediate steps' fractions of the log-SNR step ``h``.
+_R1 = {"r1": 0.5}
+_R12 = {"r1": 1.0 / 3.0, "r2": 2.0 / 3.0}
 
 KIND_TABLE = {
     "ddpm": Kind(VP_DISCRETE, partial(_run_first_order, ddpm_step_coeffs)),
@@ -294,13 +335,13 @@ KIND_TABLE = {
         _run_first_order, partial(_vp_euler_step_coeffs, stochastic=True))),
     "ode-euler": Kind(VP_DISCRETE, partial(
         _run_first_order, partial(_vp_euler_step_coeffs, stochastic=False))),
-    "dpm-solver-2s": Kind(VP_CONTINUOUS, _run_dpm_2s, 2),
-    "dpm-solver-3s": Kind(VP_CONTINUOUS, _run_dpm_3s, 3),
-    "dpmpp-2s": Kind(VP_CONTINUOUS, _run_dpm_2s, 2),
-    "dpmpp-3s": Kind(VP_CONTINUOUS, _run_dpm_3s, 3),
-    "deis-1": Kind(VP_CONTINUOUS, _run_deis),
-    "deis-2": Kind(VP_CONTINUOUS, _run_deis),
-    "deis-3": Kind(VP_CONTINUOUS, _run_deis),
+    "dpm-solver-2s": Kind(VP_CONTINUOUS, _run_dpm_2s, 2, _R1),
+    "dpm-solver-3s": Kind(VP_CONTINUOUS, _run_dpm_3s, 3, _R12),
+    "dpmpp-2s": Kind(VP_CONTINUOUS, _run_dpm_2s, 2, _R1),
+    "dpmpp-3s": Kind(VP_CONTINUOUS, _run_dpm_3s, 3,
+                     {**_R12, "correction_sign": -1.0}),
+    **{kind: Kind(VP_CONTINUOUS, _run_deis, options={"points": points})
+       for kind, points in DEIS_POINTS.items()},
 }
 
 KINDS = tuple(KIND_TABLE)

@@ -14,10 +14,10 @@ row back to that row's marginal signal target (every other row stays
 bitwise equal to the current matrix), evaluations share common random
 numbers, and only improvements are accepted, so the objective trace is
 monotone.  Because a candidate edits one row ``i`` and the noise draws are
-shared, its predictor outputs before row ``i`` are bitwise the current
-matrix's: a candidate copies those rows from the current matrix's output
-buffer and replays from row ``i`` on, so an edit to the terminal row calls
-the predictor no times.
+shared, its predictor inputs and outputs before row ``i`` are bitwise the
+current matrix's: a candidate copies those rows from the current matrix's
+state and output buffers and replays from row ``i`` on, so an edit to the
+terminal row calls the predictor no times.
 """
 
 from __future__ import annotations
@@ -215,10 +215,10 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     seed and scores it against the fixed reference set, whose side of
     the energy distance is prepared once per search; the caller and one
     worker thread fill each distance matrix (``_mean_dists``).  The starting
-    matrix is run in full (``run_matrix``); its output buffer is kept as
-    the current one, and a candidate that edits row ``i`` copies rows
-    ``:i`` of it into a second buffer and replays only from row ``i``
-    (``engine._play``), with the same draws.  The buffers swap when a
+    matrix is run in full (``run_matrix``); its output and state buffers
+    are kept as the current ones, and a candidate that edits row ``i``
+    copies rows ``:i`` of them into a second pair and replays only from
+    row ``i`` (``engine._play``), with the same draws.  The pairs swap when a
     candidate is accepted.  The samples are bitwise those of a full run
     of the candidate.  Candidates that fail with a package or arithmetic
     error are charged against the budget and skipped, as is an edit that
@@ -244,7 +244,8 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     best_obj = energy_distance(run.samples, reference)
     draws = _draw(current, n_samples, predictor.d, seed)
     outputs = run.trajectory.reshape(current.n_evals, draws.shape[1])
-    spare = np.empty_like(outputs)
+    states = run.states.reshape(outputs.shape)
+    spare, spare_states = np.empty_like(outputs), np.empty_like(states)
     trace, used = [best_obj], 1
     entries = space.free_entries()
     lo, hi = space.bounds
@@ -268,10 +269,12 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
             elif space.targets[i] != 0.0:
                 continue
             spare[:i] = outputs[:i]  # every row when i is the terminal row
+            spare_states[:i] = states[:i]
             try:
                 cand = replace(current, signal=cand_signal)
                 obj = energy_distance(
-                    _play(cand, predictor, draws, spare, i), reference)
+                    _play(cand, predictor, draws, spare, spare_states, i),
+                    reference)
             except (NimatrixError, ArithmeticError) as exc:  # charge, log
                 if log is not None:
                     log(f"candidate at ({i},{j}) failed: {exc}")
@@ -280,6 +283,7 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
                 best_obj = obj
                 current = cand
                 outputs, spare = spare, outputs
+                states, spare_states = spare_states, states
                 improved = True
             trace.append(best_obj)
         if not improved:

@@ -1,14 +1,17 @@
 import json
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 
 from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
                                   from_payload, save, trace_sampler)
-from nimatrix.engine import RunConfig, over_enhance, run_matrix
+from nimatrix.engine import (CARRY_TOL, RunConfig, _draw, _plan,
+                             over_enhance, run_matrix)
 from nimatrix.errors import NumericError, ParameterError, ValidationError
 from nimatrix.oracles import make_predictor
+from nimatrix.presets import PRESET_NAMES, load_preset
 from nimatrix.samplers import KINDS, SamplerSpec
 from nimatrix.schedule import mixing_coeffs
 
@@ -38,19 +41,22 @@ def per_entry_run(m, pred, n, seed):
     return row_state(m.n_rows - 1), outputs
 
 
-def _traceable(kind, n_evals):
+@cache
+def _traced(kind, n_evals):
+    """The traced matrix, or None where the kind cannot trace that count
+    (e.g. a three-stage solver at 100 evaluations)."""
     try:
-        trace_sampler(SamplerSpec(kind=kind), n_evals=n_evals)
-    except ParameterError:  # e.g. a three-stage solver at 100 evaluations
-        return False
-    return True
+        return trace_sampler(SamplerSpec(kind=kind), n_evals=n_evals)
+    except ParameterError:
+        return None
 
 
 def _rel(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-TRACEABLE = [(k, n) for k in KINDS for n in (6, 18, 100) if _traceable(k, n)]
+TRACEABLE = [(k, n) for k in KINDS for n in (6, 18, 60, 100, 300)
+             if _traced(k, n) is not None]
 
 
 def single_terminal_load(m, tmp_path):
@@ -161,7 +167,9 @@ class TestMatrixProducts:
     @pytest.mark.parametrize("kind,n_evals", TRACEABLE)
     def test_matches_per_entry_rule(self, gmm16, tmp_path, kind, n_evals,
                                     mode):
-        m = trace_sampler(SamplerSpec(kind=kind), n_evals=n_evals)
+        # at 60 and 300 evaluations most rows of the first-order kinds
+        # play carried (a * previous state plus their new columns)
+        m = _traced(kind, n_evals)
         if mode == "single-terminal":
             m = single_terminal_load(m, tmp_path)
         pred = make_predictor(gmm16, m.schedule())
@@ -173,9 +181,46 @@ class TestMatrixProducts:
             assert got.shape == ref.shape
             assert _rel(got, ref) <= 1e-12
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_match_per_entry_rule(self, gmm16, name):
+        m = load_preset(name)
+        pred = make_predictor(gmm16, m.schedule())
+        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=3, seed=4))
+        want, outputs = per_entry_run(m, pred, n=3, seed=4)
+        assert _rel(r.samples, want) <= 1e-12
+        for got, ref in zip(r.trajectory, outputs):
+            assert _rel(got, ref) <= 1e-12
+
     def test_covers_every_kind_at_100_where_allowed(self):
         assert {k for k, _ in TRACEABLE} == set(KINDS)
         assert sum(n == 100 for _, n in TRACEABLE) >= len(KINDS) - 2
+        assert {k for k, n in TRACEABLE if n == 60} == set(KINDS)
+        assert {k for k, n in TRACEABLE if n == 300} == set(KINDS)
+
+    def test_edited_entries_match_per_entry_rule(self, gmm16):
+        # a hand-edited entry changes its row's residual (wide enough, the
+        # row falls back to dense) and the next row's carry ratio
+        m = _traced("ddpm", 60)
+        pred = make_predictor(gmm16, m.schedule())
+        rng = np.random.default_rng(12)
+        dense_edits = 0
+        for _ in range(16):
+            signal, noise = m.signal.copy(), m.noise.copy()
+            i = int(rng.integers(1, m.n_rows))
+            if rng.random() < 0.5:
+                signal[i, rng.integers(min(i, m.n_evals))] += rng.normal()
+            else:
+                noise[i, rng.integers(noise.shape[1])] += rng.normal()
+            edited = replace(m, signal=signal, noise=noise)
+            if i < m.n_evals:
+                dense_edits += _plan(edited, i)[0].carry == 0.0
+            r = run_matrix(RunConfig(matrix=edited, predictor=pred, n=3,
+                                     seed=5))
+            want, outputs = per_entry_run(edited, pred, n=3, seed=5)
+            assert _rel(r.samples, want) <= 1e-12
+            for got, ref in zip(r.trajectory, outputs):
+                assert _rel(got, ref) <= 1e-12
+        assert dense_edits > 0
 
     def test_one_call_draws_equal_per_column_draws(self):
         a = np.random.default_rng(3).standard_normal((5, 4, 7))
@@ -216,6 +261,84 @@ class TestMatrixProducts:
         r = run_matrix(RunConfig(matrix=m, predictor=Identity(), n=2))
         assert np.array_equal(r.samples, np.zeros((2, 3)))
         assert len(r.trajectory) == 0
+
+
+class TestPlan:
+    """The carried play's shape, by counts: a silent fall-back to the
+    dense (quadratic) play fails here."""
+
+    def test_ddpm_300_carries_every_row_after_the_first(self):
+        m = _traced("ddpm", 300)
+        plan = _plan(m, 0)
+        assert len(plan) == m.n_evals
+        assert plan[0].carry == 0.0
+        for row in plan[1:]:
+            assert row.carry != 0.0
+            assert row.signal_cols.stop - row.signal_cols.start == 1
+            assert row.noise_cols.stop - row.noise_cols.start == 1
+            assert len(row.signal) == len(row.noise) == 1
+
+    def test_ddim_5_plays_every_row_dense(self):
+        m = _traced("ddim", 5)
+        for i, row in enumerate(_plan(m, 0)):
+            assert row.carry == 0.0
+            assert row.signal_cols == slice(0, i)
+            assert row.noise_cols == slice(0, m.noise.shape[1])
+            assert np.array_equal(row.signal, m.signal[i, :i])
+            assert np.array_equal(row.noise, m.noise[i])
+
+    @pytest.mark.parametrize("kind,n_evals", [
+        ("ddpm", 300), ("ddim", 60), ("sde-euler", 60), ("dpmpp-2s", 60),
+        ("dpm-solver-3s", 60)])
+    def test_terminal_row_plays_dense(self, gmm16, kind, n_evals):
+        m = _traced(kind, n_evals)
+        assert len(_plan(m, 0)) == m.n_evals  # input rows only
+        pred = make_predictor(gmm16, m.schedule())
+        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=2, seed=3))
+        draws = _draw(m, 2, 16, 3)
+        want = (m.signal[-1] @ r.trajectory.reshape(m.n_evals, -1)
+                + m.noise[-1] @ draws)
+        assert np.array_equal(r.samples, want.reshape(2, 16))
+
+    @pytest.mark.parametrize("kind,n_evals", [
+        ("ddpm", 300), ("ddim", 60), ("flow-euler", 60), ("dpmpp-2s", 60),
+        ("dpm-solver-3s", 60)])
+    def test_dropped_residual_is_bounded(self, kind, n_evals):
+        m = _traced(kind, n_evals)
+        rows = np.hstack((m.signal, m.noise))
+        n_sig = m.n_evals
+        carried = 0
+        for i, row in enumerate(_plan(m, 0)):
+            if row.carry == 0.0:
+                continue
+            carried += 1
+            r = rows[i] - row.carry * rows[i - 1]
+            top = np.abs(rows[i]).max()
+            kept = np.zeros(r.shape, dtype=bool)
+            kept[row.signal_cols] = True
+            kept[n_sig + row.noise_cols.start:n_sig + row.noise_cols.stop] = True
+            assert np.all(np.abs(r[~kept]) <= CARRY_TOL * top)
+            assert np.array_equal(r[row.signal_cols], row.signal)
+        assert carried > 0
+
+    def test_states_are_the_played_inputs(self, gmm16):
+        # the state buffer holds each row's model input: the predictor
+        # sees exactly the rows of result.states
+        m = _traced("ddpm", 60)
+        base = make_predictor(gmm16, m.schedule())
+        seen = []
+
+        class Recording:
+            d = 16
+
+            def __call__(self, t, x):
+                seen.append(np.array(x))
+                return base(t, x)
+
+        r = run_matrix(RunConfig(matrix=m, predictor=Recording(), n=2,
+                                 seed=1))
+        assert r.states.shape == r.trajectory.shape
+        assert all(np.array_equal(x, s) for x, s in zip(seen, r.states))
 
 
 class TestOverEnhance:

@@ -81,6 +81,48 @@ class TestDefaults:
         with pytest.raises(ParameterError):
             SamplerSpec(kind="heun")
 
+    @pytest.mark.parametrize("kind,options,match", [
+        ("dpm-solver-2s", {"r1": 0}, "0 < r1 < 1"),
+        ("dpmpp-2s", {"r1": 0.0}, "0 < r1 < 1"),
+        ("dpm-solver-3s", {"r1": 0}, "0 < r1 < r2 < 1"),
+        ("dpm-solver-2s", {"r1": 1.5}, "0 < r1 < 1"),
+        ("dpmpp-2s", {"r1": 1.0}, "0 < r1 < 1"),
+        ("dpm-solver-2s", {"r1": -0.5}, "0 < r1 < 1"),
+        ("dpmpp-2s", {"r1": -0.5}, "0 < r1 < 1"),
+        ("dpm-solver-2s", {"r1": math.nan}, "finite number"),
+        ("dpmpp-2s", {"r1": "0.5"}, "finite number"),
+        ("dpm-solver-3s", {"r1": 0.7}, "0 < r1 < r2 < 1"),  # r2 = 2/3
+        ("dpmpp-3s", {"r1": 0.5, "r2": 0.4}, "0 < r1 < r2 < 1"),
+        ("dpmpp-3s", {"r2": 1.0}, "0 < r1 < r2 < 1"),
+        ("dpmpp-3s", {"correction_sign": 0.5}, "correction_sign"),
+        ("dpmpp-3s", {"correction_sign": 0}, "correction_sign"),
+        ("deis-2", {"points": 0}, "positive integer"),
+        ("deis-3", {"points": 2.5}, "positive integer"),
+        ("deis-1", {"points": True}, "finite number"),
+        ("dpm-solver-2s", {"bogus": 3}, "no option 'bogus'"),
+        ("dpm-solver-3s", {"correction_sign": 1}, "no option"),
+        ("ddpm", {"r1": 0.5}, "no option 'r1'"),
+        ("deis-2", {"r1": 0.5}, "no option 'r1'"),
+        ("ddim", None, "mapping")])
+    def test_bad_options_rejected_at_spec(self, kind, options, match):
+        with pytest.raises(ParameterError, match=match):
+            SamplerSpec(kind=kind, options=options)
+
+    def test_options_cannot_change_after_the_check(self):
+        options = {"r1": 0.3}
+        spec = SamplerSpec(kind="dpm-solver-2s", options=options)
+        options["r1"] = 0.0
+        assert spec.option("r1") == 0.3
+        with pytest.raises(TypeError):
+            spec.options["r1"] = 0.0
+
+    @pytest.mark.parametrize("kind,options", [
+        ("dpm-solver-2s", {"r1": 0.3}), ("dpmpp-3s", {"correction_sign": 1}),
+        ("dpm-solver-3s", {"r1": 0.2, "r2": 0.9}), ("deis-3", {"points": 3})])
+    def test_good_options_trace(self, kind, options):
+        assert trace_sampler(SamplerSpec(kind=kind, options=options),
+                             n_evals=6).n_evals == 6
+
     def test_grouped_kinds_need_divisible_counts(self, vpc):
         with pytest.raises(ParameterError):
             default_grid(SamplerSpec(kind="dpm-solver-2s"), vpc, 17)

@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from nimatrix.coeffmatrix import trace_sampler
-from nimatrix.engine import RunConfig, _play, run_matrix
+from nimatrix.engine import RunConfig, _plan, _play, run_matrix
 from nimatrix.errors import ParameterError, ValidationError
 from nimatrix.oracles import make_predictor
 from nimatrix.samplers import SamplerSpec
@@ -284,9 +284,9 @@ class TestOptimize:
         pred = make_predictor(ring_gmm, ddim5.schedule())
         starts = []
 
-        def checked_play(m, p, draws, outputs, start):
+        def checked_play(m, p, draws, outputs, states, start):
             starts.append(start)
-            samples = _play(m, p, draws, outputs, start)
+            samples = _play(m, p, draws, outputs, states, start)
             full = run_matrix(RunConfig(matrix=m, predictor=pred, n=64,
                                         seed=3)).samples
             assert np.array_equal(samples, full)
@@ -300,6 +300,38 @@ class TestOptimize:
                               seed=3, n_samples=64)
         assert len(starts) == 59
         assert set(starts) == set(range(1, ddim5.n_evals + 1))
+        assert len(set(res.objective_trace)) > 1  # some candidate accepted
+
+    def test_replays_of_a_carried_matrix_are_bitwise_full_runs(
+            self, ring_gmm, monkeypatch):
+        # ddpm-60 plays its rows carried (a * previous state plus new
+        # columns); a replay's output and state buffers, rows before its
+        # start included, are those of a full run
+        import nimatrix.search as searchmod
+        m = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=60)
+        pred = make_predictor(ring_gmm, m.schedule())
+        starts = []
+
+        def checked_play(m, p, draws, outputs, states, start):
+            if any(row.carry for row in _plan(m, start)):
+                starts.append(start)
+            samples = _play(m, p, draws, outputs, states, start)
+            full = run_matrix(RunConfig(matrix=m, predictor=pred, n=32,
+                                        seed=2))
+            assert np.array_equal(samples, full.samples)
+            assert np.array_equal(outputs.reshape(full.trajectory.shape),
+                                  full.trajectory)
+            assert np.array_equal(states.reshape(full.states.shape),
+                                  full.states)
+            return samples
+
+        monkeypatch.setattr(searchmod, "_play", checked_play)
+        rng = np.random.default_rng(6)
+        ref = (ring_gmm.means[rng.integers(8, size=256)]
+               + np.sqrt(0.02) * rng.standard_normal((256, 2)))
+        res = optimize_matrix(SearchSpace(base=m), pred, ref, budget=40,
+                              seed=2, n_samples=32)
+        assert len(starts) > 20
         assert len(set(res.objective_trace)) > 1  # some candidate accepted
 
     def test_negative_budget_rejected(self, ddim5, ring_gmm):
@@ -332,9 +364,9 @@ class TestOptimize:
         pred = _Counting(make_predictor(ring_gmm, ddim5.schedule()))
         per_play = []
 
-        def counted_play(m, p, draws, outputs, start):
+        def counted_play(m, p, draws, outputs, states, start):
             before = pred.calls
-            samples = _play(m, p, draws, outputs, start)
+            samples = _play(m, p, draws, outputs, states, start)
             per_play.append((start, pred.calls - before))
             return samples
 
@@ -390,9 +422,9 @@ class TestOptimize:
                           ddim5.n_evals, ValidationError("bad state"))
         starts = []
 
-        def recording_play(m, p, draws, outputs, start):
+        def recording_play(m, p, draws, outputs, states, start):
             starts.append(start)
-            return _play(m, p, draws, outputs, start)
+            return _play(m, p, draws, outputs, states, start)
 
         monkeypatch.setattr(searchmod, "_play", recording_play)
         logged = []
