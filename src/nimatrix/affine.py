@@ -2,10 +2,13 @@
 
 A sampler state is either a concrete array or an :class:`AffineState` —
 an exact linear combination ``sum_i c_i * y_i + sum_j b_j * eps_j`` of
-symbolic model outputs ``y_i`` and noise draws ``eps_j``.  Every sampler
-update in this package is affine, so running a sampler on affine states
-produces its coefficient matrix with no approximation beyond float
-arithmetic.
+symbolic model outputs ``y_i`` and noise draws ``eps_j``, held as two
+float64 vectors: ``signal[i]`` weights evaluation ``i`` and ``noise[j]``
+weights the ``j``-th draw of the run.  A shorter vector means trailing
+zeros.  Every sampler update in this package is affine, so running a
+sampler on affine states produces its coefficient matrix with no
+approximation beyond float arithmetic: each combined weight is the
+correctly rounded (``math.fsum``) sum of its products.
 
 The same sampler code also runs concretely: samplers call the two
 methods of :class:`RunContext`, and the context decides whether
@@ -26,31 +29,55 @@ TRACE = "trace"
 CONCRETE = "concrete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineState:
     """Exact linear combination of model outputs and noise draws.
 
-    ``signal`` maps an evaluation key to its weight; ``noise`` maps a
-    noise-draw key to its weight.  Missing keys mean zero.
+    ``signal[i]`` is the weight of evaluation ``i``; ``noise[j]`` is the
+    weight of the ``j``-th noise draw (``RunContext.noise_ids[j]``).
+    Entries past a vector's end are zero.
     """
 
-    signal: dict = field(default_factory=dict)
-    noise: dict = field(default_factory=dict)
+    signal: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    noise: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        for name in ("signal", "noise"):
+            v = np.asarray(getattr(self, name), dtype=np.float64)
+            if v.ndim != 1:
+                raise ProtocolError(f"affine {name} weights must be a vector")
+            object.__setattr__(self, name, v)
+
+
+def _unit(length: int) -> np.ndarray:
+    v = np.zeros(length)
+    v[-1] = 1.0
+    return v
 
 
 def _combine_affine(terms):
-    sig: dict = {}
-    noi: dict = {}
-    for c, st in terms:
-        for k, v in st.signal.items():
-            sig.setdefault(k, []).append(c * v)
-        for k, v in st.noise.items():
-            noi.setdefault(k, []).append(c * v)
-    # fsum keeps coefficient accumulation exact to the last bit achievable
-    # in double precision, well below table tolerances.
-    signal = {k: math.fsum(parts) for k, parts in sig.items()}
-    noise = {k: math.fsum(parts) for k, parts in noi.items()}
-    return AffineState(signal=signal, noise=noise)
+    """The state ``sum c * st`` with correctly rounded weights.
+
+    The products ``c * st`` fill one row each of a zero matrix, signal
+    columns first, and the rows are summed column-wise.  A column with
+    at most two nonzero products gets its correctly rounded sum in any
+    order, and adding ``+0.0`` turns an all-zero column's ``-0.0`` into
+    the ``+0.0`` that ``math.fsum`` returns.  Columns with three or more
+    nonzero products are summed again with ``math.fsum``.
+    """
+    ns = max(len(st.signal) for _, st in terms)
+    parts = np.zeros((len(terms), ns + max(len(st.noise) for _, st in terms)))
+    for row, (c, st) in zip(parts, terms):
+        np.multiply(c, st.signal, out=row[:len(st.signal)])
+        np.multiply(c, st.noise, out=row[ns:ns + len(st.noise)])
+    total = np.add.reduce(parts, axis=0)
+    total += 0.0
+    if len(terms) > 2:
+        nonzero = np.add.reduce(parts != 0.0, axis=0, dtype=np.intp)
+        many = (nonzero > 2).nonzero()[0]
+        if many.size:
+            total[many] = list(map(math.fsum, parts[:, many].T.tolist()))
+    return AffineState(signal=total[:ns], noise=total[ns:])
 
 
 def lin_combine(terms):
@@ -81,7 +108,8 @@ class RunContext:
     In trace mode, ``records`` collects ``(time, AffineState)`` pairs —
     the model-input expression of each evaluation, in evaluation order —
     and ``noise_ids`` collects noise keys in draw order.  These are
-    exactly the rows and noise columns of the coefficient matrix.
+    exactly the rows and noise columns of the coefficient matrix: a
+    state's ``noise[j]`` weights the draw ``noise_ids[j]``.
     """
 
     def __init__(self, mode: str = TRACE, predictor=None, seed: int = 0,
@@ -99,15 +127,17 @@ class RunContext:
         self.rng = np.random.default_rng(seed)
         self.records: list = []
         self.noise_ids: list = []
+        self._used_noise_ids: set = set()
 
     # ----- protocol operations ---------------------------------------
     def fresh_noise(self, noise_id):
         """A standard-normal draw (concrete) or unit basis term (trace)."""
-        if noise_id in self.noise_ids:
+        if noise_id in self._used_noise_ids:
             raise ProtocolError(f"noise id {noise_id!r} already used")
+        self._used_noise_ids.add(noise_id)
         self.noise_ids.append(noise_id)
         if self.mode == TRACE:
-            return AffineState(noise={noise_id: 1.0})
+            return AffineState(noise=_unit(len(self.noise_ids)))
         return self.rng.standard_normal(self.shape)
 
     def apply_model(self, t, x):
@@ -118,4 +148,4 @@ class RunContext:
             raise ProtocolError("trace mode requires affine states")
         idx = len(self.records)
         self.records.append((float(t), x))
-        return AffineState(signal={idx: 1.0})
+        return AffineState(signal=_unit(idx + 1))

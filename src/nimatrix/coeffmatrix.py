@@ -104,12 +104,13 @@ class CoefficientMatrix:
         validate_decreasing(self.col_times, "col_times")
         # Rows before the terminal one are inputs of the evaluations in
         # order: at the evaluation's own time, strictly lower triangular.
+        upper = np.triu(self.signal[:self.n_evals]).any(axis=1).tolist()
         for i, t in enumerate(self.col_times):
             if self.row_times[i] != t:
                 raise ValidationError(
                     f"input row {i} has time {self.row_times[i]}, but "
                     f"evaluation {i} is at time {t}")
-            if np.any(self.signal[i, i:]):
+            if upper[i]:
                 raise ValidationError(f"row {i} (time {t}) weights evaluation "
                                       f"{i} or later: not lower triangular")
 
@@ -162,15 +163,12 @@ def trace_sampler(spec: SamplerSpec, s: Schedule | None = None,
     n = len(ctx.records)
     m = len(ctx.noise_ids)
     col_times = tuple(t for t, _ in ctx.records)
-    noise_index = {nid: j for j, nid in enumerate(ctx.noise_ids)}
     signal = np.zeros((n + 1, n))
     noise = np.zeros((n + 1, m))
     states = [state for _, state in ctx.records] + [final]
     for i, state in enumerate(states):
-        for k, v in state.signal.items():
-            signal[i, k] = v
-        for k, v in state.noise.items():
-            noise[i, noise_index[k]] = v
+        signal[i, :len(state.signal)] = state.signal
+        noise[i, :len(state.noise)] = state.noise
     row_times = col_times + (_terminal_row_time(s, grid),)
     return CoefficientMatrix(
         schedule_info=s.descriptor(), row_times=row_times,
@@ -191,7 +189,8 @@ def ideal_coeffs(s: Schedule, t: float) -> tuple[float, float]:
 
 def row_sums(signal) -> np.ndarray:
     """Correctly rounded (fsum) row sums of a signal block."""
-    return np.array([math.fsum(row) for row in signal])
+    return np.array([math.fsum(row) for row in np.asarray(
+        signal, dtype=np.float64).tolist()])
 
 
 def equivalent_marginals(m: CoefficientMatrix,

@@ -49,6 +49,16 @@ class TestValidation:
                 signal=np.array([[0.1, 0.0], [0.3, 0.0], [0.5, 0.5]]),
                 noise=np.ones((3, 1)), noise_times=(999.0,))
 
+    def test_two_bad_rows_report_the_first(self, vp):
+        with pytest.raises(ValidationError, match=r"^row 1 \(time 500\.0\)"):
+            CoefficientMatrix(
+                schedule_info=vp.descriptor(),
+                row_times=(999.0, 500.0, 200.0, TERMINAL_OUTPUT),
+                col_times=(999.0, 500.0, 200.0),
+                signal=np.array([[0.0, 0.0, 0.0], [0.3, 0.2, 0.0],
+                                 [0.5, 0.5, 0.1], [0.2, 0.3, 0.5]]),
+                noise=np.ones((4, 1)), noise_times=(999.0,))
+
     def test_rejects_shape_mismatch(self, vp):
         with pytest.raises(ValidationError):
             CoefficientMatrix(schedule_info=vp.descriptor(),

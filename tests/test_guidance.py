@@ -39,10 +39,10 @@ class TestClassifyPair:
 
 class TestCfgCombine:
     def test_weights(self):
-        bad = AffineState(signal={0: 1.0})
-        good = AffineState(signal={1: 1.0})
+        bad = AffineState(signal=[1.0])
+        good = AffineState(signal=[0.0, 1.0])
         out = cfg_combine(bad, good, 2.0)
-        assert out.signal == {0: -1.0, 1: 2.0}
+        assert out.signal.tolist() == [-1.0, 2.0]
 
 
 class TestDecompose:

@@ -61,12 +61,12 @@ class TestStepCoefficients:
 
 class TestConversions:
     def test_x0_eps_roundtrip(self, vp):
-        x = AffineState(signal={0: 0.4}, noise={("a", 0): 0.9})
-        e = AffineState(signal={1: 1.0})
+        x = AffineState(signal=[0.4], noise=[0.9])
+        e = AffineState(signal=[0.0, 1.0])
         y = x0_from_eps(vp, 500, x, e)
         e2 = eps_from_x0(vp, 500, x, y)
         assert e2.signal[1] == pytest.approx(1.0, abs=1e-12)
-        assert e2.signal.get(0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert e2.signal[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDefaults:
