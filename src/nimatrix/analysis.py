@@ -94,9 +94,13 @@ def degradation_table(ds: Dataset, schedules, times, trials: int = 1000,
     per-schedule time lists (or one shared list of times valid for all).
     Each (family, t) cell uses an independent RNG substream derived from
     the seed, so cells are reproducible independently of each other.
+    The max posterior weight lies in (0, 1], so a threshold outside
+    (0, 1) would count every draw or none and is rejected.
     """
     if trials < 1:
         raise ParameterError("need trials >= 1")
+    if not 0.0 < threshold < 1.0:  # also rejects NaN
+        raise ParameterError(f"need a threshold in (0, 1), got {threshold}")
     if not isinstance(times[0], (list, tuple, np.ndarray)):
         times = [times] * len(schedules)
     if len(times) != len(schedules):

@@ -22,17 +22,39 @@ row maximum is subtracted before the exponential, because at small
 underflow otherwise; the exponentials are taken in place, the weights and
 the posterior mean are both normalised by the same row sums, and the
 mixture log-density is the row maximum plus the log of the row sum.
+
+The dataset kernel can run on two threads.  A batch is cut into blocks
+of 64 rows, the remainder joining the last block, and the caller and the
+package's worker thread take the blocks in turn (``_pool.run_blocks``).
+Each block runs its own GEMM, softmax and (for the mean) second GEMM into
+its rows of one preallocated result.  The split is taken only when all
+three hold, read on every call: the BLAS NumPy loaded reports one thread
+(a multi-threaded BLAS already has the other cores, and a BLAS whose
+count cannot be read counts as many), the process may run on more than
+one CPU, and the batch has at least two blocks.  Otherwise the batch is
+one call.  No block has one row, because NumPy runs a one-row product as
+a GEMV, which can round differently from the same row of a GEMM.  Where
+the BLAS rounds each row of a GEMM alike in a block and in the whole
+batch, the split is bitwise the one call; OpenBLAS does at the
+benchmark's 10000 x 64 dataset, but its edge kernels need not when the
+atom count or the dimension is not a multiple of their tile (500 atoms
+in 16-D on AVX-512 differ in the last bit), just as the one call already
+differs in the last bit between one and two BLAS threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pool import run_blocks
 from .errors import FormatError, ParameterError, ValidationError
 from .schedule import Schedule, mixing_coeffs
 
@@ -122,45 +144,116 @@ def _softmax_rows(e):
     return e.sum(axis=1, keepdims=True), top
 
 
-def _posterior_kernel(ds: Dataset, s: Schedule, t, xb):
-    """Unnormalised posterior weights over the atoms for (b, d) states.
+def _posterior_block(ds: Dataset, c0, c1, x, e):
+    """Unnormalised posterior weights over the atoms for (r, d) states.
 
-    Returns ``(e, z)``: the (b, n) weights ``e`` and their (b, 1) row
-    sums ``z``.  The posterior weights are ``e / z``.
+    Writes the weights into the (r, n) buffer ``e`` and returns their
+    (r, 1) row sums ``z``; the posterior weights are ``e / z``.
     """
-    c0, c1 = mixing_coeffs(s, t)
-    b = xb.shape[0]
     if c0 == 0.0:
-        return np.ones((b, ds.n)), np.full((b, 1), float(ds.n))
+        e.fill(1.0)
+        return np.full((e.shape[0], 1), float(ds.n))
     if c1 == 0.0:
         # one-hot at the nearest atom to x / c0 (lowest index on ties)
-        idx = np.argmax((xb / c0) @ ds.atoms.T - ds.half_sqnorms, axis=1)
-        e = np.zeros((b, ds.n))
-        e[np.arange(b), idx] = 1.0
-        return e, np.ones((b, 1))
+        np.matmul(x / c0, ds.atoms.T, out=e)
+        e -= ds.half_sqnorms
+        idx = np.argmax(e, axis=1)
+        e.fill(0.0)
+        e[np.arange(e.shape[0]), idx] = 1.0
+        return np.ones((e.shape[0], 1))
     scale = c0 / (c1 * c1)
-    e = (xb * scale) @ ds.atoms.T
+    np.matmul(x * scale, ds.atoms.T, out=e)
     e -= (c0 * scale) * ds.half_sqnorms
     z, _ = _softmax_rows(e)
-    return e, z
+    return z
+
+
+# Row-block size of the two-thread split (see the module docstring); the
+# remainder joins the last block, so no block has one row.
+_ROWS = 64
+
+# Names of the OpenBLAS thread-count getter: NumPy 2 wheels
+# (scipy-openblas), NumPy 1.x wheels (ILP64), a system OpenBLAS.
+_BLAS_QUERIES = ("scipy_openblas_get_num_threads64_",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+@functools.cache
+def _blas_query():
+    """The loaded OpenBLAS's thread-count getter, or None if there is none.
+
+    The symbol is looked up through a NumPy extension module, so it is
+    the BLAS NumPy itself loaded.  MKL, Accelerate, or a platform whose
+    loader does not search a module's dependencies gives None.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _BLAS_QUERIES:
+        query = getattr(lib, name, None)
+        if query is not None:
+            query.argtypes, query.restype = (), ctypes.c_int
+            return query
+    return None
+
+
+def _split(b: int) -> bool:
+    """Whether a batch of ``b`` states runs on the caller and the worker:
+    two blocks, one BLAS thread, more than one CPU, read on every call."""
+    if b < 2 * _ROWS:
+        return False
+    query = _blas_query()
+    if query is None or query() != 1:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus > 1
+
+
+def _posterior(ds: Dataset, s: Schedule, t, x, mean: bool):
+    """Posterior weights, or (``mean``) the posterior mean, for states x.
+
+    Each row block runs :func:`_posterior_block` into its rows of one
+    (b, n) weight buffer, then normalises the weights in place or runs
+    the second GEMM into its rows of the (b, d) mean.  Blocks are
+    ``_ROWS`` rows, the last one taking the remainder; when
+    :func:`_split` allows, the caller and the package's worker thread take
+    them in turn, otherwise the whole batch is one block.  The row
+    reductions are the same either way; the GEMM rows are where the BLAS
+    rounds a row alike in a block and in the batch (module docstring).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    xb = x[None, :] if single else x
+    c0, c1 = mixing_coeffs(s, t)
+    b = xb.shape[0]
+    e = np.empty((b, ds.n))
+    out = np.empty((b, ds.d)) if mean else e
+
+    def block(rows):
+        z = _posterior_block(ds, c0, c1, xb[rows], e[rows])
+        y = out[rows]
+        if mean:
+            np.matmul(e[rows], ds.atoms, out=y)
+        y /= z
+
+    if _split(b):
+        edges = [*range(0, b - _ROWS + 1, _ROWS), b]
+        run_blocks(block, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
+    else:
+        block(slice(None))
+    return out[0] if single else out
 
 
 def posterior_weights(ds: Dataset, s: Schedule, t, x):
     """Posterior probabilities over the atoms given the state x at t."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    e, z = _posterior_kernel(ds, s, t, x[None, :] if single else x)
-    e /= z
-    return e[0] if single else e
+    return _posterior(ds, s, t, x, mean=False)
 
 
 def posterior_mean_dataset(ds: Dataset, s: Schedule, t, x):
     """Exact posterior mean E[x0 | x_t] over the atom set."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    e, z = _posterior_kernel(ds, s, t, x[None, :] if single else x)
-    out = (e @ ds.atoms) / z
-    return out[0] if single else out
+    return _posterior(ds, s, t, x, mean=True)
 
 
 def _mixture_kernel(g: GaussianMixture, c0, tot, xb):

@@ -4,9 +4,12 @@ The objective is the energy distance between samples produced by a
 candidate matrix and a reference sample set from the target
 distribution — a feature-free two-sample statistic that is zero iff the
 distributions agree.  Its all-pairs means fill their distance matrices
-in blocks of rows that the caller and a module-level worker thread take
-in turn (``_mean_dists``); every entry is computed on its own, so each
-mean is bitwise the single-threaded ``cdist(x, y).mean()``.
+in blocks of ``_ROWS`` rows that the caller and the package's one worker
+thread take in turn (``_mean_dists`` through ``_pool.run_blocks``, the
+block loop the dataset oracle also uses).  Unlike the oracle's GEMMs,
+``cdist`` does not run on BLAS threads, so the split is always taken;
+every entry is computed on its own, so each mean is bitwise the
+single-threaded ``cdist(x, y).mean()`` whatever the block boundaries.
 
 The search is a banded coordinate descent: only entries within ``band``
 columns left of the diagonal move, a candidate rescales only its edited
@@ -23,13 +26,14 @@ terminal row calls the predictor no times.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+# _worker: the package's one worker thread, re-exported for tests that
+# hold it busy
+from ._pool import _worker, run_blocks  # noqa: F401
 from .coeffmatrix import CoefficientMatrix, normalize_rows, row_sums
 from .engine import RunConfig, _draw, _play, run_matrix
 from .errors import NimatrixError, ParameterError, ValidationError
@@ -37,14 +41,12 @@ from .errors import NimatrixError, ParameterError, ValidationError
 
 MAX_PAIRS = 4_000_000
 
-# cdist releases the GIL, so one worker thread can fill distance rows
+# cdist releases the GIL, so the worker thread can fill distance rows
 # while the caller does.  A 64-row block against the 2000-point reference
 # is about half a millisecond: small enough that the caller waits at most
 # that long for the worker's last block, large enough that the per-call
 # overhead of cdist (about 10 us) stays small.
 _ROWS = 64
-_worker = ThreadPoolExecutor(max_workers=1,
-                             thread_name_prefix="nimatrix-cdist")
 
 
 def _cap(max_pairs: int) -> int:
@@ -55,30 +57,19 @@ def _mean_dists(*pairs) -> list:
     """Mean Euclidean distance over all pairs of rows of each ``(x, y)``.
 
     Each pair's distances fill one ``(n_x, n_y)`` buffer in blocks of
-    ``_ROWS`` rows, which the caller and the module's worker thread take
-    in turn; a worker that has not started when the caller runs out of
-    blocks is cancelled, so a busy worker costs at most one block.  Each
-    entry is computed on its own, so each mean is bitwise equal to
-    ``cdist(x, y).mean()``.
+    ``_ROWS`` rows, which the caller and the package's worker thread take
+    in turn (``_pool.run_blocks``).  Each entry is computed on its own,
+    so each mean is bitwise equal to ``cdist(x, y).mean()``.
     """
     outs = [np.empty((x.shape[0], y.shape[0])) for x, y in pairs]
-    blocks = [(x[s:s + _ROWS], y, out[s:s + _ROWS])
-              for (x, y), out in zip(pairs, outs)
-              for s in range(0, x.shape[0], _ROWS)]
-    lock = threading.Lock()
 
-    def fill():
-        while True:
-            with lock:
-                if not blocks:
-                    return
-                x, y, out = blocks.pop()
-            cdist(x, y, out=out)
+    def fill(block):
+        x, y, out = block
+        cdist(x, y, out=out)
 
-    helper = _worker.submit(fill)
-    fill()
-    if not helper.cancel():
-        helper.result()
+    run_blocks(fill, [(x[s:s + _ROWS], y, out[s:s + _ROWS])
+                      for (x, y), out in zip(pairs, outs)
+                      for s in range(0, x.shape[0], _ROWS)])
     return [out.sum() / out.size for out in outs]
 
 

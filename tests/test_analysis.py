@@ -61,6 +61,16 @@ class TestDegradation:
         rep = degradation_table(small_dataset, [vp], [[300]], trials=50)
         assert rep.to_csv().splitlines()[0].startswith("family,t,")
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.5,
+                                           0.0, 1.0, 2.0])
+    def test_threshold_outside_unit_interval_rejected(self, small_dataset,
+                                                      vp, threshold):
+        # the max weight lies in (0, 1]: such a threshold passes every
+        # draw or none, whatever the posterior
+        with pytest.raises(ParameterError, match="threshold"):
+            degradation_table(small_dataset, [vp], [[300]], trials=5,
+                              threshold=threshold)
+
 
 class TestSpectrum:
     def test_constant_image_is_dc_only(self):

@@ -378,6 +378,16 @@ def test_degrade_exit_codes(workdir, data):
                       "--times", "500", "--trials", "5") in EXIT_CODES
 
 
+@pytest.mark.parametrize("threshold", ["nan", "2", "0", "1", "inf"])
+def test_degrade_threshold_outside_unit_interval_exits_2(workdir, threshold):
+    # no max posterior weight in (0, 1] can pass such a threshold, or
+    # every one does, so the rates would say nothing
+    path = _write(workdir, "data.bin", DATASET)
+    assert _exit_code("degrade", "--data", path, "--family", "vp",
+                      "--times", "500", "--trials", "5",
+                      "--threshold", threshold) == 2
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @FILE_SETTINGS
 @given(image=image_files())

@@ -1,8 +1,14 @@
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from nimatrix import _pool, oracles
 from nimatrix.errors import FormatError, ParameterError, ValidationError
 from nimatrix.oracles import (Dataset, GaussianMixture,
                               gmm_marginal_logdensity, load_dataset,
@@ -277,6 +283,153 @@ class TestScore:
             fd = (gmm_marginal_logdensity(gmm16, vp, t, xp)
                   - gmm_marginal_logdensity(gmm16, vp, t, xm)) / (2 * h)
             assert sc[j] == pytest.approx(fd, abs=1e-4)
+
+
+#: Batch sizes around the 64-row blocks: one call below 128 rows, the
+#: remainder merged into the last block above.
+SPLIT_B = [1, 2, 63, 64, 65, 127, 128, 129, 500]
+#: Times across both families, including c0 = 0 (flow t = 1) and
+#: c1 = 0 (flow t = 0).
+SPLIT_TIMES = [("vp", 999), ("vp", 500), ("vp", 100), ("vp", 10), ("vp", 0),
+               ("flow", 1.0), ("flow", 0.5), ("flow", 0.05), ("flow", 0.0)]
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    # 1000 atoms in 64-D: both are multiples of OpenBLAS's register tiles,
+    # so a GEMM rounds each row of a block as it rounds that row of the
+    # batch (at 500 atoms in 16-D, AVX-512 OpenBLAS does not)
+    return Dataset(atoms=np.random.default_rng(5).standard_normal((1000, 64)))
+
+
+def _states(ds, s, t, b):
+    """Forward states from b random atoms, so the posteriors are spread."""
+    r = np.random.default_rng(b)
+    c0, c1 = mixing_coeffs(s, t)
+    return (c0 * ds.atoms[r.integers(ds.n, size=b)]
+            + c1 * r.standard_normal((b, ds.d)))
+
+
+def _blas_threads(monkeypatch, threads, cpus=2):
+    """Make the oracle read ``threads`` BLAS threads (None: unreadable)
+    and ``cpus`` CPUs in its affinity, whatever this process has."""
+    query = None if threads is None else (lambda: threads)
+    monkeypatch.setattr(oracles, "_blas_query", lambda: query)
+    monkeypatch.setattr(oracles.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def _spy_blocks(monkeypatch):
+    """Record the (start, stop) rows of every split the oracle runs."""
+    seen = []
+
+    def spy(fn, blocks):
+        seen.append([(r.start, r.stop) for r in blocks])
+        _pool.run_blocks(fn, blocks)
+
+    monkeypatch.setattr(oracles, "run_blocks", spy)
+    return seen
+
+
+class _NoWorker:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("work was submitted to the worker thread")
+
+
+class TestRowBlockSplit:
+    @pytest.mark.parametrize("fn", [posterior_weights, posterior_mean_dataset],
+                             ids=["weights", "mean"])
+    @pytest.mark.parametrize("b", SPLIT_B)
+    def test_split_is_bitwise_one_call(self, monkeypatch, wide_dataset, vp,
+                                       flow, fn, b):
+        seen = _spy_blocks(monkeypatch)
+        for family, t in SPLIT_TIMES:
+            s = vp if family == "vp" else flow
+            x = _states(wide_dataset, s, t, b)
+            _blas_threads(monkeypatch, 2)
+            want = fn(wide_dataset, s, t, x)
+            _blas_threads(monkeypatch, 1)
+            assert np.array_equal(fn(wide_dataset, s, t, x), want), (family, t)
+        assert len(seen) == (len(SPLIT_TIMES) if b >= 128 else 0)
+
+    @pytest.mark.parametrize("b", [128, 129, 191, 192, 500])
+    def test_blocks_are_64_rows_and_the_last_takes_the_rest(
+            self, monkeypatch, wide_dataset, vp, b):
+        # a one-row block would run NumPy's GEMV path, which can round
+        # differently from the same row of a GEMM
+        seen = _spy_blocks(monkeypatch)
+        _blas_threads(monkeypatch, 1)
+        posterior_weights(wide_dataset, vp, 500, _states(wide_dataset, vp, 500, b))
+        starts = list(range(0, b - 127, 64))
+        last = starts[-1] + 64
+        assert seen == [[(lo, lo + 64) for lo in starts] + [(last, b)]]
+
+    @pytest.mark.parametrize("threads,cpus", [(2, 2), (8, 2), (None, 2),
+                                              (1, 1)],
+                             ids=["two-threads", "eight-threads",
+                                  "unreadable", "one-cpu"])
+    def test_one_call_submits_nothing(self, monkeypatch, wide_dataset, vp,
+                                      threads, cpus):
+        x = _states(wide_dataset, vp, 500, 500)
+        monkeypatch.setattr(_pool, "_worker", _NoWorker())
+        _blas_threads(monkeypatch, threads, cpus)
+        posterior_weights(wide_dataset, vp, 500, x)
+        posterior_mean_dataset(wide_dataset, vp, 500, x)
+        _blas_threads(monkeypatch, 1)  # the control: the split submits
+        with pytest.raises(AssertionError, match="submitted"):
+            posterior_weights(wide_dataset, vp, 500, x)
+
+    def test_split_does_not_wait_for_a_busy_worker(self, monkeypatch,
+                                                   wide_dataset, vp):
+        # the caller runs every block itself and cancels the queued helper
+        x = _states(wide_dataset, vp, 300, 500)
+        _blas_threads(monkeypatch, 2)
+        want_w = posterior_weights(wide_dataset, vp, 300, x)
+        want_m = posterior_mean_dataset(wide_dataset, vp, 300, x)
+        _blas_threads(monkeypatch, 1)
+        release = threading.Event()
+        busy = _pool._worker.submit(release.wait, 30.0)
+        try:
+            assert np.array_equal(posterior_weights(wide_dataset, vp, 300, x),
+                                  want_w)
+            assert np.array_equal(
+                posterior_mean_dataset(wide_dataset, vp, 300, x), want_m)
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result(timeout=30.0) is True
+
+    def test_concurrent_splits_are_bitwise(self, monkeypatch, wide_dataset,
+                                           vp):
+        # more callers than cores share the one worker under a short
+        # switch interval: a block skipped or run twice breaks the equality
+        xs = [_states(wide_dataset, vp, 400, b) for b in (128, 200, 300, 500)]
+        _blas_threads(monkeypatch, 2)
+        want = [posterior_mean_dataset(wide_dataset, vp, 400, x) for x in xs]
+        _blas_threads(monkeypatch, 1)
+
+        def calls(x):
+            return [posterior_mean_dataset(wide_dataset, vp, 400, x)
+                    for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(calls, x) for x in xs]
+                got = [f.result(timeout=60.0) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for values, w in zip(got, want):
+            assert all(np.array_equal(v, w) for v in values)
+
+    def test_blas_query_reads_the_loaded_library(self):
+        query = oracles._blas_query()
+        if query is None:
+            pytest.skip("NumPy's BLAS exports no OpenBLAS thread query")
+        assert query() >= 1
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert query() == 1
 
 
 class TestPredictor:
