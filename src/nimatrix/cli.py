@@ -34,13 +34,14 @@ EXIT_IO = 4
 DEFAULT_STEPS = 18  # trace evaluations on the trailing and quadratic grids
 
 
-#: ``--schedule`` name -> (constructor, defaults of its numeric fields).
-_SCHEDULES = {"flow": (sched.make_flow, ()),
-              "vp-linear": (sched.make_vp_linear, (1e-4, 0.02, 1000)),
-              "vp-continuous": (sched.make_vp_continuous, (0.1, 20.0))}
+#: ``--schedule`` name -> schedule family, whose fields the name may be
+#: followed by (``schedule.FAMILY_TABLE``).
+_SCHEDULE_NAMES = {"vp-linear": sched.VP_DISCRETE, "flow": sched.FLOW,
+                   "vp-continuous": sched.VP_CONTINUOUS}
 
-#: ``--family`` name -> its default schedule (degrade, spectrum).
-_FAMILIES = {"vp": sched.make_vp_linear, "flow": sched.make_flow}
+#: ``--family`` name -> schedule family, built with its defaults (degrade,
+#: spectrum).
+_FAMILY_NAMES = {"vp": sched.VP_DISCRETE, "flow": sched.FLOW}
 
 
 def _numbers(parts, text: str) -> list:
@@ -50,25 +51,18 @@ def _numbers(parts, text: str) -> list:
         raise ParameterError(f"not a number in {text!r}") from None
 
 
-def _parse_schedule(text: str | None, spec: SamplerSpec | None = None):
-    if text is None:
-        if spec is None:
-            raise ParameterError("a schedule is required")
-        return default_schedule(spec)
+def _parse_schedule(text: str):
+    """The schedule a ``--schedule`` value names; a field left out keeps
+    the family's default."""
     kind, *fields = text.split(":")
-    if kind not in _SCHEDULES:
+    if kind not in _SCHEDULE_NAMES:
         raise ParameterError(f"unknown schedule {text!r}")
-    make, defaults = _SCHEDULES[kind]
-    if len(fields) > len(defaults):
+    family = sched.FAMILY_TABLE[_SCHEDULE_NAMES[kind]]
+    if len(fields) > len(family.fields):
         raise ParameterError(f"schedule {kind} takes at most "
-                             f"{len(defaults)} fields, got {text!r}")
-    args = _numbers(fields, text) + list(defaults[len(fields):])
-    if kind == "vp-linear":
-        if not float(args[2]).is_integer():
-            raise ParameterError(f"vp-linear T must be an integer, "
-                                 f"got {args[2]!r}")
-        args[2] = int(args[2])
-    return make(*args)
+                             f"{len(family.fields)} fields, got {text!r}")
+    return sched.make_schedule({**family.make().descriptor(), **dict(
+        zip(family.fields, _numbers(fields, text)))})
 
 
 def _load_dataset(path: str):
@@ -106,7 +100,8 @@ def _marginal_csv(report) -> str:
 
 def cmd_trace(args):
     spec = SamplerSpec(kind=args.sampler)
-    s = _parse_schedule(args.schedule, spec)
+    s = (default_schedule(spec) if args.schedule is None
+         else _parse_schedule(args.schedule))
     steps = DEFAULT_STEPS if args.steps is None else args.steps
     grid = None  # the sampler's own trailing grid
     if args.grid.startswith("explicit:"):
@@ -166,7 +161,7 @@ def cmd_sample(args):
 
 def cmd_degrade(args):
     ds = _load_dataset(args.data)
-    s = _FAMILIES[args.family]()
+    s = sched.FAMILY_TABLE[_FAMILY_NAMES[args.family]].make()
     times = _numbers(args.times.split(","), args.times)
     report = analysis.degradation_table(
         ds, [s], [times], trials=args.trials, seed=args.seed,
@@ -233,7 +228,7 @@ def _load_image(path: str) -> np.ndarray:
 
 def cmd_spectrum(args):
     img = _load_image(args.image)
-    s = _FAMILIES[args.family]()
+    s = sched.FAMILY_TABLE[_FAMILY_NAMES[args.family]].make()
     profile = analysis.snr_profile(img, s, args.t)
     lines = ["band,snr"]
     lines += [f"{b},{float(v)!r}" for b, v in enumerate(profile)]
@@ -299,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("degrade", help="posterior-concentration statistics")
     d.add_argument("--data", required=True)
-    d.add_argument("--family", choices=tuple(_FAMILIES), required=True)
+    d.add_argument("--family", choices=tuple(_FAMILY_NAMES), required=True)
     d.add_argument("--times", required=True, help="comma-separated times")
     d.add_argument("--trials", type=int, default=1000)
     d.add_argument("--threshold", type=float, default=0.9)
@@ -325,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="per-band SNR profile of an image")
     sp.add_argument("--image", required=True, help=".npy or CSV matrix")
-    sp.add_argument("--family", choices=tuple(_FAMILIES), required=True)
+    sp.add_argument("--family", choices=tuple(_FAMILY_NAMES), required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.set_defaults(func=cmd_spectrum)
 

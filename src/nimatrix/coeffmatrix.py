@@ -54,7 +54,8 @@ class CoefficientMatrix:
     signal: np.ndarray = field(repr=False)
     noise: np.ndarray = field(repr=False)
     noise_times: tuple = ()
-    # built from schedule_info once, when the matrix is constructed
+    # built from schedule_info once, when the matrix is constructed;
+    # schedule_info is then replaced by the schedule's own descriptor
     _schedule: Schedule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -70,6 +71,7 @@ class CoefficientMatrix:
             if not (i == self.n_evals and t == TERMINAL_OUTPUT):
                 mixing_coeffs(s, t)
         object.__setattr__(self, "_schedule", s)
+        object.__setattr__(self, "schedule_info", s.descriptor())
 
     # ----- structure -------------------------------------------------
     @property
@@ -230,6 +232,18 @@ def deviation_trend(spec: SamplerSpec, s: Schedule | None = None,
 # Normalization
 # ---------------------------------------------------------------------
 
+def rescale_row(row: np.ndarray, target: float):
+    """Scale ``row`` in place by ``target / fsum(row)`` and return that
+    factor.  A row that sums to zero is left as it is: its factor is 1.0
+    when ``target`` is zero too, and None otherwise."""
+    total = math.fsum(row)
+    if total == 0.0:
+        return 1.0 if target == 0.0 else None
+    scale = target / total
+    row *= scale
+    return scale
+
+
 def normalize_rows(m: CoefficientMatrix, s: Schedule | None = None,
                    targets=None):
     """Rescale each signal row so its sum hits the target marginal.
@@ -246,17 +260,12 @@ def normalize_rows(m: CoefficientMatrix, s: Schedule | None = None,
     if targets.shape != (m.n_rows,):
         raise ValidationError(
             f"need {m.n_rows} targets, got shape {targets.shape}")
-    sums = row_sums(m.signal)
-    scales = np.ones(m.n_rows)
     signal = m.signal.copy()
-    for i in range(m.n_rows):
-        if targets[i] == 0.0 and sums[i] == 0.0:
-            continue
-        if sums[i] == 0.0:
-            raise NumericError(f"row {i} sums to zero; cannot normalize")
-        scales[i] = targets[i] / sums[i]
-        signal[i] *= scales[i]
-    return replace(m, signal=signal), scales
+    scales = [rescale_row(row, t) for row, t in zip(signal, targets)]
+    if None in scales:
+        raise NumericError(
+            f"row {scales.index(None)} sums to zero; cannot normalize")
+    return replace(m, signal=signal), np.array(scales)
 
 
 # ---------------------------------------------------------------------
@@ -363,7 +372,7 @@ def load(path) -> CoefficientMatrix:
             raise FormatError(
                 f"invalid matrix file: {exc.msg}", row=exc.lineno,
                 column=exc.colno) from exc
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:  # bad UTF-8, or an integer too long
             raise FormatError(f"invalid matrix file: {exc}") from exc
     return from_payload(payload)
 

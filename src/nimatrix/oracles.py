@@ -404,7 +404,7 @@ def load_mixture(path) -> GaussianMixture:
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid mixture file: {exc.msg}",
                               row=exc.lineno, column=exc.colno) from exc
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:  # bad UTF-8, or an integer too long
             raise FormatError(f"invalid mixture file: {exc}") from exc
     try:
         return GaussianMixture(weights=np.asarray(cfg["weights"]),

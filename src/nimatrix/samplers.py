@@ -348,9 +348,7 @@ KINDS = tuple(KIND_TABLE)
 
 
 def default_schedule(spec: SamplerSpec) -> Schedule:
-    return {VP_DISCRETE: sched.make_vp_linear, FLOW: sched.make_flow,
-            VP_CONTINUOUS: sched.make_vp_continuous,
-            }[KIND_TABLE[spec.kind].family]()
+    return sched.FAMILY_TABLE[KIND_TABLE[spec.kind].family].make()
 
 
 def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int,

@@ -15,12 +15,20 @@ Three families are provided:
 
 VP families satisfy ``c0^2 + c1^2 = 1``; the flow family satisfies
 ``c0 + c1 = 1``.
+
+``FAMILY_TABLE`` gives each family its constructor and the descriptor
+fields it takes.  A matrix header and the CLI's ``--schedule`` are
+read through it by ``make_schedule``, the CLI's ``--family`` and a
+sampler's default schedule are built from it, and
+``Schedule.descriptor`` writes exactly those fields.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,8 +37,6 @@ from .errors import DomainError, FormatError, ParameterError, ValidationError
 VP_DISCRETE = "vp-discrete"
 FLOW = "flow"
 VP_CONTINUOUS = "vp-continuous"
-
-FAMILIES = (VP_DISCRETE, FLOW, VP_CONTINUOUS)
 
 #: Terminal time of the continuous-VP grids, which start at 1.0.
 T_EPS = 0.001
@@ -82,15 +88,10 @@ class Schedule:
 
     # ----- serialization ---------------------------------------------
     def descriptor(self) -> dict:
-        """Plain-data description used in matrix file headers."""
-        if self.family == FLOW:
-            return {"family": FLOW}
-        return {
-            "family": self.family,
-            "beta_min": self.beta_min,
-            "beta_max": self.beta_max,
-            "T": self.T,
-        }
+        """Plain-data description used in matrix file headers: the family
+        and its own fields (``FAMILY_TABLE``)."""
+        names = FAMILY_TABLE[self.family].fields
+        return {"family": self.family, **{n: getattr(self, n) for n in names}}
 
 
 def make_vp_linear(beta_min: float = 1e-4, beta_max: float = 0.02,
@@ -105,7 +106,12 @@ def make_vp_linear(beta_min: float = 1e-4, beta_max: float = 0.02,
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
     if T < 1:
         raise ParameterError(f"need T >= 1, got {T}")
-    betas = np.linspace(beta_min, beta_max, T)
+    try:
+        betas = np.linspace(beta_min, beta_max, T)
+    except (ValueError, IndexError) as exc:
+        # NumPy cannot size the array: ValueError past 2**63 bytes,
+        # IndexError (an empty arange) for T near 2**63
+        raise ParameterError(f"T={T} is too large: {exc}") from None
     alpha_bars = np.cumprod(1.0 - betas, dtype=np.longdouble)
     return Schedule(family=VP_DISCRETE, beta_min=beta_min, beta_max=beta_max,
                     T=T, betas=betas, alpha_bars=alpha_bars.astype(np.float64))
@@ -124,31 +130,58 @@ def make_vp_continuous(beta_min: float = 0.1, beta_max: float = 20.0) -> Schedul
     return Schedule(family=VP_CONTINUOUS, beta_min=beta_min, beta_max=beta_max)
 
 
+class Family(NamedTuple):
+    """A schedule family: its constructor and the descriptor fields the
+    constructor takes, in order."""
+    make: Callable[..., Schedule]
+    fields: tuple = ()
+
+
+FAMILY_TABLE = {
+    VP_DISCRETE: Family(make_vp_linear, ("beta_min", "beta_max", "T")),
+    FLOW: Family(make_flow),
+    VP_CONTINUOUS: Family(make_vp_continuous, ("beta_min", "beta_max")),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
+
+
+def _field(name: str, value):
+    """A descriptor field as its constructor takes it.
+
+    A value that is not a real number (a bool is not one) raises
+    :class:`FormatError`; an integer too large for a float, or a ``T``
+    that is not a finite integer, raises :class:`ParameterError`.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise FormatError(f"schedule field {name} is not a number: {value!r}")
+    if name == "T":
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+        raise ParameterError(f"schedule T must be an integer, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"schedule field {name} is too large") from None
+
+
 def make_schedule(descriptor: dict) -> Schedule:
     """Rebuild a schedule from its ``descriptor()`` dictionary.
 
     A missing or ill-typed key raises :class:`FormatError`; a value out
-    of range raises :class:`ParameterError`, as from the ``make_*``
-    helpers.
+    of range, a non-integer ``T`` included, raises
+    :class:`ParameterError`.  Keys that are not the family's fields are
+    ignored.
     """
-    if "family" not in descriptor:
-        raise FormatError("schedule is missing key 'family'")
-    fam = descriptor["family"]
-    if fam == FLOW:
-        return make_flow()
-    if fam not in (VP_DISCRETE, VP_CONTINUOUS):
-        raise ParameterError(f"unknown schedule family: {fam!r}")
     try:
-        bmin = float(descriptor["beta_min"])
-        bmax = float(descriptor["beta_max"])
-        T = int(descriptor["T"]) if fam == VP_DISCRETE else None
+        fam = descriptor["family"]
+        if fam not in FAMILIES:
+            raise ParameterError(f"unknown schedule family: {fam!r}")
+        make, names = FAMILY_TABLE[fam]
+        fields = {name: descriptor[name] for name in names}
     except KeyError as exc:
-        raise FormatError(f"{fam} schedule is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed {fam} schedule: {exc}") from exc
-    if fam == VP_DISCRETE:
-        return make_vp_linear(bmin, bmax, T)
-    return make_vp_continuous(bmin, bmax)
+        raise FormatError(f"schedule is missing key {exc}") from None
+    return make(**{name: _field(name, value) for name, value in fields.items()})
 
 
 def _check_vp_discrete_time(s: Schedule, t) -> int:

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-# _worker: the package's one worker thread, re-exported for tests that
-# hold it busy
-from ._pool import _worker, run_blocks  # noqa: F401
-from .coeffmatrix import CoefficientMatrix, normalize_rows, row_sums
+from ._pool import run_blocks
+from .coeffmatrix import (CoefficientMatrix, normalize_rows, rescale_row,
+                          row_sums)
 from .engine import RunConfig, _draw, _play, run_matrix
 from .errors import NimatrixError, ParameterError, ValidationError
 
@@ -253,11 +252,8 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
             cand_signal = current.signal.copy()
             row = cand_signal[i]
             row[j] = min(max(row[j] + delta, lo), hi)
-            rs = math.fsum(row)
             used += 1
-            if rs != 0.0:
-                row *= space.targets[i] / rs
-            elif space.targets[i] != 0.0:
+            if rescale_row(row, space.targets[i]) is None:
                 continue
             spare[:i] = outputs[:i]  # every row when i is the terminal row
             spare_states[:i] = states[:i]

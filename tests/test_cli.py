@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default 4300-digit limit on int-string conversion, set
+    whatever PYTHONINTMAXSTRDIGITS says, and restored after the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 class TestTraceCheck:
@@ -92,6 +105,8 @@ class TestTraceCheck:
         ("ddim", "vp-linear:abc"),
         ("ddim", "vp-linear:1e-4:0.02:1000:7"),
         ("ddim", "vp-linear:1e-4:0.02:10.5"),
+        ("ddim", "vp-linear:1e-4:0.02:1e30"),
+        ("ddim", "vp-linear:1e-4:0.02:inf"),
         ("flow-euler", "flow:x"),
         ("dpmpp-2s", "vp-continuous:0.1:inf"),
         ("ddim", "cosine")])
@@ -179,6 +194,17 @@ class TestSample:
                                    "--predictor", f"gmm:{g}")
         assert code == 4
         assert stdout == "" and "invalid mixture file" in stderr
+
+    @pytest.mark.parametrize("which", ["matrix", "mixture"])
+    def test_integer_past_the_digit_limit_is_format_error(
+            self, capsys, tmp_path, int_digit_limit, which):
+        # json raises a plain ValueError for an integer over the limit
+        f = tmp_path / "f.json"
+        f.write_text('{"weights": [' + "1" * 5000 + "]}")
+        matrix = str(f) if which == "matrix" else "ddim-18"
+        code, _, stderr = run(capsys, "sample", "--matrix", matrix,
+                              "--predictor", f"gmm:{f}")
+        assert code == 4 and f"invalid {which} file" in stderr
 
     def test_sample_to_dataset_file(self, capsys, tmp_path, small_dataset):
         d = tmp_path / "d.bin"

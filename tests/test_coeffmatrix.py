@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,8 +9,8 @@ import pytest
 
 from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
                                   equivalent_marginals, from_payload, load,
-                                  normalize_rows, save, to_csv,
-                                  trace_sampler)
+                                  normalize_rows, rescale_row, save,
+                                  to_csv, trace_sampler)
 from nimatrix.engine import RunConfig, run_matrix
 from nimatrix.errors import (DomainError, FormatError, NumericError,
                              ValidationError)
@@ -181,6 +182,16 @@ class TestNormalization:
         with pytest.raises(NumericError):
             normalize_rows(m, targets=[1.0, 0.6, 1.0])
 
+    def test_rescale_row(self):
+        row = np.array([0.1, 0.2, 0.3])
+        scale = rescale_row(row, 1.5)
+        assert scale == 1.5 / math.fsum([0.1, 0.2, 0.3])
+        assert _bits(row) == _bits(np.array([0.1, 0.2, 0.3]) * scale)
+        zero = np.array([1.0, -1.0])
+        assert rescale_row(zero, 0.0) == 1.0
+        assert rescale_row(zero, 0.5) is None
+        assert _bits(zero) == _bits([1.0, -1.0])
+
 
 class TestSerialization:
     def test_roundtrip(self, vp, tmp_path):
@@ -226,6 +237,22 @@ class TestSerialization:
     def test_missing_key(self):
         with pytest.raises(FormatError):
             from_payload({"format": "nimatrix/1"})
+
+    def test_header_is_kept_in_normal_form(self, tmp_path):
+        # the matrix holds its schedule's descriptor, not the raw header:
+        # a stray "T": 0 on vp-continuous and an integral float T drop out
+        assert "T" not in trace_sampler(SamplerSpec(kind="dpmpp-2s"),
+                                        n_evals=6).schedule_info
+        for name, edit in (("dpmpp-2s-18", {"T": 0}),
+                           ("ddim-18", {"T": 1000.0})):
+            payload = preset_payload(name)
+            want = dict(payload["schedule"])
+            payload["schedule"].update(edit)
+            m = from_payload(payload)
+            assert m.schedule_info == want
+            save(m, tmp_path / "m.json")
+            assert json.loads((tmp_path / "m.json").read_text())[
+                "schedule"] == want
 
     def test_csv_has_time_headers(self, vp):
         m = tiny_matrix(vp)

@@ -255,6 +255,13 @@ def _without_beta_min() -> bytes:
     return json.dumps(payload).encode()
 
 
+def _header_T(value) -> bytes:
+    """ddim-18 with its schedule header's T set to ``value``."""
+    payload = preset_payload("ddim-18")
+    payload["schedule"]["T"] = value
+    return json.dumps(payload).encode()
+
+
 def _evaluation_at(i: int, t: float) -> bytes:
     """ddim-18 with evaluation ``i`` (its input row and column) moved to t."""
     payload = preset_payload("ddim-18")
@@ -275,6 +282,10 @@ def _saved_signal(edit) -> bytes:
 SCHEDULE_DOMAIN_FILES = [(_without_beta_min(), 4),
                          (_evaluation_at(0, 5000.0), 2),
                          (_evaluation_at(1, 981.5), 2)]
+# Header T values that ``--schedule`` rejects as well: not an integer and
+# too large for NumPy exit 2, a string and a bool are not numbers (exit 4).
+HEADER_T_FILES = [(_header_T(1000.5), 2), (_header_T(1e30), 2),
+                  (_header_T("1000"), 4), (_header_T(True), 4)]
 # A character outside the base64 alphabet, which a lenient decoder would
 # skip, and a signal string cut by four characters: valid base64 of
 # three bytes too few.
@@ -315,9 +326,10 @@ def test_check_and_sample_exit_codes(files, matrix, dataset):
 
 
 @pytest.mark.parametrize("matrix,code",
-                         SCHEDULE_DOMAIN_FILES + BLOCK_FILES,
+                         SCHEDULE_DOMAIN_FILES + BLOCK_FILES + HEADER_T_FILES,
                          ids=["no-beta-min", "time-5000", "time-981.5",
-                              "bad-base64", "wrong-byte-count"])
+                              "bad-base64", "wrong-byte-count", "T-1000.5",
+                              "T-1e30", "T-string", "T-true"])
 def test_guidance_rejects_what_check_rejects(files, matrix, code):
     mpath, _ = files
     mpath.write_bytes(matrix)

@@ -78,6 +78,16 @@ class TestDescriptorRoundtrip:
         s2 = make_schedule(s.descriptor())
         assert s2.family == s.family
         assert s2.beta_min == s.beta_min and s2.beta_max == s.beta_max
+        assert s2.descriptor() == s.descriptor()
+
+    def test_descriptor_holds_only_the_family_fields(self):
+        assert make_flow().descriptor() == {"family": FLOW}
+        assert make_vp_continuous().descriptor() == {
+            "family": VP_CONTINUOUS, "beta_min": 0.1, "beta_max": 20.0}
+        # a vp-continuous header that still carries "T": 0 loads
+        desc = {**make_vp_continuous().descriptor(), "T": 0}
+        assert make_schedule(desc).descriptor() == make_vp_continuous(
+        ).descriptor()
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
@@ -85,9 +95,11 @@ class TestDescriptorRoundtrip:
 
     @pytest.mark.parametrize("edit", [
         {"beta_min": None}, {"T": None}, {"family": None},
-        {"beta_max": "abc"}, {"beta_min": [0.1]}, {"T": "x"}],
+        {"beta_max": "abc"}, {"beta_min": [0.1]}, {"T": "x"},
+        {"T": "1000"}, {"T": True}, {"beta_min": "1e-4"}],
         ids=["no-beta_min", "no-T", "no-family", "str-beta_max",
-             "list-beta_min", "str-T"])
+             "list-beta_min", "str-T", "str-T-number", "bool-T",
+             "str-beta_min-number"])
     def test_malformed_descriptor_is_format_error(self, edit):
         desc = make_vp_linear().descriptor()
         for key, value in edit.items():
@@ -101,6 +113,19 @@ class TestDescriptorRoundtrip:
     def test_out_of_range_value_is_parameter_error(self):
         desc = make_vp_linear().descriptor()
         desc["beta_min"] = -1.0
+        with pytest.raises(ParameterError):
+            make_schedule(desc)
+
+    # Fixed T values only: a T near 1e9 allocates gigabytes.
+    @pytest.mark.parametrize("key,value", [
+        ("T", 1000.5), ("T", 0), ("T", -3), ("T", 1e30), ("T", 2.0 ** 63),
+        ("T", 10 ** 400), ("T", math.inf), ("T", math.nan),
+        ("beta_max", 10 ** 400)],
+        ids=["T-fraction", "T-zero", "T-negative", "T-1e30", "T-2^63",
+             "T-10^400", "T-inf", "T-nan", "beta_max-10^400"])
+    def test_bad_field_value_is_parameter_error(self, key, value):
+        desc = make_vp_linear().descriptor()
+        desc[key] = value
         with pytest.raises(ParameterError):
             make_schedule(desc)
 

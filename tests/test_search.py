@@ -91,9 +91,9 @@ class TestEnergyDistance:
 
     def test_fill_does_not_wait_for_a_busy_worker(self, rng):
         # the caller fills every block itself and cancels the queued helper
-        import nimatrix.search as searchmod
+        from nimatrix._pool import _worker
         release = threading.Event()
-        busy = searchmod._worker.submit(release.wait, 30.0)
+        busy = _worker.submit(release.wait, 30.0)
         try:
             x = rng.standard_normal((300, 2))
             y = rng.standard_normal((70, 2))
