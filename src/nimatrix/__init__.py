@@ -25,8 +25,8 @@ from .presets import list_presets, load_preset, preset_payload
 from .samplers import (SamplerSpec, StepCoefficients, ddim_step_coeffs,
                        ddpm_step_coeffs, flow_euler_step_coeffs,
                        run_native)
-from .schedule import (Schedule, TimeGrid, make_flow, make_grid,
-                       make_vp_continuous, make_vp_linear, mixing_coeffs)
+from .schedule import (Schedule, make_flow, make_grid, make_vp_continuous,
+                       make_vp_linear, mixing_coeffs)
 from .search import (PreparedReference, SearchResult, SearchSpace,
                      energy_distance, optimize_matrix, prepare_reference)
 

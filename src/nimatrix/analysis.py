@@ -62,6 +62,9 @@ def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
 
 
 def wilson_center(successes: int, trials: int, z: float = 1.959964) -> float:
+    """Center of the Wilson score interval for a binomial rate."""
+    if trials < 1:
+        raise ParameterError("need at least one trial")
     p = successes / trials
     denom = 1.0 + z * z / trials
     return (p + z * z / (2.0 * trials)) / denom
@@ -101,6 +104,8 @@ def degradation_table(ds: Dataset, schedules, times, trials: int = 1000,
         raise ParameterError("need trials >= 1")
     if not 0.0 < threshold < 1.0:  # also rejects NaN
         raise ParameterError(f"need a threshold in (0, 1), got {threshold}")
+    if len(schedules) == 0 or len(times) == 0:
+        raise ParameterError("need at least one schedule and one time")
     if not isinstance(times[0], (list, tuple, np.ndarray)):
         times = [times] * len(schedules)
     if len(times) != len(schedules):

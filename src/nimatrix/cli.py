@@ -77,10 +77,12 @@ def _parse_predictor(text: str, s, label=None):
         raise ParameterError("predictor must be dataset:FILE or gmm:FILE")
     kind, path = text.split(":", 1)
     if kind == "dataset":
-        return oracles.make_predictor(_load_dataset(path), s, label=label)
-    if kind == "gmm":
-        return oracles.make_predictor(oracles.load_mixture(path), s)
-    raise ParameterError(f"unknown predictor kind {kind!r}")
+        source = _load_dataset(path)
+    elif kind == "gmm":
+        source = oracles.load_mixture(path)
+    else:
+        raise ParameterError(f"unknown predictor kind {kind!r}")
+    return oracles.make_predictor(source, s, label=label)
 
 
 def _marginal_csv(report) -> str:
@@ -117,7 +119,7 @@ def cmd_trace(args):
         raise ParameterError(f"unknown grid {args.grid!r}: want trailing, "
                              "quadratic or explicit:FILE")
     m = coeffmatrix.trace_sampler(spec, s=s, grid=grid, n_evals=steps)
-    if (grid is not None and grid.rule == "explicit"
+    if (args.grid.startswith("explicit:")
             and args.steps not in (None, m.n_evals)):
         raise ParameterError(f"--steps {args.steps} but the grid in "
                              f"{args.grid} gives {m.n_evals} evaluations")

@@ -33,7 +33,7 @@ from . import schedule as sched
 from .affine import RunContext, TRACE
 from .errors import FormatError, NimatrixError, NumericError, ValidationError
 from .samplers import SamplerSpec, default_grid, default_schedule, run_native
-from .schedule import (Schedule, TimeGrid, make_schedule, mixing_coeffs,
+from .schedule import (Schedule, make_schedule, mixing_coeffs,
                        validate_decreasing)
 
 #: The format ``save`` writes: each block a base64 string of ``<f8`` bytes.
@@ -146,14 +146,8 @@ class MarginalReport:
 # Tracing
 # ---------------------------------------------------------------------
 
-def _terminal_row_time(s: Schedule, grid: TimeGrid) -> float:
-    if s.family == sched.VP_DISCRETE:
-        return TERMINAL_OUTPUT
-    return float(grid[-1])
-
-
 def trace_sampler(spec: SamplerSpec, s: Schedule | None = None,
-                  grid: TimeGrid | None = None,
+                  grid: tuple | None = None,
                   n_evals: int = 18) -> CoefficientMatrix:
     """Run the sampler symbolically and assemble its coefficient matrix."""
     if s is None:
@@ -171,7 +165,9 @@ def trace_sampler(spec: SamplerSpec, s: Schedule | None = None,
     for i, state in enumerate(states):
         signal[i, :len(state.signal)] = state.signal
         noise[i, :len(state.noise)] = state.noise
-    row_times = col_times + (_terminal_row_time(s, grid),)
+    terminal = (TERMINAL_OUTPUT if s.family == sched.VP_DISCRETE
+                else float(grid[-1]))
+    row_times = col_times + (terminal,)
     return CoefficientMatrix(
         schedule_info=s.descriptor(), row_times=row_times,
         col_times=col_times, signal=signal, noise=noise,

@@ -326,8 +326,12 @@ class Predictor:
     label: object = None
 
     def __post_init__(self):
-        if isinstance(self.source, Dataset) and self.label is not None:
-            object.__setattr__(self, "source", self.source.subset(self.label))
+        if self.label is None:
+            return
+        if not isinstance(self.source, Dataset):
+            raise ParameterError("a label selects dataset atoms; a mixture "
+                                 "takes none")
+        object.__setattr__(self, "source", self.source.subset(self.label))
 
     @property
     def d(self) -> int:

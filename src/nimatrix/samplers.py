@@ -37,7 +37,7 @@ from scipy.integrate import quad
 from . import schedule as sched
 from .affine import RunContext, lin_combine
 from .errors import NumericError, ParameterError
-from .schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, Schedule, TimeGrid,
+from .schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, Schedule,
                        mixing_coeffs)
 
 #: Evaluation-stencil size per DEIS kind: the named order k uses the
@@ -352,7 +352,7 @@ def default_schedule(spec: SamplerSpec) -> Schedule:
 
 
 def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int,
-                 rule: str | None = None) -> TimeGrid:
+                 rule: str | None = None) -> tuple[float, ...]:
     """The grid giving exactly ``n_evals`` model evaluations, spaced by
     the ``make_grid`` rule: by default quadratic (dense near the terminal
     time) for DEIS kinds and linspace-trailing for every other kind."""
@@ -367,7 +367,7 @@ def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int,
     return sched.make_grid(s, n_evals, rule)
 
 
-def run_native(spec: SamplerSpec, s: Schedule, grid: TimeGrid,
+def run_native(spec: SamplerSpec, s: Schedule, grid: tuple,
                ctx: RunContext):
     """Execute (or trace) the sampler over the grid; returns the sample.
 

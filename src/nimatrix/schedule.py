@@ -17,10 +17,18 @@ VP families satisfy ``c0^2 + c1^2 = 1``; the flow family satisfies
 ``c0 + c1 = 1``.
 
 ``FAMILY_TABLE`` gives each family its constructor and the descriptor
-fields it takes.  A matrix header and the CLI's ``--schedule`` are
-read through it by ``make_schedule``, the CLI's ``--family`` and a
-sampler's default schedule are built from it, and
-``Schedule.descriptor`` writes exactly those fields.
+fields it takes; a schedule of any other family cannot be built.  A
+matrix header and the CLI's ``--schedule`` are read through it by
+``make_schedule``, the CLI's ``--family`` and a sampler's default
+schedule are built from it, and ``Schedule.descriptor`` writes exactly
+those fields.
+
+A time grid (``make_grid``) is a plain tuple of strictly decreasing
+floats, largest first.  For the flow and continuous-VP families the
+final entry is the terminal target time of the last integration step
+(0.0 for flow, ``T_EPS`` for continuous VP); model evaluations happen at
+earlier entries as each sampler dictates.  For vp-discrete the grid
+holds the integer evaluation times down to 0.
 """
 
 from __future__ import annotations
@@ -52,6 +60,10 @@ class Schedule:
     T: int = 0
     betas: np.ndarray | None = field(default=None, repr=False, compare=False)
     alpha_bars: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.family not in FAMILY_TABLE:
+            raise ParameterError(f"unknown schedule family: {self.family!r}")
 
     # ----- continuous-VP helpers -------------------------------------
     def log_alpha(self, t: float) -> float:
@@ -201,45 +213,15 @@ def mixing_coeffs(s: Schedule, t) -> tuple[float, float]:
         ti = _check_vp_discrete_time(s, t)
         ab = float(s.alpha_bars[ti])
         return math.sqrt(ab), math.sqrt(1.0 - ab)
+    tf = float(t)
+    if not 0.0 <= tf <= 1.0:
+        raise DomainError(f"{s.family} times lie in [0, 1], got {t}")
     if s.family == FLOW:
-        tf = float(t)
-        if not 0.0 <= tf <= 1.0:
-            raise DomainError(f"flow times lie in [0, 1], got {t}")
         return 1.0 - tf, tf
-    if s.family == VP_CONTINUOUS:
-        tf = float(t)
-        if not 0.0 <= tf <= 1.0:
-            raise DomainError(f"vp-continuous times lie in [0, 1], got {t}")
-        return s.alpha(tf), s.sigma(tf)
-    raise ParameterError(f"unknown family {s.family!r}")
+    return s.alpha(tf), s.sigma(tf)
 
 
 RULES = ("linspace-trailing", "quadratic", "explicit")
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly decreasing inference times, largest first.
-
-    For the flow and continuous-VP families the final entry is the
-    terminal target time of the last integration step (0.0 for flow,
-    ``T_EPS`` for continuous VP); model evaluations happen at earlier
-    entries as each sampler dictates.  For vp-discrete the grid holds
-    the integer evaluation times down to 0.
-    """
-
-    times: tuple
-    rule: str
-    family: str
-
-    def __len__(self):
-        return len(self.times)
-
-    def __iter__(self):
-        return iter(self.times)
-
-    def __getitem__(self, i):
-        return self.times[i]
 
 
 def validate_decreasing(times, what: str = "grid times") -> None:
@@ -249,35 +231,38 @@ def validate_decreasing(times, what: str = "grid times") -> None:
 
 
 def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
-              explicit=None) -> TimeGrid:
+              explicit=None) -> tuple[float, ...]:
     """Build an inference time grid for the given schedule family.
 
     - vp-discrete + linspace-trailing: ``round(linspace(T - 1, 0, n))``.
+    - vp-discrete + quadratic: linspace in ``sqrt(t)`` from
+      ``sqrt(T - 1)`` down to 0, squared and rounded; a count whose
+      rounded times collide is rejected.
     - flow + linspace-trailing: ``k / n`` for ``k = n .. 1`` plus the
       terminal 0.0 (n evaluation times, n + 1 entries).
+    - flow + quadratic: ``linspace(1, 0, n + 1)`` squared.
     - vp-continuous + linspace-trailing: ``linspace(1, T_EPS, n)``.
-    - quadratic (continuous families): linspace in ``sqrt(t)`` from 1
-      down to ``sqrt(T_EPS)``, squared — concentrating points near
-      ``T_EPS``.
-    - explicit: caller-provided list, strictly decreasing, each time in
-      the schedule's domain (``mixing_coeffs``); vp-discrete times are
-      stored as the integers they name.
+    - vp-continuous + quadratic: linspace in ``sqrt(t)`` from 1 down to
+      ``sqrt(T_EPS)``, squared — concentrating points near ``T_EPS``.
+    - explicit: caller-provided list, each time in the schedule's domain
+      (``mixing_coeffs``); vp-discrete times are stored as the integers
+      they name.
+
+    Every rule's times are checked to strictly decrease as stored.
     """
     if rule not in RULES:
         raise ParameterError(f"unknown grid rule {rule!r}")
     if rule == "explicit":
         if explicit is None or len(explicit) == 0:
             raise ParameterError("explicit rule requires a time list")
-        times = tuple(float(t) for t in explicit)
-        validate_decreasing(times)
-        for t in times:
+        for t in explicit:
             mixing_coeffs(s, t)
+        times = explicit
         if s.family == VP_DISCRETE:
-            times = tuple(float(round(t)) for t in times)
-        return TimeGrid(times=times, rule=rule, family=s.family)
-    if n < 1:
+            times = [round(float(t)) for t in explicit]
+    elif n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    if s.family == VP_DISCRETE:
+    elif s.family == VP_DISCRETE:
         if n > s.T:
             raise ParameterError(f"n={n} exceeds T={s.T}")
         if rule == "quadratic":
@@ -287,22 +272,14 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
                 raise ParameterError(
                     f"quadratic rule collapses duplicate integer times at n={n}")
         else:
-            times = tuple(int(round(v)) for v in np.linspace(s.T - 1, 0, n))
-        validate_decreasing(times)
-        return TimeGrid(times=tuple(float(t) for t in times), rule=rule,
-                        family=s.family)
-    if s.family == FLOW:
-        if rule == "quadratic":
-            times = tuple(float(v) for v in np.linspace(1.0, 0.0, n + 1) ** 2)
-        else:
-            times = tuple(k / n for k in range(n, 0, -1)) + (0.0,)
-        validate_decreasing(times)
-        return TimeGrid(times=times, rule=rule, family=s.family)
-    # vp-continuous
-    if rule == "quadratic":
-        u = np.linspace(1.0, math.sqrt(T_EPS), n)
-        times = tuple(float(v) for v in u ** 2)
+            times = [int(round(v)) for v in np.linspace(s.T - 1, 0, n)]
+    elif s.family == FLOW:
+        times = (np.linspace(1.0, 0.0, n + 1) ** 2 if rule == "quadratic"
+                 else [k / n for k in range(n, 0, -1)] + [0.0])
+    elif rule == "quadratic":  # vp-continuous
+        times = np.linspace(1.0, math.sqrt(T_EPS), n) ** 2
     else:
-        times = tuple(float(v) for v in np.linspace(1.0, T_EPS, n))
+        times = np.linspace(1.0, T_EPS, n)
+    times = tuple(float(t) for t in times)
     validate_decreasing(times)
-    return TimeGrid(times=times, rule=rule, family=s.family)
+    return times

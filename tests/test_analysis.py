@@ -24,6 +24,8 @@ class TestWilson:
     def test_no_trials_rejected(self):
         with pytest.raises(ParameterError):
             wilson_halfwidth(0, 0)
+        with pytest.raises(ParameterError):
+            wilson_center(0, 0)
 
 
 class TestDegradation:
@@ -70,6 +72,15 @@ class TestDegradation:
         with pytest.raises(ParameterError, match="threshold"):
             degradation_table(small_dataset, [vp], [[300]], trials=5,
                               threshold=threshold)
+
+    @pytest.mark.parametrize("n_schedules,times", [(1, []), (0, [[300]]),
+                                                   (0, [])],
+                             ids=["no-times", "no-schedules", "neither"])
+    def test_empty_inputs_rejected(self, small_dataset, vp, n_schedules,
+                                   times):
+        with pytest.raises(ParameterError):
+            degradation_table(small_dataset, [vp] * n_schedules, times,
+                              trials=5)
 
 
 class TestSpectrum:

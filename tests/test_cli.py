@@ -64,8 +64,9 @@ class TestTraceCheck:
             assert "unknown grid" in stderr
 
     @pytest.mark.parametrize("text,code", [("999\n600\n300\n", 0),
-                                           ("999\nabc\n", 4)],
-                             ids=["valid", "malformed"])
+                                           ("999\nabc\n", 4),
+                                           ("999.0000000004\n999\n500\n", 2)],
+                             ids=["valid", "malformed", "rounds-to-repeat"])
     def test_explicit_grid_file(self, capsys, tmp_path, text, code):
         p = tmp_path / "grid.txt"
         p.write_text(text)
@@ -154,6 +155,24 @@ class TestSample:
         assert code == 0
         rows = [r.split(",") for r in stdout.strip().splitlines()]
         assert len(rows) == 3 and len(rows[0]) == 16
+
+    @pytest.mark.parametrize("source,code", [("dataset", 0), ("gmm", 2)])
+    def test_label_exit_codes(self, capsys, tmp_path, small_dataset, gmm16,
+                              source, code):
+        # a label selects dataset atoms; a mixture has none to select
+        p = tmp_path / "source"
+        if source == "dataset":
+            save_dataset(small_dataset, p)
+        else:
+            p.write_text(json.dumps({"weights": gmm16.weights.tolist(),
+                                     "means": gmm16.means.tolist(),
+                                     "variances": gmm16.variances.tolist()}))
+        got, stdout, stderr = run(capsys, "sample", "--matrix", "ddim-18",
+                                  "--predictor", f"{source}:{p}", "--n", "2",
+                                  "--label", "1")
+        assert got == code
+        if code:
+            assert stdout == "" and "label" in stderr
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_prediction_is_numeric_error(self, capsys, tmp_path):

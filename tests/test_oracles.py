@@ -441,6 +441,11 @@ class TestPredictor:
         with pytest.raises(ParameterError):
             make_predictor([[1.0]], vp)
 
+    def test_label_with_mixture_rejected(self, gmm16, vp):
+        # a label selects dataset atoms; a mixture has none to select
+        with pytest.raises(ParameterError, match="label"):
+            make_predictor(gmm16, vp, label=7)
+
 
 class TestMixtureFile:
     def test_roundtrip(self, tmp_path, gmm16):

@@ -5,9 +5,10 @@ import pytest
 
 from nimatrix.errors import (DomainError, FormatError, ParameterError,
                              ValidationError)
-from nimatrix.schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, make_flow,
-                               make_grid, make_schedule, make_vp_continuous,
-                               make_vp_linear, mixing_coeffs)
+from nimatrix.schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, Schedule,
+                               make_flow, make_grid, make_schedule,
+                               make_vp_continuous, make_vp_linear,
+                               mixing_coeffs)
 
 
 class TestVPDiscrete:
@@ -92,6 +93,8 @@ class TestDescriptorRoundtrip:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             make_schedule({"family": "nope"})
+        with pytest.raises(ParameterError):
+            Schedule(family="bogus")
 
     @pytest.mark.parametrize("edit", [
         {"beta_min": None}, {"T": None}, {"family": None},
@@ -166,6 +169,10 @@ class TestGrids:
         assert list(g) == [900.0, 0.0]
         with pytest.raises(ValidationError):
             make_grid(vp, 0, "explicit", explicit=[100, 500])
+        # two distinct times that round to one integer are rejected
+        with pytest.raises(ValidationError):
+            make_grid(vp, 0, "explicit",
+                      explicit=[999.0000000004, 999.0, 500.0, 0.0])
         with pytest.raises(ParameterError):
             make_grid(vp, 0, "explicit")
 
