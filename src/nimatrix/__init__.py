@@ -20,7 +20,8 @@ from .guidance import (GuidanceDecomposition, GuidanceStage, cfg_combine,
 from .oracles import (Dataset, GaussianMixture, Predictor, load_dataset,
                       load_mixture, make_predictor,
                       posterior_mean_dataset, posterior_mean_gmm,
-                      posterior_weights, save_dataset, score_from_x0hat)
+                      posterior_top, posterior_weights, save_dataset,
+                      score_from_x0hat)
 from .presets import list_presets, load_preset, preset_payload
 from .samplers import (SamplerSpec, StepCoefficients, ddim_step_coeffs,
                        ddpm_step_coeffs, flow_euler_step_coeffs,

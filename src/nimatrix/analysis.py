@@ -5,7 +5,10 @@ and ask whether the posterior over the atom set already concentrates
 (max weight > 0.9) — the regime where the ideal posterior-mean predictor
 collapses onto a single training sample.  The fraction of such draws per
 time and its Wilson confidence interval quantify how much of the
-trajectory operates in memorization territory.
+trajectory operates in memorization territory.  Each draw needs only its
+posterior's most probable atom and that weight, which
+``oracles.posterior_top`` reads from each row block of weights while the
+block is still in cache.
 
 The spectral helpers read the same phenomenon per frequency band: with
 signal amplitude ``c0`` and unit-variance noise at amplitude ``c1``,
@@ -21,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .oracles import Dataset, posterior_weights
+from .oracles import Dataset, posterior_top
+# bench/tracing.py spans analysis.posterior_weights, so the name stays bound
+from .oracles import posterior_weights  # noqa: F401
 from .schedule import Schedule, mixing_coeffs
 
 
@@ -50,10 +55,17 @@ class DegradationReport:
         return "\n".join(lines) + "\n"
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
-    """Half-width of the Wilson score interval for a binomial rate."""
+def _check_counts(successes: int, trials: int) -> None:
     if trials < 1:
         raise ParameterError("need at least one trial")
+    if not 0 <= successes <= trials:  # also rejects NaN
+        raise ParameterError(f"need 0 <= successes <= trials, got "
+                             f"{successes} of {trials}")
+
+
+def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
+    """Half-width of the Wilson score interval for a binomial rate."""
+    _check_counts(successes, trials)
     p = successes / trials
     denom = 1.0 + z * z / trials
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials
@@ -63,8 +75,7 @@ def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
 
 def wilson_center(successes: int, trials: int, z: float = 1.959964) -> float:
     """Center of the Wilson score interval for a binomial rate."""
-    if trials < 1:
-        raise ParameterError("need at least one trial")
+    _check_counts(successes, trials)
     p = successes / trials
     denom = 1.0 + z * z / trials
     return (p + z * z / (2.0 * trials)) / denom
@@ -81,9 +92,7 @@ def _degradation_batch(ds: Dataset, s: Schedule, t, trials: int, rng,
     idx = rng.integers(ds.n, size=trials)
     c0, c1 = mixing_coeffs(s, t)
     x = c0 * ds.atoms[idx] + c1 * rng.standard_normal((trials, ds.d))
-    w = posterior_weights(ds, s, t, x)
-    top = np.argmax(w, axis=1)
-    wmax = w[np.arange(trials), top]
+    top, wmax = posterior_top(ds, s, t, x)
     degraded = wmax > threshold
     to_source = degraded & (top == idx)
     return int(degraded.sum()), int(to_source.sum())
@@ -100,8 +109,9 @@ def degradation_table(ds: Dataset, schedules, times, trials: int = 1000,
     The max posterior weight lies in (0, 1], so a threshold outside
     (0, 1) would count every draw or none and is rejected.
     """
-    if trials < 1:
-        raise ParameterError("need trials >= 1")
+    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+            or trials < 1):
+        raise ParameterError(f"need an integer trials >= 1, got {trials!r}")
     if not 0.0 < threshold < 1.0:  # also rejects NaN
         raise ParameterError(f"need a threshold in (0, 1), got {threshold}")
     if len(schedules) == 0 or len(times) == 0:
@@ -177,4 +187,6 @@ def submerged_fraction(profile, threshold: float = 1.0) -> float:
     p = np.asarray(profile, dtype=np.float64)
     if p.size == 0:
         raise ParameterError("empty profile")
+    if np.isnan(p).any():
+        raise ValidationError("NaN in profile")
     return float(np.mean(p < threshold))

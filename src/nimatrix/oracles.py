@@ -26,14 +26,17 @@ mixture log-density is the row maximum plus the log of the row sum.
 The dataset kernel can run on two threads.  A batch is cut into blocks
 of 64 rows, the remainder joining the last block, and the caller and the
 package's worker thread take the blocks in turn (``_pool.run_blocks``).
-Each block runs its own GEMM, softmax and (for the mean) second GEMM into
-its rows of one preallocated result.  The split is taken only when all
-three hold, read on every call: the BLAS NumPy loaded reports one thread
-(a multi-threaded BLAS already has the other cores, and a BLAS whose
-count cannot be read counts as many), the process may run on more than
-one CPU, and the batch has at least two blocks.  Otherwise the batch is
-one call.  No block has one row, because NumPy runs a one-row product as
-a GEMV, which can round differently from the same row of a GEMM.  Where
+Each block runs its own GEMM and softmax, then writes its rows of a
+preallocated result: the normalised weights, the second GEMM's posterior
+mean, or (``posterior_top``) each row's most probable atom and its
+weight, which it reads from a block-local weight buffer while that is
+still in cache.  The split is taken only when all three hold, read on
+every call: the BLAS NumPy loaded reports one thread (a multi-threaded
+BLAS already has the other cores, and a BLAS whose count cannot be read
+counts as many), the process may run on more than one CPU, and the batch
+has at least two blocks.  Otherwise the batch is one call.  No block has
+one row, because NumPy runs a one-row product as a GEMV, which can round
+differently from the same row of a GEMM.  Where
 the BLAS rounds each row of a GEMM alike in a block and in the whole
 batch, the split is bitwise the one call; OpenBLAS does at the
 benchmark's 10000 x 64 dataset, but its edge kernels need not when the
@@ -211,13 +214,17 @@ def _split(b: int) -> bool:
     return cpus > 1
 
 
-def _posterior(ds: Dataset, s: Schedule, t, x, mean: bool):
-    """Posterior weights, or (``mean``) the posterior mean, for states x.
+def _posterior(ds: Dataset, s: Schedule, t, x, kind: str):
+    """Posterior ``kind`` for states x: "weights", "mean" or "top".
 
-    Each row block runs :func:`_posterior_block` into its rows of one
-    (b, n) weight buffer, then normalises the weights in place or runs
-    the second GEMM into its rows of the (b, d) mean.  Blocks are
-    ``_ROWS`` rows, the last one taking the remainder; when
+    Each row block runs :func:`_posterior_block` and normalises by the
+    row sums.  For the weights it writes into its rows of one (b, n)
+    buffer, which it normalises in place; for the mean it runs the second
+    GEMM of those rows into its rows of the (b, d) result.  For the top
+    atom it writes into a block-local (rows, n) buffer, normalises it in
+    place and writes each row's ``np.argmax`` and the weight there into
+    its rows of two length-b results; split, no (b, n) buffer exists.
+    Blocks are ``_ROWS`` rows, the last one taking the remainder; when
     :func:`_split` allows, the caller and the package's worker thread take
     them in turn, otherwise the whole batch is one block.  The row
     reductions are the same either way; the GEMM rows are where the BLAS
@@ -228,32 +235,57 @@ def _posterior(ds: Dataset, s: Schedule, t, x, mean: bool):
     xb = x[None, :] if single else x
     c0, c1 = mixing_coeffs(s, t)
     b = xb.shape[0]
-    e = np.empty((b, ds.n))
-    out = np.empty((b, ds.d)) if mean else e
+    if kind == "top":
+        e = None
+        out = (np.empty(b, dtype=np.intp), np.empty(b))
+    else:
+        e = np.empty((b, ds.n))
+        out = (np.empty((b, ds.d)) if kind == "mean" else e,)
 
     def block(rows):
-        z = _posterior_block(ds, c0, c1, xb[rows], e[rows])
-        y = out[rows]
-        if mean:
-            np.matmul(e[rows], ds.atoms, out=y)
-        y /= z
+        w = np.empty((rows.stop - rows.start, ds.n)) if e is None else e[rows]
+        z = _posterior_block(ds, c0, c1, xb[rows], w)
+        if kind == "mean":
+            y = out[0][rows]
+            np.matmul(w, ds.atoms, out=y)
+            y /= z
+            return
+        w /= z
+        if kind == "top":
+            top = np.argmax(w, axis=1)
+            out[0][rows] = top
+            out[1][rows] = w[np.arange(top.size), top]
 
     if _split(b):
         edges = [*range(0, b - _ROWS + 1, _ROWS), b]
         run_blocks(block, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
     else:
-        block(slice(None))
-    return out[0] if single else out
+        block(slice(0, b))
+    if single:
+        out = tuple(o[0] for o in out)
+    return out if kind == "top" else out[0]
 
 
 def posterior_weights(ds: Dataset, s: Schedule, t, x):
     """Posterior probabilities over the atoms given the state x at t."""
-    return _posterior(ds, s, t, x, mean=False)
+    return _posterior(ds, s, t, x, "weights")
 
 
 def posterior_mean_dataset(ds: Dataset, s: Schedule, t, x):
     """Exact posterior mean E[x0 | x_t] over the atom set."""
-    return _posterior(ds, s, t, x, mean=True)
+    return _posterior(ds, s, t, x, "mean")
+
+
+def posterior_top(ds: Dataset, s: Schedule, t, x):
+    """The most probable atom given the state x at t, and its weight.
+
+    Returns ``(index, weight)``: for (b, d) states, a length-b index
+    array and a length-b weight array; for one (d,) state, two scalars.
+    They are bitwise ``np.argmax`` of :func:`posterior_weights` (the
+    lowest index on ties) and the weight there, each row block reducing
+    its own weights while they are in cache (:func:`_posterior`).
+    """
+    return _posterior(ds, s, t, x, "top")
 
 
 def _mixture_kernel(g: GaussianMixture, c0, tot, xb):

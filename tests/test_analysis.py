@@ -27,6 +27,13 @@ class TestWilson:
         with pytest.raises(ParameterError):
             wilson_center(0, 0)
 
+    @pytest.mark.parametrize("fn", [wilson_halfwidth, wilson_center])
+    @pytest.mark.parametrize("successes,trials", [(5, 3), (-1, 3),
+                                                  (np.nan, 3)])
+    def test_successes_outside_trials_rejected(self, fn, successes, trials):
+        with pytest.raises(ParameterError, match="successes"):
+            fn(successes, trials)
+
 
 class TestDegradation:
     def test_to_source_implies_degraded(self, small_dataset, vp):
@@ -72,6 +79,18 @@ class TestDegradation:
         with pytest.raises(ParameterError, match="threshold"):
             degradation_table(small_dataset, [vp], [[300]], trials=5,
                               threshold=threshold)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, True, "3", None])
+    def test_trials_not_a_positive_integer_rejected(self, small_dataset, vp,
+                                                    trials):
+        with pytest.raises(ParameterError, match="trials"):
+            degradation_table(small_dataset, [vp], [[300]], trials=trials)
+
+    def test_numpy_integer_trials_accepted(self, small_dataset, vp):
+        rep = degradation_table(small_dataset, [vp], [[300]],
+                                trials=np.int64(50))
+        assert rep == degradation_table(small_dataset, [vp], [[300]],
+                                        trials=50)
 
     @pytest.mark.parametrize("n_schedules,times", [(1, []), (0, [[300]]),
                                                    (0, [])],
@@ -126,3 +145,8 @@ class TestSpectrum:
     def test_submerged_empty_rejected(self):
         with pytest.raises(ParameterError):
             submerged_fraction([])
+
+    @pytest.mark.parametrize("profile", [[np.nan], [0.5, np.nan, 2.0]])
+    def test_submerged_nan_rejected(self, profile):
+        with pytest.raises(ValidationError, match="NaN"):
+            submerged_fraction(profile)

@@ -186,26 +186,6 @@ class TestSample:
         assert code == 3
         assert stdout == "" and "non-finite" in stderr
 
-    def test_best_matrix_file_plays_and_seeds_a_search(self, capsys,
-                                                       tmp_path, ring_gmm):
-        g = tmp_path / "g.json"
-        g.write_text(json.dumps({"weights": ring_gmm.weights.tolist(),
-                                 "means": ring_gmm.means.tolist(),
-                                 "variances": ring_gmm.variances.tolist()}))
-        best = tmp_path / "best.json"
-        code, _, _ = run(capsys, "search", "--steps", "5", "--predictor",
-                         f"gmm:{g}", "--budget", "4", "--out", str(best))
-        assert code == 0
-        assert json.loads(best.read_text())["format"] == "nimatrix/2"
-        code, stdout, _ = run(capsys, "sample", "--matrix", str(best),
-                              "--predictor", f"gmm:{g}", "--n", "3")
-        assert code == 0
-        assert len(stdout.splitlines()) == 3
-        code, stdout, _ = run(capsys, "search", "--init", str(best),
-                              "--predictor", f"gmm:{g}", "--budget", "2")
-        assert code == 0
-        assert stdout.splitlines()[0] == "evaluation,best_objective"
-
     def test_non_utf8_mixture_is_format_error(self, capsys, tmp_path):
         g = tmp_path / "g.json"
         g.write_bytes(b'{"weights": [1.0\xff]}')

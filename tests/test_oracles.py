@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 import threading
@@ -9,13 +10,14 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from nimatrix import _pool, oracles
+from nimatrix.analysis import degradation_table
 from nimatrix.errors import FormatError, ParameterError, ValidationError
 from nimatrix.oracles import (Dataset, GaussianMixture,
                               gmm_marginal_logdensity, load_dataset,
                               load_dataset_csv, load_mixture, make_predictor,
                               posterior_mean_dataset, posterior_mean_gmm,
-                              posterior_weights, save_dataset,
-                              score_from_x0hat)
+                              posterior_top, posterior_weights,
+                              save_dataset, score_from_x0hat)
 from nimatrix.schedule import make_flow, make_vp_linear, mixing_coeffs
 
 
@@ -430,6 +432,69 @@ class TestRowBlockSplit:
         assert query() >= 1
         if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
             assert query() == 1
+
+
+
+def _top_of_weights(ds, s, t, x):
+    """np.argmax of the posterior weights per state and the weight there."""
+    w = np.atleast_2d(posterior_weights(ds, s, t, x))
+    top = np.argmax(w, axis=1)
+    return top, w[np.arange(top.size), top]
+
+
+class TestPosteriorTop:
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    @pytest.mark.parametrize("b", [None, 2, 127, 128, 129, 500],
+                             ids=lambda b: "1-D" if b is None else str(b))
+    def test_is_argmax_of_the_weights(self, monkeypatch, wide_dataset, vp,
+                                      flow, split, b):
+        seen = _spy_blocks(monkeypatch)
+        _blas_threads(monkeypatch, 1 if split else 2)
+        for family, t in SPLIT_TIMES:
+            s = vp if family == "vp" else flow
+            x = _states(wide_dataset, s, t, b or 1)
+            if b is None:
+                x = x[0]
+            want_top, want_w = _top_of_weights(wide_dataset, s, t, x)
+            top, w = posterior_top(wide_dataset, s, t, x)
+            assert np.ndim(top) == np.ndim(w) == (0 if b is None else 1)
+            assert np.array_equal(np.atleast_1d(top), want_top), (family, t)
+            assert np.array_equal(np.atleast_1d(w), want_w), (family, t)
+        # the weights and the top atom split alike, once per time
+        assert len(seen) == (2 * len(SPLIT_TIMES) if split and b and b >= 128
+                             else 0)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_ties_go_to_the_lowest_index(self, monkeypatch, vp, split):
+        # atoms i, i + 250, i + 500 and i + 750 are the same point, so
+        # every posterior weight is tied four ways
+        base = np.random.default_rng(8).standard_normal((250, 64))
+        ds = Dataset(atoms=np.tile(base, (4, 1)))
+        _blas_threads(monkeypatch, 1 if split else 2)
+        for t in (999, 500, 100, 0):
+            x = _states(ds, vp, t, 500)
+            top, w = posterior_top(ds, vp, t, x)
+            want_top, want_w = _top_of_weights(ds, vp, t, x)
+            assert np.array_equal(top, want_top) and np.array_equal(w, want_w)
+            assert np.all(top < 250), t
+            weights = posterior_weights(ds, vp, t, x)
+            rows = np.arange(500)
+            assert np.array_equal(weights[rows, top + 750], w), t
+
+    def test_degradation_csv_is_pinned_under_the_split(self, monkeypatch,
+                                                       wide_dataset, vp,
+                                                       flow):
+        # the digest was recorded when the statistic took np.argmax of the
+        # full (trials, n) weight buffer; 200 trials run as three blocks
+        seen = _spy_blocks(monkeypatch)
+        _blas_threads(monkeypatch, 1)
+        rep = degradation_table(
+            wide_dataset, [vp, flow],
+            [[999, 450, 420, 400, 380, 350, 0],
+             [1.0, 0.7, 0.66, 0.62, 0.58, 0.0]], trials=200, seed=3)
+        assert len(seen) == 13 and all(len(blocks) == 3 for blocks in seen)
+        assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == (
+            "532548f1cfd8cfaab6f23ef418cdf20c58879d4f2c367fc93156ed9ea82ebb47")
 
 
 class TestPredictor:
