@@ -14,9 +14,8 @@ from .coeffmatrix import (CoefficientMatrix, MarginalReport,
                           deviation_trend, equivalent_marginals, load,
                           normalize_rows, save, to_csv, trace_sampler)
 from .engine import RunConfig, RunResult, over_enhance, run_matrix
-from .guidance import (GuidanceDecomposition, GuidanceStage, cfg_combine,
-                       classify_matrix, classify_pair, classify_row,
-                       decompose_row, unfold)
+from .guidance import (GuidanceDecomposition, GuidanceStage,
+                       classify_matrix, classify_row, decompose_row, unfold)
 from .oracles import (Dataset, GaussianMixture, Predictor, load_dataset,
                       load_mixture, make_predictor,
                       posterior_mean_dataset, posterior_mean_gmm,

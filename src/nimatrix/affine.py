@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ProtocolError
+from .errors import NumericError, ProtocolError, check_int
 
 TRACE = "trace"
 CONCRETE = "concrete"
@@ -124,7 +124,7 @@ class RunContext:
         self.mode = mode
         self.predictor = predictor
         self.shape = tuple(shape) if shape is not None else None
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(check_int("seed", seed, 0))
         self.records: list = []
         self.noise_ids: list = []
         self._used_noise_ids: set = set()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, check_int
 from .oracles import Dataset, posterior_top
 # bench/tracing.py spans analysis.posterior_weights, so the name stays bound
 from .oracles import posterior_weights  # noqa: F401
@@ -55,17 +55,19 @@ class DegradationReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_counts(successes: int, trials: int) -> None:
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    if not 0 <= successes <= trials:  # also rejects NaN
-        raise ParameterError(f"need 0 <= successes <= trials, got "
+def _check_counts(successes: int, trials: int) -> tuple:
+    """The count pair of the Wilson helpers as ``int``s, checked."""
+    successes = check_int("successes", successes, 0)
+    trials = check_int("trials", trials, 1)
+    if successes > trials:
+        raise ParameterError(f"need successes <= trials, got "
                              f"{successes} of {trials}")
+    return successes, trials
 
 
 def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
     """Half-width of the Wilson score interval for a binomial rate."""
-    _check_counts(successes, trials)
+    successes, trials = _check_counts(successes, trials)
     p = successes / trials
     denom = 1.0 + z * z / trials
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials
@@ -75,7 +77,7 @@ def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
 
 def wilson_center(successes: int, trials: int, z: float = 1.959964) -> float:
     """Center of the Wilson score interval for a binomial rate."""
-    _check_counts(successes, trials)
+    successes, trials = _check_counts(successes, trials)
     p = successes / trials
     denom = 1.0 + z * z / trials
     return (p + z * z / (2.0 * trials)) / denom
@@ -109,9 +111,8 @@ def degradation_table(ds: Dataset, schedules, times, trials: int = 1000,
     The max posterior weight lies in (0, 1], so a threshold outside
     (0, 1) would count every draw or none and is rejected.
     """
-    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
-            or trials < 1):
-        raise ParameterError(f"need an integer trials >= 1, got {trials!r}")
+    trials = check_int("trials", trials, 1)
+    seed = check_int("seed", seed, 0)
     if not 0.0 < threshold < 1.0:  # also rejects NaN
         raise ParameterError(f"need a threshold in (0, 1), got {threshold}")
     if len(schedules) == 0 or len(times) == 0:
@@ -189,4 +190,6 @@ def submerged_fraction(profile, threshold: float = 1.0) -> float:
         raise ParameterError("empty profile")
     if np.isnan(p).any():
         raise ValidationError("NaN in profile")
+    if math.isnan(threshold):
+        raise ParameterError("threshold is NaN")
     return float(np.mean(p < threshold))

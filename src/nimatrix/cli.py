@@ -23,7 +23,7 @@ from . import analysis, coeffmatrix, engine, guidance, oracles, presets
 from . import schedule as sched
 from . import search as searchmod
 from .errors import (DomainError, FormatError, NumericError, ParameterError,
-                     ProtocolError, ValidationError)
+                     ProtocolError, ValidationError, check_int)
 from .samplers import KINDS, SamplerSpec, default_grid, default_schedule
 
 EXIT_OK = 0
@@ -188,7 +188,7 @@ def cmd_search(args):
     else:
         base = _load_matrix(args.init)
     pred = _parse_predictor(args.predictor, base.schedule())
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_int("seed", args.seed, 0))
     if args.reference:
         ref = _load_dataset(args.reference).atoms
     else:

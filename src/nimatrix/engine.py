@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coeffmatrix import CoefficientMatrix
-from .errors import NumericError, ParameterError, ValidationError
+from .errors import NumericError, ParameterError, ValidationError, check_int
 from .schedule import Schedule, mixing_coeffs
 
 
@@ -52,6 +52,10 @@ class RunConfig:
     predictor: object
     n: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,6 @@ def _draw(m: CoefficientMatrix, n: int, d: int, seed: int) -> np.ndarray:
     columns, the same stream as one ``(n, d)`` batch per column in
     column order.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((m.noise.shape[1], n, d)).reshape(-1, n * d)
 
@@ -218,11 +220,10 @@ def over_enhance(pred, s: Schedule, t, x_init, k: int,
     ``dry``: the raw prediction feeds straight back in, ``x <- f_t(x)``.
     Returns the full sequence including ``x_init``.
     """
-    if k < 0:
-        raise ParameterError(f"need k >= 0, got {k}")
+    k = check_int("k", k, 0)
     if mode not in ("renoise", "dry"):
         raise ParameterError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     x = np.asarray(x_init, dtype=np.float64)
     seq = [x]
     c0, c1 = mixing_coeffs(s, t)

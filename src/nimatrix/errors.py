@@ -2,7 +2,12 @@
 
 The CLI maps these onto exit codes: parameter/validation problems exit 2,
 numeric failures exit 3, and file-format or I/O problems exit 4.
+
+``check_int`` is the one check of an integer parameter (a count, a size
+or a seed) of the API and the CLI.
 """
+
+import numbers
 
 
 class NimatrixError(Exception):
@@ -36,3 +41,17 @@ class FormatError(NimatrixError, ValueError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+
+def check_int(name: str, value, low: int) -> int:
+    """``value`` as an ``int``, if it is a Python or NumPy integer of at
+    least ``low`` (0 or 1).
+
+    Anything else, a bool, a float (even 3.0 or NaN), a string or None
+    included, raises :class:`ParameterError`.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        kind = "non-negative" if low == 0 else "positive"
+        raise ParameterError(f"need a {kind} integer {name}, got {value!r}")
+    return int(value)

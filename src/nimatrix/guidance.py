@@ -15,11 +15,11 @@ stages, folded pairwise; :func:`decompose_row` performs the fold and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import lin_combine
 from .errors import NumericError, ValidationError
 
 FORE = "Fore"
@@ -62,24 +62,6 @@ class GuidanceDecomposition:
         return tuple(stage.klass for stage, _ in self.stages)
 
 
-def cfg_combine(bad, good, lam: float):
-    """Classifier-free-guidance combination ``bad + lam * (good - bad)``."""
-    return lin_combine([(1.0 - lam, bad), (lam, good)])
-
-
-def classify_pair(a: float, b: float):
-    """Factor ``a * good + b * bad`` into (scale, stage).
-
-    ``a`` weights the newer output.  The classification only depends on
-    the ratio, so positive rescaling never changes the class.
-    """
-    total = a + b
-    if total == 0.0:
-        raise NumericError(
-            f"pure difference ({a}, {b}): scale is zero, no stage exists")
-    return total, GuidanceStage(eta_good=a / total, eta_bad=b / total)
-
-
 def decompose_row(coeffs, fold_order: str = "oldest-first"):
     """Fold an ordered coefficient row into nested guidance stages.
 
@@ -87,11 +69,14 @@ def decompose_row(coeffs, fold_order: str = "oldest-first"):
     skipped.  With the default fold the two oldest terms pair up first
     and each newer term folds around the accumulated combination, the
     newer side playing "good"; ``newest-first`` starts from the newest
-    pair instead and folds older terms in as the "bad" side.
+    pair instead and folds older terms in as the "bad" side.  A
+    non-finite coefficient raises :class:`ValidationError`.
     """
     if fold_order not in ("oldest-first", "newest-first"):
         raise ValidationError(f"unknown fold order {fold_order!r}")
     nz = [float(c) for c in coeffs if c != 0.0]
+    if not all(map(math.isfinite, nz)):
+        raise ValidationError(f"non-finite coefficient in {nz}")
     if len(nz) < 2:
         raise ValidationError(
             f"need at least two nonzero coefficients, got {len(nz)}")

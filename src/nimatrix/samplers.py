@@ -36,7 +36,7 @@ from scipy.integrate import quad
 
 from . import schedule as sched
 from .affine import RunContext, lin_combine
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, check_int
 from .schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, Schedule,
                        mixing_coeffs)
 
@@ -87,10 +87,7 @@ def _check_options(kind: str, options) -> None:
     if options.get("correction_sign", -1) not in (-1, 1):
         raise ParameterError(f"correction_sign must be +1 or -1, got "
                              f"{options['correction_sign']!r}")
-    points = options.get("points", 1)
-    if not (isinstance(points, numbers.Integral) and points >= 1):
-        raise ParameterError(f"points must be a positive integer, got "
-                             f"{points!r}")
+    check_int("points", options.get("points", 1), 1)
 
 
 @dataclass(frozen=True)
@@ -171,13 +168,6 @@ def _vp_euler_step_coeffs(s: Schedule, t, t_prev,
 # ---------------------------------------------------------------------
 # Prediction-type conversions
 # ---------------------------------------------------------------------
-
-def x0_from_eps(s: Schedule, t, x, eps_hat):
-    c0, c1 = mixing_coeffs(s, t)
-    if c0 == 0.0:
-        raise NumericError("c0 = 0: cannot convert eps-prediction to x0")
-    return lin_combine([(1.0 / c0, x), (-c1 / c0, eps_hat)])
-
 
 def eps_from_x0(s: Schedule, t, x, x0_hat):
     c0, c1 = mixing_coeffs(s, t)
@@ -359,8 +349,9 @@ def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int,
     kind = KIND_TABLE[spec.kind]
     if rule is None:
         rule = "quadratic" if spec.kind in DEIS_POINTS else "linspace-trailing"
-    if n_evals < 1 or n_evals % kind.evals_per_step:
-        raise ParameterError(f"{spec.kind} needs a positive evaluation count "
+    n_evals = check_int("n_evals", n_evals, 1)
+    if n_evals % kind.evals_per_step:
+        raise ParameterError(f"{spec.kind} needs an evaluation count "
                              f"divisible by {kind.evals_per_step}")
     if kind.family == VP_CONTINUOUS:  # n grid points span n - 1 steps
         n_evals = n_evals // kind.evals_per_step + 1

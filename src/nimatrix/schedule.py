@@ -40,7 +40,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ParameterError, ValidationError
+from .errors import (DomainError, FormatError, ParameterError,
+                     ValidationError, check_int)
 
 VP_DISCRETE = "vp-discrete"
 FLOW = "flow"
@@ -116,8 +117,7 @@ def make_vp_linear(beta_min: float = 1e-4, beta_max: float = 0.02,
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ParameterError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    if T < 1:
-        raise ParameterError(f"need T >= 1, got {T}")
+    T = check_int("T", T, 1)
     try:
         betas = np.linspace(beta_min, beta_max, T)
     except (ValueError, IndexError) as exc:
@@ -246,12 +246,15 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
       ``sqrt(T_EPS)``, squared — concentrating points near ``T_EPS``.
     - explicit: caller-provided list, each time in the schedule's domain
       (``mixing_coeffs``); vp-discrete times are stored as the integers
-      they name.
+      they name.  ``n`` is not read.
 
+    Every other rule takes a positive integer ``n`` (``check_int``).
     Every rule's times are checked to strictly decrease as stored.
     """
     if rule not in RULES:
         raise ParameterError(f"unknown grid rule {rule!r}")
+    if rule != "explicit":
+        n = check_int("n", n, 1)
     if rule == "explicit":
         if explicit is None or len(explicit) == 0:
             raise ParameterError("explicit rule requires a time list")
@@ -260,8 +263,6 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
         times = explicit
         if s.family == VP_DISCRETE:
             times = [round(float(t)) for t in explicit]
-    elif n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
     elif s.family == VP_DISCRETE:
         if n > s.T:
             raise ParameterError(f"n={n} exceeds T={s.T}")

@@ -35,7 +35,7 @@ from ._pool import run_blocks
 from .coeffmatrix import (CoefficientMatrix, normalize_rows, rescale_row,
                           row_sums)
 from .engine import RunConfig, _draw, _play, run_matrix
-from .errors import NimatrixError, ParameterError, ValidationError
+from .errors import NimatrixError, ParameterError, ValidationError, check_int
 
 
 MAX_PAIRS = 4_000_000
@@ -49,7 +49,7 @@ _ROWS = 64
 
 
 def _cap(max_pairs: int) -> int:
-    return max(1, int(np.sqrt(max_pairs)))
+    return int(np.sqrt(check_int("max_pairs", max_pairs, 1)))
 
 
 def _mean_dists(*pairs) -> list:
@@ -76,6 +76,8 @@ def _points(x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.size == 0:
         raise ParameterError("sample sets must be non-empty")
+    if not np.isfinite(x).all():
+        raise ValidationError("sample sets must be finite")
     return x
 
 
@@ -160,8 +162,7 @@ class SearchSpace:
     targets: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        if self.band < 1:
-            raise ParameterError(f"need band >= 1, got {self.band}")
+        object.__setattr__(self, "band", check_int("band", self.band, 1))
         lo, hi = self.bounds
         if not lo < hi:
             raise ParameterError(f"invalid bounds {self.bounds}")
@@ -217,10 +218,9 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     matrix normalized to the targets, so the final objective never
     exceeds the baseline.
     """
-    if budget < 0:
-        raise ParameterError(f"need budget >= 0, got {budget}")
-    if n_samples < 1:
-        raise ParameterError(f"need n_samples >= 1, got {n_samples}")
+    budget = check_int("budget", budget, 0)
+    n_samples = check_int("n_samples", n_samples, 1)
+    seed = check_int("seed", seed, 0)
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"need a finite step > 0, got {step}")
     reference = prepare_reference(reference)

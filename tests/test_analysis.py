@@ -150,3 +150,8 @@ class TestSpectrum:
     def test_submerged_nan_rejected(self, profile):
         with pytest.raises(ValidationError, match="NaN"):
             submerged_fraction(profile)
+
+    def test_submerged_nan_threshold_rejected(self):
+        # every comparison with NaN is false, so it would read 0.0
+        with pytest.raises(ParameterError, match="threshold"):
+            submerged_fraction([0.5, 2.0], threshold=np.nan)

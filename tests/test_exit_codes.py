@@ -400,6 +400,22 @@ def test_degrade_threshold_outside_unit_interval_exits_2(workdir, threshold):
                       "--threshold", threshold) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--matrix", "ddim-18", "--predictor", "gmm:{mix}",
+     "--n", "2"),
+    ("search", "--predictor", "gmm:{mix}", "--steps", "3", "--budget", "2"),
+    ("degrade", "--data", "{data}", "--family", "vp", "--times", "500",
+     "--trials", "5"),
+], ids=["sample", "search", "degrade"])
+def test_negative_seed_exits_2(workdir, capsys, argv):
+    # NumPy's seeding raised ValueError for it, a traceback with exit 1
+    paths = {"mix": workdir / "mix.json",
+             "data": _write(workdir, "data.bin", DATASET)}
+    assert main([a.format(**paths) for a in argv] + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: need a non-negative integer seed, got -1"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @FILE_SETTINGS
 @given(image=image_files())

@@ -1,48 +1,43 @@
 import numpy as np
 import pytest
 
-from nimatrix.affine import AffineState
 from nimatrix.errors import NumericError, ValidationError
-from nimatrix.guidance import (BACK, DEGENERATE, FORE, MID, cfg_combine,
-                               classify_pair, classify_row, decompose_row,
-                               unfold)
+from nimatrix.guidance import (BACK, DEGENERATE, FORE, MID, GuidanceStage,
+                               classify_row, decompose_row, unfold)
 
 
 class TestClassifyPair:
+    """A two-term row ``[b, a]`` (older first) folds into one stage with
+    scale ``a + b`` and weight ``a / (a + b)`` on the newer output."""
+
     def test_interpolation_is_mid(self):
-        scale, stage = classify_pair(0.3, 0.7)
+        (stage, scale), = decompose_row([0.7, 0.3]).stages
         assert scale == pytest.approx(1.0)
         assert stage.klass == MID
         assert stage.lam == pytest.approx(0.3)
 
     def test_extrapolation_past_newer_is_fore(self):
-        _, stage = classify_pair(1.5, -0.5)
+        (stage, _), = decompose_row([-0.5, 1.5]).stages
         assert stage.klass == FORE
 
     def test_extrapolation_behind_older_is_back(self):
-        _, stage = classify_pair(-0.5, 1.5)
+        (stage, _), = decompose_row([1.5, -0.5]).stages
         assert stage.klass == BACK
 
     def test_copying_one_input_is_degenerate(self):
-        assert classify_pair(1.0, 0.0)[1].klass == DEGENERATE
-        assert classify_pair(0.0, 2.0)[1].klass == DEGENERATE
+        # a row that copies one output has one nonzero entry, so no fold
+        # makes such a stage; its class is read off the stage itself
+        assert GuidanceStage(eta_good=1.0, eta_bad=0.0).klass == DEGENERATE
+        assert GuidanceStage(eta_good=0.0, eta_bad=1.0).klass == DEGENERATE
 
     def test_scale_invariance(self):
-        _, a = classify_pair(0.3, 0.7)
-        _, b = classify_pair(3.0, 7.0)
+        (a, _), = decompose_row([0.7, 0.3]).stages
+        (b, _), = decompose_row([7.0, 3.0]).stages
         assert a.lam == pytest.approx(b.lam)
 
     def test_pure_difference_rejected(self):
         with pytest.raises(NumericError):
-            classify_pair(1.0, -1.0)
-
-
-class TestCfgCombine:
-    def test_weights(self):
-        bad = AffineState(signal=[1.0])
-        good = AffineState(signal=[0.0, 1.0])
-        out = cfg_combine(bad, good, 2.0)
-        assert out.signal.tolist() == [-1.0, 2.0]
+            decompose_row([-1.0, 1.0])
 
 
 class TestDecompose:
@@ -88,6 +83,14 @@ class TestDecompose:
     def test_single_nonzero_rejected(self):
         with pytest.raises(ValidationError):
             decompose_row([0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.inf],
+                                        [-np.inf, 0.5, 1.0]],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        # a NaN would otherwise fold into NaN stages
+        with pytest.raises(ValidationError):
+            decompose_row(coeffs)
 
     def test_zero_prefix_sum_rejected(self):
         with pytest.raises(NumericError):

@@ -7,11 +7,10 @@ from nimatrix.errors import DomainError, NumericError, ParameterError
 from nimatrix.samplers import (DEIS_POINTS, KIND_TABLE, KINDS, SamplerSpec,
                                ddim_step_coeffs, ddpm_step_coeffs,
                                default_grid, default_schedule, deis_weights,
-                               flow_euler_step_coeffs, x0_from_eps,
-                               eps_from_x0)
+                               flow_euler_step_coeffs, eps_from_x0)
 from nimatrix.schedule import (FAMILIES, make_flow, make_vp_continuous,
                                make_vp_linear, mixing_coeffs)
-from nimatrix.affine import AffineState
+from nimatrix.affine import AffineState, lin_combine
 from nimatrix.coeffmatrix import trace_sampler
 
 
@@ -63,7 +62,8 @@ class TestConversions:
     def test_x0_eps_roundtrip(self, vp):
         x = AffineState(signal=[0.4], noise=[0.9])
         e = AffineState(signal=[0.0, 1.0])
-        y = x0_from_eps(vp, 500, x, e)
+        c0, c1 = c01(vp, 500)
+        y = lin_combine([(1.0 / c0, x), (-c1 / c0, e)])  # x0 from eps
         e2 = eps_from_x0(vp, 500, x, y)
         assert e2.signal[1] == pytest.approx(1.0, abs=1e-12)
         assert e2.signal[0] == pytest.approx(0.0, abs=1e-12)

@@ -53,6 +53,18 @@ class TestEnergyDistance:
             prepare_reference(np.zeros((0, 2)))
         with pytest.raises(ParameterError):
             energy_distance(np.zeros((3, 2)), prepare_reference(np.zeros((3, 4))))
+        # a non-finite point made the distance NaN, and in a reference
+        # the self-term
+        for value in (np.nan, np.inf, -np.inf):
+            bad = rng.standard_normal((6, 2))
+            bad[3, 1] = value
+            good = rng.standard_normal((5, 2))
+            with pytest.raises(ValidationError, match="finite"):
+                energy_distance(bad, good)
+            with pytest.raises(ValidationError, match="finite"):
+                energy_distance(good, bad)
+            with pytest.raises(ValidationError, match="finite"):
+                prepare_reference(bad)
 
     # max_pairs=400 caps each set at 20 rows.
     @pytest.mark.parametrize("n_a,n_b", [(12, 20), (20, 50), (30, 15), (30, 50)],
@@ -448,6 +460,17 @@ class TestOptimize:
         assert len(res.objective_trace) == 1
         assert np.isfinite(res.best_objective)
         assert len(logged) == 5 and "non-finite" in logged[0]
+
+    def test_non_finite_reference_rejected_before_any_call(self, ddim5,
+                                                           ring_gmm):
+        # it made an all-NaN trace that kept the start matrix
+        pred = _Counting(make_predictor(ring_gmm, ddim5.schedule()))
+        ref = np.zeros((16, 2))
+        ref[5, 0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            optimize_matrix(SearchSpace(base=ddim5), pred, ref, budget=6,
+                            n_samples=32)
+        assert pred.calls == 0
 
     def test_other_errors_propagate(self, ddim5, ring_gmm):
         pred = _FailAfter(make_predictor(ring_gmm, ddim5.schedule()),
