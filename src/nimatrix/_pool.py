@@ -1,10 +1,12 @@
 """One worker thread and the block loop the caller shares with it.
 
-The energy distance (``search._mean_dists``) and the dataset oracle
-(``oracles._posterior``) split their work into blocks whose native
-kernels release the GIL.  ``run_blocks`` lets the caller and the
-package's single worker thread take those blocks in turn, so the package
-never runs more than two threads of its own, whoever calls it.
+The energy distance (``search._mean_dists``, whose blocks are the leaves
+of a pairwise-sum tree, each filled and summed on one thread) and the
+dataset oracle (``oracles._posterior``, whose blocks are row ranges of
+one result) split their work into blocks whose native kernels release
+the GIL.  ``run_blocks`` lets the caller and the package's single worker
+thread take those blocks in turn, so the package never runs more than
+two threads of its own, whoever calls it.
 """
 
 from __future__ import annotations

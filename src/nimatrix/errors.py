@@ -3,8 +3,8 @@
 The CLI maps these onto exit codes: parameter/validation problems exit 2,
 numeric failures exit 3, and file-format or I/O problems exit 4.
 
-``check_int`` is the one check of an integer parameter (a count, a size
-or a seed) of the API and the CLI.
+``check_int`` is the one check of an integer parameter (a count, a size,
+a seed or a dataset label) of the API and the CLI.
 """
 
 import numbers
@@ -43,15 +43,15 @@ class FormatError(NimatrixError, ValueError):
         self.column = column
 
 
-def check_int(name: str, value, low: int) -> int:
+def check_int(name: str, value, low: int | None) -> int:
     """``value`` as an ``int``, if it is a Python or NumPy integer of at
-    least ``low`` (0 or 1).
+    least ``low`` (0 or 1, or None for any integer).
 
     Anything else, a bool, a float (even 3.0 or NaN), a string or None
     included, raises :class:`ParameterError`.
     """
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < low):
-        kind = "non-negative" if low == 0 else "positive"
-        raise ParameterError(f"need a {kind} integer {name}, got {value!r}")
+            or (low is not None and value < low)):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
+        raise ParameterError(f"need {kind} integer {name}, got {value!r}")
     return int(value)

@@ -58,7 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._pool import run_blocks
-from .errors import FormatError, ParameterError, ValidationError
+from .errors import (FormatError, NumericError, ParameterError,
+                     ValidationError, check_int)
 from .schedule import Schedule, mixing_coeffs
 
 DATASET_MAGIC = b"NIDS1"
@@ -96,6 +97,7 @@ class Dataset:
         return self.atoms.shape[1]
 
     def subset(self, label) -> "Dataset":
+        label = check_int("label", label, None)
         if self.labels is None:
             raise ParameterError("dataset has no labels")
         mask = self.labels == label
@@ -370,6 +372,15 @@ class Predictor:
         return self.source.d
 
     def __call__(self, t, x):
+        """The posterior mean at ``t`` of one ``(d,)`` state or a ``(b, d)``
+        batch.  A state of another shape is ``ValidationError``, and a
+        non-finite one (an executor that overflowed) ``NumericError``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
+            raise ValidationError(f"need ({self.d},) or (b, {self.d}) "
+                                  f"states, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise NumericError(f"non-finite state at t = {t!r}")
         if isinstance(self.source, Dataset):
             return posterior_mean_dataset(self.source, self.schedule, t, x)
         return posterior_mean_gmm(self.source, self.schedule, t, x)

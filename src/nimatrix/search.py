@@ -3,13 +3,16 @@
 The objective is the energy distance between samples produced by a
 candidate matrix and a reference sample set from the target
 distribution — a feature-free two-sample statistic that is zero iff the
-distributions agree.  Its all-pairs means fill their distance matrices
-in blocks of ``_ROWS`` rows that the caller and the package's one worker
-thread take in turn (``_mean_dists`` through ``_pool.run_blocks``, the
-block loop the dataset oracle also uses).  Unlike the oracle's GEMMs,
-``cdist`` does not run on BLAS threads, so the split is always taken;
-every entry is computed on its own, so each mean is bitwise the
-single-threaded ``cdist(x, y).mean()`` whatever the block boundaries.
+distributions agree.  Its all-pairs means never hold a whole distance
+matrix.  Each sum is cut along NumPy's pairwise-summation tree into
+leaves of at most ``_ROWS`` rows, which the caller and the package's one
+worker thread take in turn (``_mean_dists`` through ``_pool.run_blocks``,
+the block loop the dataset oracle also uses); a leaf fills its rows and
+sums its entries while they are in cache, and the caller adds the leaf
+sums up the tree.  Unlike the oracle's GEMMs, ``cdist`` does not run on
+BLAS threads, so the split is always taken.  Every entry is computed on
+its own and every addition is one that NumPy's ``pairwise_sum`` makes, so
+each mean is bitwise the single-threaded ``cdist(x, y).mean()``.
 
 The search is a banded coordinate descent: only entries within ``band``
 columns left of the diagonal move, a candidate rescales only its edited
@@ -42,34 +45,75 @@ MAX_PAIRS = 4_000_000
 
 # cdist releases the GIL, so the worker thread can fill distance rows
 # while the caller does.  A 64-row block against the 2000-point reference
-# is about half a millisecond: small enough that the caller waits at most
-# that long for the worker's last block, large enough that the per-call
-# overhead of cdist (about 10 us) stays small.
+# is about half a millisecond and 1 MB: small enough to be summed while it
+# is still in a 2 MB L2 cache and that the caller waits at most that long
+# for the worker's last block, large enough that the per-call overhead of
+# cdist (about 10 us) stays small.
 _ROWS = 64
+
+#: NumPy's ``pairwise_sum`` adds a run of at most this many elements with
+#: eight accumulators and splits a longer one in two.
+_PAIRWISE_BLOCK = 128
 
 
 def _cap(max_pairs: int) -> int:
     return int(np.sqrt(check_int("max_pairs", max_pairs, 1)))
 
 
-def _mean_dists(*pairs) -> list:
-    """Mean Euclidean distance over all pairs of rows of each ``(x, y)``.
+def _sum_tree(x, y, lo: int, n: int, leaves: list):
+    """NumPy's pairwise-sum tree over entries ``[lo, lo + n)`` of the
+    flattened ``cdist(x, y)``, cut into leaves of at most ``_ROWS`` rows'
+    worth of entries.
 
-    Each pair's distances fill one ``(n_x, n_y)`` buffer in blocks of
-    ``_ROWS`` rows, which the caller and the package's worker thread take
-    in turn (``_pool.run_blocks``).  Each entry is computed on its own,
-    so each mean is bitwise equal to ``cdist(x, y).mean()``.
+    A run longer than ``_PAIRWISE_BLOCK`` splits at ``n//2`` rounded down
+    to a multiple of 8, as ``pairwise_sum`` splits it, so the sum of a
+    leaf is bitwise its subtree of the full buffer's sum (both reductions
+    start from 0.0, which changes no sum of distances).  A leaf is the
+    list ``[x, y, lo, n, sum]``, appended to ``leaves`` with its sum still
+    ``None``; an inner node is the pair of its halves.
     """
-    outs = [np.empty((x.shape[0], y.shape[0])) for x, y in pairs]
+    if n <= max(_ROWS * y.shape[0], _PAIRWISE_BLOCK):
+        leaf = [x, y, lo, n, None]
+        leaves.append(leaf)
+        return leaf
+    h = n // 2 - (n // 2) % 8
+    return (_sum_tree(x, y, lo, h, leaves),
+            _sum_tree(x, y, lo + h, n - h, leaves))
 
-    def fill(block):
-        x, y, out = block
-        cdist(x, y, out=out)
 
-    run_blocks(fill, [(x[s:s + _ROWS], y, out[s:s + _ROWS])
-                      for (x, y), out in zip(pairs, outs)
-                      for s in range(0, x.shape[0], _ROWS)])
-    return [out.sum() / out.size for out in outs]
+def _sum_leaf(leaf: list) -> None:
+    """Fill the rows a leaf's entries lie in and sum the entries.
+
+    The leaf may start and end inside a row, so its boundary rows can be
+    filled by two leaves; the block is at most ``_ROWS + 1`` rows (or a
+    ``_PAIRWISE_BLOCK`` run's worth of short rows).
+    """
+    x, y, lo, n, _ = leaf
+    r0, r1 = lo // y.shape[0], -(-(lo + n) // y.shape[0])
+    start = lo - r0 * y.shape[0]
+    leaf[4] = cdist(x[r0:r1], y).reshape(-1)[start:start + n].sum()
+
+
+def _total(node):
+    if isinstance(node, list):
+        return node[4]
+    return _total(node[0]) + _total(node[1])
+
+
+def _mean_dists(*pairs) -> list:
+    """Mean Euclidean distance over all pairs of rows of each ``(x, y)``,
+    bitwise ``cdist(x, y).mean()``, with no ``(n_x, n_y)`` buffer.
+
+    The leaves of every pair's tree (``_sum_tree``) go to
+    ``_pool.run_blocks`` as one list, and each pair's leaf sums are added
+    up its tree.
+    """
+    leaves = []
+    trees = [_sum_tree(x, y, 0, x.shape[0] * y.shape[0], leaves)
+             for x, y in pairs]
+    run_blocks(_sum_leaf, leaves)
+    return [_total(tree) / (x.shape[0] * y.shape[0])
+            for tree, (x, y) in zip(trees, pairs)]
 
 
 def _points(x) -> np.ndarray:
@@ -205,13 +249,14 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     Every evaluation runs the candidate matrix with the same executor
     seed and scores it against the fixed reference set, whose side of
     the energy distance is prepared once per search; the caller and one
-    worker thread fill each distance matrix (``_mean_dists``).  The starting
-    matrix is run in full (``run_matrix``); its output and state buffers
-    are kept as the current ones, and a candidate that edits row ``i``
-    copies rows ``:i`` of them into a second pair and replays only from
-    row ``i`` (``engine._play``), with the same draws.  The pairs swap when a
-    candidate is accepted.  The samples are bitwise those of a full run
-    of the candidate.  Candidates that fail with a package or arithmetic
+    worker thread fill and sum each distance block (``_mean_dists``).
+    The starting matrix is run in full (``run_matrix``); its output and
+    state buffers are kept as the current ones, and a candidate that
+    edits row ``i`` copies rows ``:i`` of them into a second pair and
+    replays only from row ``i`` (``engine._play``), with the same draws.
+    The pairs swap when a candidate is accepted.  The samples are bitwise
+    those of a full run of the candidate.  Candidates that fail with a
+    package or arithmetic
     error are charged against the budget and skipped, as is an edit that
     leaves its row summing to zero against a nonzero target; any other
     exception propagates.  The first evaluation scores the starting

@@ -1,12 +1,14 @@
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nimatrix.cli import main
-from nimatrix.coeffmatrix import load
+from nimatrix.coeffmatrix import load, save
 from nimatrix.oracles import Dataset, save_dataset
+from nimatrix.presets import load_preset
 from nimatrix.samplers import KINDS
 
 
@@ -185,6 +187,20 @@ class TestSample:
                                    "--predictor", f"gmm:{g}", "--n", "2")
         assert code == 3
         assert stdout == "" and "non-finite" in stderr
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_state_is_numeric_error(self, capsys, tmp_path):
+        # noise weights of 1e308 overflow the first state to inf
+        m = tmp_path / "m.json"
+        ddim = load_preset("ddim-18")
+        save(replace(ddim, noise=ddim.noise * 1e308), m)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"weights": [1.0], "means": [[0.0, 0.0]],
+                                 "variances": [1.0]}))
+        code, stdout, stderr = run(capsys, "sample", "--matrix", str(m),
+                                   "--predictor", f"gmm:{g}", "--n", "8")
+        assert code == 3
+        assert stdout == "" and "non-finite state" in stderr
 
     def test_non_utf8_mixture_is_format_error(self, capsys, tmp_path):
         g = tmp_path / "g.json"

@@ -161,6 +161,14 @@ class TestRunMatrix:
         with pytest.raises(NumericError, match="non-finite"):
             run_matrix(RunConfig(matrix=m, predictor=Bad(), n=2))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_state_is_numeric_error(self, ddim18):
+        # the predictor rejects the overflowed state; it used to return NaN
+        m, pred = ddim18
+        big = replace(m, noise=m.noise * 1e308)
+        with pytest.raises(NumericError, match="non-finite state"):
+            run_matrix(RunConfig(matrix=big, predictor=pred, n=2))
+
 
 class TestMatrixProducts:
     @pytest.mark.parametrize("mode", ["traced", "single-terminal"])

@@ -110,6 +110,12 @@ class TestCheckInt:
                 f"^need a {word} integer trials, got 2.5$")):
             check_int("trials", 2.5, low)
 
+    def test_no_lower_bound_takes_any_integer(self):
+        assert check_int("label", np.int64(-7), None) == -7
+        with pytest.raises(ParameterError,
+                           match="^need an integer label, got True$"):
+            check_int("label", True, None)
+
     @pytest.mark.parametrize("value", [3.0, np.float64(3.0), np.True_,
                                        np.array(3), [3]])
     def test_integer_valued_non_integers_rejected(self, value):

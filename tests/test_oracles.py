@@ -11,7 +11,8 @@ from scipy.stats import multivariate_normal
 
 from nimatrix import _pool, oracles
 from nimatrix.analysis import degradation_table
-from nimatrix.errors import FormatError, ParameterError, ValidationError
+from nimatrix.errors import (FormatError, NumericError, ParameterError,
+                             ValidationError)
 from nimatrix.oracles import (Dataset, GaussianMixture,
                               gmm_marginal_logdensity, load_dataset,
                               load_dataset_csv, load_mixture, make_predictor,
@@ -510,6 +511,45 @@ class TestPredictor:
         # a label selects dataset atoms; a mixture has none to select
         with pytest.raises(ParameterError, match="label"):
             make_predictor(gmm16, vp, label=7)
+
+    @pytest.mark.parametrize("label", [True, 1.0, np.float64(1.0), "1"],
+                             ids=["bool", "float", "numpy-float", "string"])
+    def test_non_integer_label_rejected(self, small_dataset, vp, label):
+        # True and 1.0 compared equal to label 1 and selected its atoms
+        with pytest.raises(ParameterError, match="integer label"):
+            make_predictor(small_dataset, vp, label=label)
+
+    def test_any_integer_label_accepted(self, vp):
+        ds = Dataset(atoms=np.arange(8.0).reshape(4, 2),
+                     labels=np.array([-3, 1, -3, 2]))
+        for label, n in ((-3, 2), (np.int64(-3), 2), (np.uint8(1), 1)):
+            assert make_predictor(ds, vp, label=label).source.n == n
+
+    @pytest.mark.parametrize("source", ["dataset", "mixture"])
+    def test_non_finite_state_is_numeric_error(self, small_dataset, vp,
+                                               source):
+        # both posterior means returned NaN for a NaN state
+        ds = small_dataset
+        src = ds if source == "dataset" else GaussianMixture(
+            weights=[0.5, 0.5], means=ds.atoms[:2], variances=[1.0, 1.0])
+        pred = make_predictor(src, vp)
+        for bad in (np.full(4, np.nan), np.array([[0.0, 1.0, np.inf, 0.0]])):
+            with pytest.raises(NumericError, match="non-finite state"):
+                pred(500, bad)
+
+    @pytest.mark.parametrize("source", ["dataset", "mixture"])
+    def test_state_of_wrong_width_is_validation_error(self, small_dataset,
+                                                      vp, source):
+        # a (2, 5) state raised NumPy's matmul ValueError
+        ds = small_dataset
+        src = ds if source == "dataset" else GaussianMixture(
+            weights=[0.5, 0.5], means=ds.atoms[:2], variances=[1.0, 1.0])
+        pred = make_predictor(src, vp)
+        for shape in ((2, 5), (3,), (), (1, 2, 4)):
+            with pytest.raises(ValidationError, match="states, got shape"):
+                pred(500, np.zeros(shape))
+        assert pred(500, np.zeros((2, 4))).shape == (2, 4)
+        assert pred(500, np.zeros(4)).shape == (4,)
 
 
 class TestMixtureFile:

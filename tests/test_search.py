@@ -92,14 +92,46 @@ class TestEnergyDistance:
         b += 1.0
         assert energy_distance(a, ref, max_pairs=400) == expected
 
+    # (512, 2000) and (512, 512) are the search's two fills, (2000, 2000)
+    # the default reference's self-term; (129, 2000) and (777, 333) cut
+    # leaves inside a row.  A change to NumPy's summation order fails here.
     @pytest.mark.parametrize("n_x,n_y", [(1, 1), (1, 40), (7, 5), (33, 1),
-                                         (513, 31)])
+                                         (513, 31), (512, 2000), (512, 512),
+                                         (2000, 2000), (129, 2000),
+                                         (777, 333)])
     def test_fill_is_bitwise_cdist_mean(self, rng, n_x, n_y):
         x = rng.standard_normal((n_x, 3))
         y = rng.standard_normal((n_y, 3)) + 0.5
         assert _mean_dists((x, y)) == [cdist(x, y).mean()]
         assert _mean_dists((x, y), (y, x), (x, x)) == \
             [cdist(x, y).mean(), cdist(y, x).mean(), cdist(x, x).mean()]
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_short_leaves_are_bitwise_cdist_mean(self, rng, monkeypatch,
+                                                 rows):
+        # leaves shorter than NumPy's 128-element unrolled run
+        import nimatrix.search as searchmod
+        monkeypatch.setattr(searchmod, "_ROWS", rows)
+        for n_x, n_y in ((200, 1), (97, 40), (300, 17), (65, 70), (33, 9)):
+            x = rng.standard_normal((n_x, 3))
+            y = rng.standard_normal((n_y, 3))
+            assert _mean_dists((x, y)) == [cdist(x, y).mean()]
+
+    def test_fill_makes_no_full_buffer(self, rng, monkeypatch):
+        # every cdist call fills at most _ROWS + 1 rows of one block
+        import nimatrix.search as searchmod
+        blocks = []
+
+        def recording_cdist(x, y):
+            blocks.append(x.shape[0])
+            return cdist(x, y)
+
+        monkeypatch.setattr(searchmod, "cdist", recording_cdist)
+        x = rng.standard_normal((777, 2))
+        y = rng.standard_normal((333, 2))
+        assert _mean_dists((x, y)) == [cdist(x, y).mean()]
+        assert max(blocks) <= searchmod._ROWS + 1
+        assert sum(blocks) < x.shape[0] + len(blocks)
 
     def test_fill_does_not_wait_for_a_busy_worker(self, rng):
         # the caller fills every block itself and cancels the queued helper
@@ -165,6 +197,13 @@ class TestEnergyDistance:
         ref = prepare_reference(rng.standard_normal((n_b, 2)), max_pairs=400)
         sub = ref.subsample
         assert sub.shape[0] == min(n_b, 20)
+        assert ref.self_term == cdist(sub, sub).mean()
+
+    def test_full_size_self_term_is_bitwise_cdist_mean(self, rng):
+        # the CLI's 2048-point default reference, scored on 2000 points
+        ref = prepare_reference(rng.standard_normal((2048, 2)))
+        sub = ref.subsample
+        assert sub.shape[0] == 2000
         assert ref.self_term == cdist(sub, sub).mean()
 
 
