@@ -12,7 +12,7 @@ from .analysis import (DegradationReport, degradation_table,
                        radial_spectrum, snr_profile, submerged_fraction)
 from .coeffmatrix import (CoefficientMatrix, MarginalReport,
                           deviation_trend, equivalent_marginals, load,
-                          normalize_rows, save, to_csv, trace_sampler)
+                          normalize_rows, save, trace_sampler)
 from .engine import RunConfig, RunResult, over_enhance, run_matrix
 from .guidance import (GuidanceDecomposition, GuidanceStage,
                        classify_matrix, classify_row, decompose_row, unfold)

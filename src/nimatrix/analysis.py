@@ -29,6 +29,9 @@ from .oracles import Dataset, posterior_top
 from .oracles import posterior_weights  # noqa: F401
 from .schedule import Schedule, mixing_coeffs
 
+#: The normal quantile of the Wilson intervals' 95% coverage.
+WILSON_Z = 1.959964
+
 
 @dataclass(frozen=True)
 class DegradationRow:
@@ -65,9 +68,10 @@ def _check_counts(successes: int, trials: int) -> tuple:
     return successes, trials
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
-    """Half-width of the Wilson score interval for a binomial rate."""
+def wilson_halfwidth(successes: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial rate."""
     successes, trials = _check_counts(successes, trials)
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials
@@ -75,9 +79,10 @@ def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
     return half
 
 
-def wilson_center(successes: int, trials: int, z: float = 1.959964) -> float:
-    """Center of the Wilson score interval for a binomial rate."""
+def wilson_center(successes: int, trials: int) -> float:
+    """Center of the 95% Wilson score interval for a binomial rate."""
     successes, trials = _check_counts(successes, trials)
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     return (p + z * z / (2.0 * trials)) / denom

@@ -39,6 +39,9 @@ DEFAULT_STEPS = 18  # trace evaluations on the trailing and quadratic grids
 _SCHEDULE_NAMES = {"vp-linear": sched.VP_DISCRETE, "flow": sched.FLOW,
                    "vp-continuous": sched.VP_CONTINUOUS}
 
+#: ``trace --grid`` name -> ``make_grid`` rule, the same for every sampler.
+_GRID_RULES = {"trailing": "linspace-trailing", "quadratic": "quadratic"}
+
 #: ``--family`` name -> schedule family, built with its defaults (degrade,
 #: spectrum).
 _FAMILY_NAMES = {"vp": sched.VP_DISCRETE, "flow": sched.FLOW}
@@ -105,32 +108,31 @@ def cmd_trace(args):
     s = (default_schedule(spec) if args.schedule is None
          else _parse_schedule(args.schedule))
     steps = DEFAULT_STEPS if args.steps is None else args.steps
-    grid = None  # the sampler's own trailing grid
-    if args.grid.startswith("explicit:"):
+    explicit = args.grid is not None and args.grid.startswith("explicit:")
+    grid = None  # the sampler's own grid
+    if explicit:
         path = args.grid.split(":", 1)[1]
         times = oracles._read_table(path, 1)
         if times.ndim != 1:
             raise FormatError(f"{path}: want one time per line, got a "
                               f"{times.shape[0]} x {times.shape[1]} table")
         grid = sched.make_grid(s, len(times), "explicit", explicit=times)
-    elif args.grid == "quadratic":
-        grid = default_grid(spec, s, steps, "quadratic")
-    elif args.grid != "trailing":
+    elif args.grid in _GRID_RULES:
+        grid = default_grid(spec, s, steps, _GRID_RULES[args.grid])
+    elif args.grid is not None:
         raise ParameterError(f"unknown grid {args.grid!r}: want trailing, "
                              "quadratic or explicit:FILE")
     m = coeffmatrix.trace_sampler(spec, s=s, grid=grid, n_evals=steps)
-    if (args.grid.startswith("explicit:")
-            and args.steps not in (None, m.n_evals)):
+    if explicit and args.steps not in (None, m.n_evals):
         raise ParameterError(f"--steps {args.steps} but the grid in "
                              f"{args.grid} gives {m.n_evals} evaluations")
     if args.out:
         coeffmatrix.save(m, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
-    report = coeffmatrix.equivalent_marginals(m, s)
+    report = coeffmatrix.equivalent_marginals(m)
     sys.stdout.write(_marginal_csv(report))
     print(f"max deviation (excluding start row): "
-          f"{report.max_deviation(skip_initial_row=True):.6g}",
-          file=sys.stderr)
+          f"{report.max_deviation():.6g}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -275,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{DEFAULT_STEPS}; with explicit:FILE, the file's)")
     t.add_argument("--schedule", default=None,
                    help="vp-linear[:BMIN:BMAX:T] | flow | vp-continuous[:BMIN:BMAX]")
-    t.add_argument("--grid", default="trailing",
-                   help="trailing (default) | quadratic | explicit:FILE")
+    t.add_argument("--grid", default=None,
+                   help="trailing | quadratic | explicit:FILE (default: the "
+                   "sampler's own, quadratic for DEIS, trailing otherwise)")
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_trace)
 

@@ -136,10 +136,15 @@ class MarginalReport:
     def noise_deviation(self) -> np.ndarray:
         return np.abs(self.equivalent_noise - self.ideal_noise)
 
-    def max_deviation(self, skip_initial_row: bool = False) -> float:
-        lo = 1 if skip_initial_row else 0
-        return float(max(self.signal_deviation[lo:].max(initial=0.0),
-                         self.noise_deviation[lo:].max(initial=0.0)))
+    def max_deviation(self) -> float:
+        """Largest signal or noise deviation over every row but the first.
+
+        The first row is the pure-noise starting state shared by every
+        sampler; its deviation is a property of the initialization, not
+        of the iteration rule.
+        """
+        return float(max(self.signal_deviation[1:].max(initial=0.0),
+                         self.noise_deviation[1:].max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------
@@ -191,11 +196,10 @@ def row_sums(signal) -> np.ndarray:
         signal, dtype=np.float64).tolist()])
 
 
-def equivalent_marginals(m: CoefficientMatrix,
-                         s: Schedule | None = None) -> MarginalReport:
-    """Row sums, row noise norms, and their ideal values per row."""
-    if s is None:
-        s = m.schedule()
+def equivalent_marginals(m: CoefficientMatrix) -> MarginalReport:
+    """Row sums, row noise norms, and their ideal values per row under
+    the matrix's own schedule."""
+    s = m.schedule()
     ideals = [ideal_coeffs(s, t) for t in m.row_times]
     return MarginalReport(
         row_times=m.row_times,
@@ -206,21 +210,16 @@ def equivalent_marginals(m: CoefficientMatrix,
 
 
 def deviation_trend(spec: SamplerSpec, s: Schedule | None = None,
-                    step_counts=(18, 100, 500),
-                    skip_initial_row: bool = True):
-    """Max marginal deviation of the traced matrix per evaluation count.
-
-    The first row is the pure-noise starting state shared by every
-    sampler; its deviation is a property of the initialization, not of
-    the iteration rule, so it is skipped by default.
-    """
+                    step_counts=(18, 100, 500)):
+    """Max marginal deviation of the traced matrix per evaluation count,
+    the first row skipped (``MarginalReport.max_deviation``)."""
     if len(step_counts) < 2:
         raise ValidationError("need at least two step counts")
     out = []
     for n in step_counts:
         m = trace_sampler(spec, s=s, n_evals=n)
         rep = equivalent_marginals(m)
-        out.append(rep.max_deviation(skip_initial_row=skip_initial_row))
+        out.append(rep.max_deviation())
     return out
 
 
@@ -240,17 +239,15 @@ def rescale_row(row: np.ndarray, target: float):
     return scale
 
 
-def normalize_rows(m: CoefficientMatrix, s: Schedule | None = None,
-                   targets=None):
+def normalize_rows(m: CoefficientMatrix, targets=None):
     """Rescale each signal row so its sum hits the target marginal.
 
-    Targets default to the schedule's ideal signal coefficient at each
-    row time.  Returns ``(matrix, scales)`` where ``scales`` holds the
-    per-row factors applied.
+    Targets default to the matrix schedule's ideal signal coefficient at
+    each row time.  Returns ``(matrix, scales)`` where ``scales`` holds
+    the per-row factors applied.
     """
     if targets is None:
-        if s is None:
-            s = m.schedule()
+        s = m.schedule()
         targets = [ideal_coeffs(s, t)[0] for t in m.row_times]
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (m.n_rows,):
@@ -371,17 +368,3 @@ def load(path) -> CoefficientMatrix:
         except ValueError as exc:  # bad UTF-8, or an integer too long
             raise FormatError(f"invalid matrix file: {exc}") from exc
     return from_payload(payload)
-
-
-def to_csv(m: CoefficientMatrix, which: str = "signal") -> str:
-    """Flat CSV: first row = column times, first column = row times."""
-    if which == "signal":
-        block, heads = m.signal, m.col_times
-    elif which == "noise":
-        block, heads = m.noise, m.noise_times
-    else:
-        raise ValidationError(f"unknown block {which!r}")
-    lines = ["time," + ",".join(repr(float(t)) for t in heads)]
-    for t, row in zip(m.row_times, block):
-        lines.append(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"

@@ -137,6 +137,26 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
+def _batch(d: int, t, x):
+    """States ``x`` at ``t`` as a ``(b, d)`` batch, and whether ``x`` was
+    one ``(d,)`` state.
+
+    Every oracle function takes its states through here.  A state of
+    another shape, or one that is not numeric, is ``ValidationError``; a
+    non-finite one (an executor that overflowed) is ``NumericError``.
+    """
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"states must be numeric: {exc}") from None
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ValidationError(f"need ({d},) or (b, {d}) states, got shape "
+                              f"{x.shape}")
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite state at t = {t!r}")
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
+
+
 def _softmax_rows(e):
     """Max-shifted exponentials of a (b, k) logit buffer, in place.
 
@@ -232,9 +252,7 @@ def _posterior(ds: Dataset, s: Schedule, t, x, kind: str):
     reductions are the same either way; the GEMM rows are where the BLAS
     rounds a row alike in a block and in the batch (module docstring).
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
+    xb, single = _batch(ds.d, t, x)
     c0, c1 = mixing_coeffs(s, t)
     b = xb.shape[0]
     if kind == "top":
@@ -318,9 +336,7 @@ def posterior_mean_gmm(g: GaussianMixture, s: Schedule, t, x):
     ``tot_k > 0`` because ``v_k > 0`` and every schedule keeps
     ``c0^2 + c1^2 > 0``; at ``c0 = 0`` this is the prior mean.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
+    xb, single = _batch(g.d, t, x)
     c0, c1 = mixing_coeffs(s, t)
     v = g.variances
     tot = c0 * c0 * v + c1 * c1
@@ -332,11 +348,9 @@ def posterior_mean_gmm(g: GaussianMixture, s: Schedule, t, x):
 
 def gmm_marginal_logdensity(g: GaussianMixture, s: Schedule, t, x) -> float:
     """log p(x_t): each component marginal is N(c0 m_k, (c0^2 v_k + c1^2) I)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
+    xb, single = _batch(g.d, t, x)
     c0, c1 = mixing_coeffs(s, t)
-    _, z, top = _mixture_kernel(g, c0, c0 * c0 * g.variances + c1 * c1,
-                                x[None, :] if single else x)
+    _, z, top = _mixture_kernel(g, c0, c0 * c0 * g.variances + c1 * c1, xb)
     out = (top + np.log(z))[:, 0] - 0.5 * g.d * np.log(2.0 * np.pi)
     return float(out[0]) if single else out
 
@@ -360,6 +374,8 @@ class Predictor:
     label: object = None
 
     def __post_init__(self):
+        if not isinstance(self.source, (Dataset, GaussianMixture)):
+            raise ParameterError("source must be a Dataset or GaussianMixture")
         if self.label is None:
             return
         if not isinstance(self.source, Dataset):
@@ -373,22 +389,16 @@ class Predictor:
 
     def __call__(self, t, x):
         """The posterior mean at ``t`` of one ``(d,)`` state or a ``(b, d)``
-        batch.  A state of another shape is ``ValidationError``, and a
-        non-finite one (an executor that overflowed) ``NumericError``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
-            raise ValidationError(f"need ({self.d},) or (b, {self.d}) "
-                                  f"states, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise NumericError(f"non-finite state at t = {t!r}")
+        batch, with the states checked as every oracle function checks
+        them (``_batch``)."""
         if isinstance(self.source, Dataset):
             return posterior_mean_dataset(self.source, self.schedule, t, x)
         return posterior_mean_gmm(self.source, self.schedule, t, x)
 
 
 def make_predictor(source, s: Schedule, label=None) -> Predictor:
-    if not isinstance(source, (Dataset, GaussianMixture)):
-        raise ParameterError("source must be a Dataset or GaussianMixture")
+    """The ``Predictor`` of ``source`` under ``s``; the CLI builds every
+    predictor here, the one name the benchmark's tracer wraps."""
     return Predictor(source=source, schedule=s, label=label)
 
 

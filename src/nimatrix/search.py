@@ -28,20 +28,27 @@ terminal row calls the predictor no times.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._pool import run_blocks
-from .coeffmatrix import (CoefficientMatrix, normalize_rows, rescale_row,
-                          row_sums)
+from .coeffmatrix import CoefficientMatrix, rescale_row, row_sums
 from .engine import RunConfig, _draw, _play, run_matrix
 from .errors import NimatrixError, ParameterError, ValidationError, check_int
 
 
-MAX_PAIRS = 4_000_000
+#: Each sample set is scored on at most this many rows; a larger set is
+#: subsampled deterministically, so a 2048-point reference is scored on 2000.
+MAX_ROWS = 2000
+
+#: A candidate moves one entry by this much times its row's target at
+#: first, and by half as much after each sweep that accepts nothing.
+STEP = 0.25
+
+#: Every searched entry stays in ``[-ENTRY_BOUND, ENTRY_BOUND]``.
+ENTRY_BOUND = 2.0
 
 # cdist releases the GIL, so the worker thread can fill distance rows
 # while the caller does.  A 64-row block against the 2000-point reference
@@ -54,10 +61,6 @@ _ROWS = 64
 #: NumPy's ``pairwise_sum`` adds a run of at most this many elements with
 #: eight accumulators and splits a longer one in two.
 _PAIRWISE_BLOCK = 128
-
-
-def _cap(max_pairs: int) -> int:
-    return int(np.sqrt(check_int("max_pairs", max_pairs, 1)))
 
 
 def _sum_tree(x, y, lo: int, n: int, leaves: list):
@@ -130,29 +133,25 @@ class PreparedReference:
     """A reference set with its side of the energy distance precomputed.
 
     ``subsample`` is the set ``energy_distance`` scores against and
-    ``self_term`` is its E||B - B'||; both depend only on the reference
-    and ``max_pairs`` (the value it was prepared for), so a search
-    computes them once, not once per candidate.  Build it with
-    ``prepare_reference``.
+    ``self_term`` is its E||B - B'||; both depend only on the reference,
+    so a search computes them once, not once per candidate.  Build it
+    with ``prepare_reference``.
     """
 
     points: np.ndarray
     subsample: np.ndarray
     self_term: float
-    max_pairs: int
 
 
-def _prepare(points: np.ndarray, max_pairs: int, rng) -> PreparedReference:
-    cap = _cap(max_pairs)
+def _prepare(points: np.ndarray, rng) -> PreparedReference:
     sub = points
-    if points.shape[0] > cap:
-        sub = points[rng.choice(points.shape[0], cap, replace=False)]
+    if points.shape[0] > MAX_ROWS:
+        sub = points[rng.choice(points.shape[0], MAX_ROWS, replace=False)]
     return PreparedReference(points=points, subsample=sub,
-                             self_term=float(_mean_dists((sub, sub))[0]),
-                             max_pairs=max_pairs)
+                             self_term=float(_mean_dists((sub, sub))[0]))
 
 
-def prepare_reference(points, max_pairs: int = MAX_PAIRS) -> PreparedReference:
+def prepare_reference(points) -> PreparedReference:
     """Subsample ``points`` and compute E||B - B'|| once.
 
     The points are copied and made read-only, so the precomputed terms
@@ -160,15 +159,14 @@ def prepare_reference(points, max_pairs: int = MAX_PAIRS) -> PreparedReference:
     """
     points = _points(np.array(points, dtype=np.float64))
     points.flags.writeable = False
-    return _prepare(points, max_pairs, np.random.default_rng(0))
+    return _prepare(points, np.random.default_rng(0))
 
 
-def energy_distance(a, b, max_pairs: int = MAX_PAIRS) -> float:
+def energy_distance(a, b) -> float:
     """2 E||A - B|| - E||A - A'|| - E||B - B'|| over sample sets.
 
-    All-pairs averages over at most ``floor(sqrt(max_pairs))`` rows per
-    set: a larger set is subsampled deterministically to that many rows
-    (2000 at the default, so a 2048-point reference is scored on 2000).
+    All-pairs averages over at most ``MAX_ROWS`` rows per set: a larger
+    set is subsampled deterministically to that many rows.
     ``b`` may be a ``PreparedReference``, whose subsample and self-term
     are reused; the result is bitwise the same as for its raw points.
     """
@@ -178,13 +176,12 @@ def energy_distance(a, b, max_pairs: int = MAX_PAIRS) -> float:
     if a.shape[1] != b.shape[1]:
         raise ParameterError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    cap = _cap(max_pairs)
     rng = np.random.default_rng(0)
-    if a.shape[0] > cap:
-        a = a[rng.choice(a.shape[0], cap, replace=False)]
+    if a.shape[0] > MAX_ROWS:
+        a = a[rng.choice(a.shape[0], MAX_ROWS, replace=False)]
         ref = None  # a's draw moved rng, so b's subsample is a different one
-    if ref is None or ref.max_pairs != max_pairs:
-        ref = _prepare(b, max_pairs, rng)
+    if ref is None:
+        ref = _prepare(b, rng)
     ab, aa = _mean_dists((a, ref.subsample), (a, a))
     return float(2.0 * ab - aa - ref.self_term)
 
@@ -195,27 +192,17 @@ class SearchSpace:
 
     Free entries form a band of ``band`` columns immediately left of the
     diagonal in each row (for the terminal row, left of the last
-    column).  Row signal sums are pinned to ``targets`` — by default the
-    base matrix's own (fsum) row sums, so the marginal structure is
-    preserved.
+    column).  Row signal sums are pinned to ``targets``, the base
+    matrix's own (fsum) row sums, so the marginal structure is preserved.
     """
 
     base: CoefficientMatrix
     band: int = 3
-    bounds: tuple = (-2.0, 2.0)
-    targets: np.ndarray | None = field(default=None)
+    targets: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "band", check_int("band", self.band, 1))
-        lo, hi = self.bounds
-        if not lo < hi:
-            raise ParameterError(f"invalid bounds {self.bounds}")
-        t = (row_sums(self.base.signal) if self.targets is None
-             else np.asarray(self.targets, dtype=np.float64))
-        if t.shape != (self.base.n_rows,):
-            raise ValidationError(
-                f"need {self.base.n_rows} targets, got {t.shape}")
-        object.__setattr__(self, "targets", t)
+        object.__setattr__(self, "targets", row_sums(self.base.signal))
 
     def free_entries(self):
         """(row, col) positions allowed to move, row-major order."""
@@ -242,8 +229,7 @@ class SearchResult:
 
 def optimize_matrix(space: SearchSpace, predictor, reference,
                     budget: int = 2000, seed: int = 0,
-                    n_samples: int = 512, step: float = 0.25,
-                    log=None) -> SearchResult:
+                    n_samples: int = 512, log=None) -> SearchResult:
     """Banded coordinate descent under common random numbers.
 
     Every evaluation runs the candidate matrix with the same executor
@@ -260,17 +246,15 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     error are charged against the budget and skipped, as is an edit that
     leaves its row summing to zero against a nonzero target; any other
     exception propagates.  The first evaluation scores the starting
-    matrix normalized to the targets, so the final objective never
-    exceeds the baseline.
+    matrix, whose rows sum to the targets already, so the final objective
+    never exceeds the baseline.
     """
     budget = check_int("budget", budget, 0)
     n_samples = check_int("n_samples", n_samples, 1)
     seed = check_int("seed", seed, 0)
-    if not (math.isfinite(step) and step > 0.0):
-        raise ParameterError(f"need a finite step > 0, got {step}")
     reference = prepare_reference(reference)
     rng = np.random.default_rng(seed)
-    current, _ = normalize_rows(space.base, targets=space.targets)
+    current = space.base
     if budget == 0:
         return SearchResult(best=current, objective_trace=(), evaluations=0,
                             seed=seed)
@@ -283,8 +267,7 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     spare, spare_states = np.empty_like(outputs), np.empty_like(states)
     trace, used = [best_obj], 1
     entries = space.free_entries()
-    lo, hi = space.bounds
-    scale = step
+    scale = STEP
     while used < budget:
         improved = False
         order = rng.permutation(len(entries))
@@ -296,7 +279,7 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
             delta = scale * ref_scale * (1.0 if rng.random() < 0.5 else -1.0)
             cand_signal = current.signal.copy()
             row = cand_signal[i]
-            row[j] = min(max(row[j] + delta, lo), hi)
+            row[j] = min(max(row[j] + delta, -ENTRY_BOUND), ENTRY_BOUND)
             used += 1
             if rescale_row(row, space.targets[i]) is None:
                 continue

@@ -9,7 +9,7 @@ from nimatrix.cli import main
 from nimatrix.coeffmatrix import load, save
 from nimatrix.oracles import Dataset, save_dataset
 from nimatrix.presets import load_preset
-from nimatrix.samplers import KINDS
+from nimatrix.samplers import DEIS_POINTS, KINDS
 
 
 def run(capsys, *argv):
@@ -64,6 +64,23 @@ class TestTraceCheck:
         assert got == code
         if code:
             assert "unknown grid" in stderr
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grid_names_one_rule_for_every_sampler(self, capsys, kind):
+        # --grid trailing printed the quadratic times for DEIS, whose own
+        # grid is quadratic; with no --grid the sampler's own grid is kept
+        times = {}
+        for grid in (None, "trailing", "quadratic"):
+            argv = ["trace", "--sampler", kind, "--steps", "6"]
+            if grid is not None:
+                argv += ["--grid", grid]
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0
+            times[grid] = [line.split(",")[0]
+                           for line in stdout.splitlines()[1:]]
+        assert times["trailing"] != times["quadratic"]
+        own = "quadratic" if kind in DEIS_POINTS else "trailing"
+        assert times[None] == times[own]
 
     @pytest.mark.parametrize("text,code", [("999\n600\n300\n", 0),
                                            ("999\nabc\n", 4),

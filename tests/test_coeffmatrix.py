@@ -10,7 +10,7 @@ import pytest
 from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
                                   equivalent_marginals, from_payload, load,
                                   normalize_rows, rescale_row, save,
-                                  to_csv, trace_sampler)
+                                  trace_sampler)
 from nimatrix.engine import RunConfig, run_matrix
 from nimatrix.errors import (DomainError, FormatError, NumericError,
                              ValidationError)
@@ -164,7 +164,7 @@ class TestMarginals:
         for n in (18, 100):
             m = trace_sampler(SamplerSpec(kind="ddim"), n_evals=n)
             rep = equivalent_marginals(m)
-            assert rep.max_deviation(skip_initial_row=True) == pytest.approx(
+            assert rep.max_deviation() == pytest.approx(
                 0.0063528, abs=1e-6)
 
 
@@ -253,13 +253,6 @@ class TestSerialization:
             save(m, tmp_path / "m.json")
             assert json.loads((tmp_path / "m.json").read_text())[
                 "schedule"] == want
-
-    def test_csv_has_time_headers(self, vp):
-        m = tiny_matrix(vp)
-        text = to_csv(m)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("time,999.0,500.0")
-        assert len(lines) == 4
 
 
 def _held(m, noise_mode="traced"):

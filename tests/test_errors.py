@@ -20,8 +20,7 @@ from nimatrix.errors import ParameterError, check_int
 from nimatrix.oracles import Dataset, GaussianMixture, make_predictor
 from nimatrix.samplers import SamplerSpec, default_grid
 from nimatrix.schedule import make_grid, make_vp_linear
-from nimatrix.search import (SearchSpace, energy_distance, optimize_matrix,
-                             prepare_reference)
+from nimatrix.search import SearchSpace, optimize_matrix
 
 VP = make_vp_linear()
 DDIM = SamplerSpec(kind="ddim")
@@ -57,10 +56,6 @@ CALLS = [
     ("optimize_matrix-budget", 0, lambda v: _search(budget=v)),
     ("optimize_matrix-n_samples", 1, lambda v: _search(n_samples=v)),
     ("optimize_matrix-seed", 0, lambda v: _search(seed=v)),
-    ("energy_distance-max_pairs", 1,
-     lambda v: energy_distance(POINTS, POINTS + 1.0, max_pairs=v)),
-    ("prepare_reference-max_pairs", 1,
-     lambda v: prepare_reference(POINTS, max_pairs=v)),
     ("degradation_table-trials", 1,
      lambda v: degradation_table(DATA, [VP], [[300]], trials=v)),
     ("degradation_table-seed", 0,

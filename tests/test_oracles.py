@@ -6,14 +6,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from nimatrix import _pool, oracles
 from nimatrix.analysis import degradation_table
-from nimatrix.errors import (FormatError, NumericError, ParameterError,
-                             ValidationError)
-from nimatrix.oracles import (Dataset, GaussianMixture,
+from nimatrix.errors import (FormatError, NimatrixError, NumericError,
+                             ParameterError, ValidationError)
+from nimatrix.oracles import (Dataset, GaussianMixture, Predictor,
                               gmm_marginal_logdensity, load_dataset,
                               load_dataset_csv, load_mixture, make_predictor,
                               posterior_mean_dataset, posterior_mean_gmm,
@@ -506,6 +508,9 @@ class TestPredictor:
     def test_rejects_other_sources(self, vp):
         with pytest.raises(ParameterError):
             make_predictor([[1.0]], vp)
+        # built directly, it raised AttributeError on its first call
+        with pytest.raises(ParameterError, match="Dataset or GaussianMixture"):
+            Predictor(source=42, schedule=vp)
 
     def test_label_with_mixture_rejected(self, gmm16, vp):
         # a label selects dataset atoms; a mixture has none to select
@@ -550,6 +555,71 @@ class TestPredictor:
                 pred(500, np.zeros(shape))
         assert pred(500, np.zeros((2, 4))).shape == (2, 4)
         assert pred(500, np.zeros(4)).shape == (4,)
+
+
+#: The five oracle functions that take states, each with its source.
+_D = 3
+_STATE_FUNCTIONS = {
+    "posterior_mean_dataset": posterior_mean_dataset,
+    "posterior_weights": posterior_weights,
+    "posterior_top": posterior_top,
+    "posterior_mean_gmm": posterior_mean_gmm,
+    "gmm_marginal_logdensity": gmm_marginal_logdensity,
+}
+_DATASET = Dataset(atoms=np.random.default_rng(5).standard_normal((12, _D)))
+_MIXTURE = GaussianMixture(weights=[0.25, 0.75],
+                           means=[[1.0, 0.0, -1.0], [0.0, 2.0, 0.5]],
+                           variances=[0.3, 1.0])
+
+
+@st.composite
+def _bad_states(draw):
+    """A malformed state batch against d = 3, and the error it must raise
+    (None for an empty (0, 3) batch, whose output is empty)."""
+    kind = draw(st.sampled_from(["non-finite", "empty", "wrong-width",
+                                 "other-ndim"]))
+    b = draw(st.integers(1, 5))
+    if kind == "non-finite":
+        shape, error = draw(st.sampled_from([(_D,), (b, _D)])), NumericError
+    elif kind == "empty":
+        shape = draw(st.sampled_from([(0,), (0, _D), (0, 0), (b, 0)]))
+        error = None if shape == (0, _D) else ValidationError
+    elif kind == "wrong-width":
+        w = draw(st.integers(1, 6).filter(lambda w: w != _D))
+        shape, error = draw(st.sampled_from([(w,), (b, w)])), ValidationError
+    else:
+        shape = draw(st.sampled_from([(), (1, 1, _D), (b, 2, _D),
+                                      (2, _D, 1)]))
+        error = ValidationError
+    x = draw(arrays(np.float64, shape, elements=st.floats(width=64)))
+    if kind == "non-finite":
+        x.flat[draw(st.integers(0, x.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return x, error
+
+
+class TestOracleStates:
+    """Every oracle function takes its states through one check: a
+    malformed state raises a typed error, never NaN or NumPy's own."""
+
+    @pytest.mark.parametrize("name", list(_STATE_FUNCTIONS))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=_bad_states(), t=st.sampled_from([999, 500, 1]))
+    @example(state=(np.full(_D, np.nan), NumericError), t=500)
+    @example(state=(np.zeros((2, 4)), ValidationError), t=500)
+    def test_malformed_states_raise_typed_errors(self, vp, name, state, t):
+        # called directly, each returned NaN for a NaN state and raised
+        # NumPy's ValueError for a (2, 4) state against d = 3
+        source = _MIXTURE if "gmm" in name else _DATASET
+        x, error = state
+        try:
+            out = _STATE_FUNCTIONS[name](source, vp, t, x)
+        except NimatrixError as exc:
+            assert type(exc) is error
+            return
+        assert error is None
+        assert all(np.isfinite(o).all()
+                   for o in (out if isinstance(out, tuple) else (out,)))
 
 
 class TestMixtureFile:
