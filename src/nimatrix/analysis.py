@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError, check_int
+from .errors import ParameterError, ValidationError, check_array, check_int
 from .oracles import Dataset, posterior_top
 # bench/tracing.py spans analysis.posterior_weights, so the name stays bound
 from .oracles import posterior_weights  # noqa: F401
@@ -110,7 +110,7 @@ def degradation_table(ds: Dataset, schedules, times, trials: int = 1000,
     """Monte-Carlo concentration rates per (schedule family, time).
 
     ``schedules`` is a list of Schedule objects; ``times`` is a list of
-    per-schedule time lists (or one shared list of times valid for all).
+    per-schedule time lists, one for each schedule.
     Each (family, t) cell uses an independent RNG substream derived from
     the seed, so cells are reproducible independently of each other.
     The max posterior weight lies in (0, 1], so a threshold outside
@@ -122,9 +122,8 @@ def degradation_table(ds: Dataset, schedules, times, trials: int = 1000,
         raise ParameterError(f"need a threshold in (0, 1), got {threshold}")
     if len(schedules) == 0 or len(times) == 0:
         raise ParameterError("need at least one schedule and one time")
-    if not isinstance(times[0], (list, tuple, np.ndarray)):
-        times = [times] * len(schedules)
-    if len(times) != len(schedules):
+    if len(times) != len(schedules) or not all(
+            isinstance(ts, (list, tuple, np.ndarray)) for ts in times):
         raise ParameterError("need one time list per schedule")
     rows = []
     for si, (s, ts) in enumerate(zip(schedules, times)):
@@ -153,14 +152,12 @@ def radial_spectrum(img) -> np.ndarray:
     integer wavenumber radius rounds to b; the array runs from the DC
     band to the Nyquist corner.
     """
-    a = np.asarray(img, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = check_array("image", img, 2)
+    if a.shape[0] != a.shape[1]:
         raise ValidationError(f"need a square 2-D array, got {a.shape}")
     n = a.shape[0]
     if n < 4:
         raise ValidationError("side must be at least 4")
-    if not np.isfinite(a).all():
-        raise ValidationError("image has a non-finite pixel")
     f = np.abs(np.fft.fft2(a))
     kx = np.fft.fftfreq(n, d=1.0 / n)
     r = np.sqrt(kx[:, None] ** 2 + kx[None, :] ** 2)
@@ -178,7 +175,7 @@ def snr_profile(img, s: Schedule, t) -> np.ndarray:
     Fourier magnitude is flat at ``side`` per bin; band SNR is
     ``(c0 * A_band)^2 / (c1 * side)^2``.
     """
-    a = np.asarray(img, dtype=np.float64)
+    a = check_array("image", img, 2)
     amp = radial_spectrum(a)
     c0, c1 = mixing_coeffs(s, t)
     n = a.shape[0]
@@ -188,13 +185,15 @@ def snr_profile(img, s: Schedule, t) -> np.ndarray:
     return (c0 * amp) ** 2 / noise_amp ** 2
 
 
-def submerged_fraction(profile, threshold: float = 1.0) -> float:
-    """Fraction of bands whose SNR falls below the threshold."""
-    p = np.asarray(profile, dtype=np.float64)
+def submerged_fraction(profile) -> float:
+    """Fraction of bands whose SNR falls below 1.
+
+    ``profile`` is 1-D; an infinite SNR (``snr_profile`` where ``c1 = 0``)
+    is above 1, and a NaN one is :class:`ValidationError`.
+    """
+    p = check_array("profile", profile, 1, nonfinite=None)
     if p.size == 0:
         raise ParameterError("empty profile")
     if np.isnan(p).any():
         raise ValidationError("NaN in profile")
-    if math.isnan(threshold):
-        raise ParameterError("threshold is NaN")
-    return float(np.mean(p < threshold))
+    return float(np.mean(p < 1.0))

@@ -110,13 +110,12 @@ def cmd_trace(args):
     steps = DEFAULT_STEPS if args.steps is None else args.steps
     explicit = args.grid is not None and args.grid.startswith("explicit:")
     grid = None  # the sampler's own grid
-    if explicit:
+    if explicit:  # trace_sampler checks the times (make_grid's explicit rule)
         path = args.grid.split(":", 1)[1]
-        times = oracles._read_table(path, 1)
-        if times.ndim != 1:
+        grid = oracles._read_table(path, 1)
+        if grid.ndim != 1:
             raise FormatError(f"{path}: want one time per line, got a "
-                              f"{times.shape[0]} x {times.shape[1]} table")
-        grid = sched.make_grid(s, len(times), "explicit", explicit=times)
+                              f"{grid.shape[0]} x {grid.shape[1]} table")
     elif args.grid in _GRID_RULES:
         grid = default_grid(spec, s, steps, _GRID_RULES[args.grid])
     elif args.grid is not None:

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import schedule as sched
 from .affine import RunContext, TRACE
-from .errors import FormatError, NimatrixError, NumericError, ValidationError
+from .errors import (FormatError, NimatrixError, NumericError,
+                     ValidationError, check_array)
 from .samplers import SamplerSpec, default_grid, default_schedule, run_native
 from .schedule import (Schedule, make_schedule, mixing_coeffs,
                        validate_decreasing)
@@ -60,7 +61,7 @@ class CoefficientMatrix:
 
     def __post_init__(self):
         for name in ("signal", "noise"):
-            block = np.array(getattr(self, name), dtype=np.float64)
+            block = np.array(check_array(name, getattr(self, name), 2))
             block.setflags(write=False)
             object.__setattr__(self, name, block)
         self.validate()
@@ -83,8 +84,9 @@ class CoefficientMatrix:
         return len(self.row_times)
 
     def validate(self) -> None:
-        if self.signal.ndim != 2 or self.noise.ndim != 2:
-            raise ValidationError("signal and noise blocks must be 2-D")
+        """Check the blocks' shapes, the times and triangularity; the
+        blocks were checked as finite 2-D arrays when the matrix was
+        built."""
         if self.n_rows != self.n_evals + 1:
             raise ValidationError(
                 f"{self.n_rows} rows for {self.n_evals} evaluations: need "
@@ -100,9 +102,6 @@ class CoefficientMatrix:
         if self.n_evals and not self.noise_times:
             raise ValidationError("matrix with evaluations has no noise "
                                   "columns")
-        if not (np.all(np.isfinite(self.signal))
-                and np.all(np.isfinite(self.noise))):
-            raise ValidationError("non-finite signal or noise entry")
         validate_decreasing(self.col_times, "col_times")
         # Rows before the terminal one are inputs of the evaluations in
         # order: at the evaluation's own time, strictly lower triangular.
@@ -157,8 +156,8 @@ def trace_sampler(spec: SamplerSpec, s: Schedule | None = None,
     """Run the sampler symbolically and assemble its coefficient matrix."""
     if s is None:
         s = default_schedule(spec)
-    if grid is None:
-        grid = default_grid(spec, s, n_evals)
+    grid = (default_grid(spec, s, n_evals) if grid is None
+            else sched.make_grid(s, None, "explicit", grid))
     ctx = RunContext(mode=TRACE)
     final = run_native(spec, s, grid, ctx)
     n = len(ctx.records)
@@ -249,7 +248,7 @@ def normalize_rows(m: CoefficientMatrix, targets=None):
     if targets is None:
         s = m.schedule()
         targets = [ideal_coeffs(s, t)[0] for t in m.row_times]
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = check_array("targets", targets, 1)
     if targets.shape != (m.n_rows,):
         raise ValidationError(
             f"need {m.n_rows} targets, got shape {targets.shape}")
@@ -297,14 +296,17 @@ def _block(value, rows: int, cols: int, fmt: str):
     """A payload's signal or noise block, to be read as (rows, cols).
 
     Under ``nimatrix/1`` the block is a list of rows, and ``[]`` is an
-    empty block.  Under ``nimatrix/2`` it is the base64 of exactly
+    empty block; its entries are read as numbers here, so a row that is
+    not one (``ValueError``, ``TypeError``) is a format error of the
+    file.  Under ``nimatrix/2`` it is the base64 of exactly
     ``8 * rows * cols`` little-endian float64 bytes.  Shape and
     finiteness are checked when the matrix is built.
     """
     if fmt == LIST_FORMAT:
         if not isinstance(value, list):
             raise FormatError(f"a {fmt} block must be a list of rows")
-        return value if value else np.zeros((rows, 0))
+        return (np.asarray(value, dtype=np.float64) if value
+                else np.zeros((rows, 0)))
     if not isinstance(value, str):
         raise FormatError(f"a {fmt} block must be a base64 string")
     try:
@@ -361,10 +363,7 @@ def load(path) -> CoefficientMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"invalid matrix file: {exc.msg}", row=exc.lineno,
-                column=exc.colno) from exc
-        except ValueError as exc:  # bad UTF-8, or an integer too long
+        except ValueError as exc:  # bad JSON (at line L column C), bad
+            # UTF-8, or an integer too long
             raise FormatError(f"invalid matrix file: {exc}") from exc
     return from_payload(payload)

@@ -42,7 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coeffmatrix import CoefficientMatrix
-from .errors import NumericError, ParameterError, ValidationError, check_int
+from .errors import (NumericError, ParameterError, ValidationError,
+                     check_array, check_int)
 from .schedule import Schedule, mixing_coeffs
 
 
@@ -218,13 +219,15 @@ def over_enhance(pred, s: Schedule, t, x_init, k: int,
     ``renoise``: each iterate is re-mixed with fresh noise at the fixed
     level before the next prediction, ``x <- f_t(c0 x + c1 eps)``.
     ``dry``: the raw prediction feeds straight back in, ``x <- f_t(x)``.
-    Returns the full sequence including ``x_init``.
+    ``x_init`` is one ``(d,)`` state or a ``(b, d)`` batch of finite
+    numbers (``check_array``).  Returns the full sequence including
+    ``x_init``.
     """
     k = check_int("k", k, 0)
     if mode not in ("renoise", "dry"):
         raise ParameterError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(check_int("seed", seed, 0))
-    x = np.asarray(x_init, dtype=np.float64)
+    x = check_array("x_init", x_init, (1, 2))
     seq = [x]
     c0, c1 = mixing_coeffs(s, t)
     for _ in range(k):

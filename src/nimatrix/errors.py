@@ -4,10 +4,15 @@ The CLI maps these onto exit codes: parameter/validation problems exit 2,
 numeric failures exit 3, and file-format or I/O problems exit 4.
 
 ``check_int`` is the one check of an integer parameter (a count, a size,
-a seed or a dataset label) of the API and the CLI.
+a seed or a dataset label) of the API and the CLI, and ``check_array``
+the one conversion and check of an array argument of the API: states,
+atoms, labels, mixture parameters, coefficient blocks and rows, sample
+sets, targets, grids, images and profiles.
 """
 
 import numbers
+
+import numpy as np
 
 
 class NimatrixError(Exception):
@@ -37,11 +42,6 @@ class NumericError(NimatrixError, ArithmeticError):
 class FormatError(NimatrixError, ValueError):
     """A file could not be parsed as the expected format."""
 
-    def __init__(self, message, row=None, column=None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
-
 
 def check_int(name: str, value, low: int | None) -> int:
     """``value`` as an ``int``, if it is a Python or NumPy integer of at
@@ -55,3 +55,24 @@ def check_int(name: str, value, low: int | None) -> int:
         kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
         raise ParameterError(f"need {kind} integer {name}, got {value!r}")
     return int(value)
+
+
+def check_array(name: str, value, ndim, nonfinite=ValidationError):
+    """``value`` as a float64 array with ``ndim`` dimensions (one count or
+    a tuple of counts); no copy is made of a float64 array.
+
+    A value NumPy cannot read as numbers, or one with another dimension
+    count, raises :class:`ValidationError`; a NaN or infinite entry raises
+    ``nonfinite``, unless that is None.
+    """
+    dims = (ndim,) if isinstance(ndim, int) else ndim
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be numeric: {exc}") from None
+    if a.ndim not in dims:
+        want = " or ".join(f"{k}-D" for k in dims)
+        raise ValidationError(f"need {want} {name}, got shape {a.shape}")
+    if nonfinite is not None and not np.isfinite(a).all():
+        raise nonfinite(f"non-finite {name}")
+    return a

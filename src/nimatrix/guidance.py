@@ -15,12 +15,11 @@ stages, folded pairwise; :func:`decompose_row` performs the fold and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_array
 
 FORE = "Fore"
 MID = "Mid"
@@ -32,10 +31,6 @@ DEGENERATE = "Degenerate"
 class GuidanceStage:
     eta_good: float
     eta_bad: float
-
-    @property
-    def lam(self) -> float:
-        return self.eta_good
 
     @property
     def klass(self) -> str:
@@ -55,49 +50,38 @@ class GuidanceDecomposition:
 
     stages: tuple  # of (GuidanceStage, scale)
     coefficients: tuple  # the original nonzero coefficient list
-    fold_order: str
 
     @property
     def classes(self) -> tuple:
         return tuple(stage.klass for stage, _ in self.stages)
 
 
-def decompose_row(coeffs, fold_order: str = "oldest-first"):
+def decompose_row(coeffs):
     """Fold an ordered coefficient row into nested guidance stages.
 
-    Coefficients are ordered oldest output first.  Zero entries are
-    skipped.  With the default fold the two oldest terms pair up first
-    and each newer term folds around the accumulated combination, the
-    newer side playing "good"; ``newest-first`` starts from the newest
-    pair instead and folds older terms in as the "bad" side.  A
-    non-finite coefficient raises :class:`ValidationError`.
+    Coefficients are a 1-D array, oldest output first (``check_array``:
+    a non-finite one raises :class:`ValidationError`).  Zero entries are
+    skipped.  The two oldest terms pair up first and each newer term
+    folds around the accumulated combination, the newer side playing
+    "good".
     """
-    if fold_order not in ("oldest-first", "newest-first"):
-        raise ValidationError(f"unknown fold order {fold_order!r}")
-    nz = [float(c) for c in coeffs if c != 0.0]
-    if not all(map(math.isfinite, nz)):
-        raise ValidationError(f"non-finite coefficient in {nz}")
+    coeffs = check_array("coefficients", coeffs, 1)
+    nz = coeffs[coeffs != 0.0].tolist()
     if len(nz) < 2:
         raise ValidationError(
             f"need at least two nonzero coefficients, got {len(nz)}")
-    ordered = nz if fold_order == "oldest-first" else nz[::-1]
     stages = []
-    acc = ordered[0]
-    for k, c in enumerate(ordered[1:], start=2):
-        if fold_order == "oldest-first":
-            good, bad = c, acc
-        else:
-            good, bad = acc, c
-        total = good + bad
+    acc = nz[0]
+    for k, good in enumerate(nz[1:], start=2):
+        total = good + acc
         if total == 0.0:
             raise NumericError(
                 f"fold singularity: the first {k} folded terms sum to zero")
         stages.append((GuidanceStage(eta_good=good / total,
-                                     eta_bad=bad / total), total))
+                                     eta_bad=acc / total), total))
         acc = total
     return GuidanceDecomposition(stages=tuple(stages),
-                                 coefficients=tuple(nz),
-                                 fold_order=fold_order)
+                                 coefficients=tuple(nz))
 
 
 def unfold(decomp: GuidanceDecomposition):
@@ -107,16 +91,12 @@ def unfold(decomp: GuidanceDecomposition):
     prev_scale = None
     for stage, scale in decomp.stages:
         if inner is None:
-            # bad is always the older side of the innermost pair
+            # bad is the older side of the innermost pair
             inner = [stage.eta_bad * scale, stage.eta_good * scale]
-        elif decomp.fold_order == "oldest-first":
+        else:
             # the accumulated (older) combination re-enters as "bad"
             factor = stage.eta_bad * scale / prev_scale
             inner = [v * factor for v in inner] + [stage.eta_good * scale]
-        else:
-            # the accumulated (newer) combination re-enters as "good"
-            factor = stage.eta_good * scale / prev_scale
-            inner = [stage.eta_bad * scale] + [v * factor for v in inner]
         prev_scale = scale
     return inner
 
@@ -131,7 +111,7 @@ def classify_row(coeffs) -> str:
     (diagonal) output reads as ``has-Back``; both kinds of negativity
     give ``mixed``.
     """
-    arr = np.asarray(list(coeffs), dtype=np.float64)
+    arr = check_array("coefficients", coeffs, 1)
     nz = np.flatnonzero(arr)
     if nz.size == 0:
         return "all-Mid"

@@ -59,7 +59,7 @@ import numpy as np
 
 from ._pool import run_blocks
 from .errors import (FormatError, NumericError, ParameterError,
-                     ValidationError, check_int)
+                     ValidationError, check_array, check_int)
 from .schedule import Schedule, mixing_coeffs
 
 DATASET_MAGIC = b"NIDS1"
@@ -73,20 +73,21 @@ class Dataset:
     half_sqnorms: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=np.float64)
-        if atoms.ndim != 2 or atoms.shape[0] < 1:
+        atoms = check_array("atoms", self.atoms, 2)
+        if atoms.shape[0] < 1:
             raise ValidationError("atoms must be a non-empty (n, d) matrix")
-        if not np.all(np.isfinite(atoms)):
-            raise ValidationError("non-finite atom entry")
         object.__setattr__(self, "atoms", atoms)
         half = 0.5 * np.einsum("ij,ij->i", atoms, atoms)
         half.setflags(write=False)
         object.__setattr__(self, "half_sqnorms", half)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != (atoms.shape[0],):
-                raise ValidationError("labels length must match atom count")
-            object.__setattr__(self, "labels", labels)
+            # an integer below 2**53 in size is read exactly as a float64
+            labels = check_array("labels", self.labels, 1)
+            if (labels.shape != (atoms.shape[0],) or np.any(labels % 1)
+                    or np.any(np.abs(labels) >= 2.0 ** 53)):
+                raise ValidationError("need one integer label, less than "
+                                      "2**53 in size, per atom")
+            object.__setattr__(self, "labels", labels.astype(np.int64))
 
     @property
     def n(self) -> int:
@@ -113,17 +114,13 @@ class GaussianMixture:
     variances: np.ndarray = field(repr=False)   # (k,), isotropic
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        mu = np.asarray(self.means, dtype=np.float64)
-        v = np.asarray(self.variances, dtype=np.float64)
-        if mu.ndim != 2:
-            raise ValidationError("means must be a (k, d) matrix")
+        w = check_array("mixture weights", self.weights, 1)
+        mu = check_array("mixture means", self.means, 2)
+        v = check_array("mixture variances", self.variances, 1)
         k = mu.shape[0]
         if w.shape != (k,) or v.shape != (k,):
             raise ValidationError("weights/variances must have one entry "
                                   "per component")
-        if not all(np.all(np.isfinite(a)) for a in (w, mu, v)):
-            raise ValidationError("non-finite mixture parameter")
         if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValidationError("weights must be positive and sum to 1")
         if np.any(v <= 0.0):
@@ -141,19 +138,21 @@ def _batch(d: int, t, x):
     """States ``x`` at ``t`` as a ``(b, d)`` batch, and whether ``x`` was
     one ``(d,)`` state.
 
-    Every oracle function takes its states through here.  A state of
-    another shape, or one that is not numeric, is ``ValidationError``; a
-    non-finite one (an executor that overflowed) is ``NumericError``.
+    Every oracle function takes its states through ``check_array`` here.
+    A state of another shape, or one that is not numeric, is
+    ``ValidationError``, even when it is not finite; a non-finite state
+    of the right shape (an executor that overflowed) is ``NumericError``.
     """
     try:
-        x = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"states must be numeric: {exc}") from None
-    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        x = check_array("states", x, (1, 2), NumericError)
+        shape = x.shape
+    except NumericError:
+        shape = np.shape(x)  # numeric, 1-D or 2-D
+        if shape[-1] == d:
+            raise NumericError(f"non-finite state at t = {t!r}") from None
+    if shape[-1] != d:
         raise ValidationError(f"need ({d},) or (b, {d}) states, got shape "
-                              f"{x.shape}")
-    if not np.isfinite(x).all():
-        raise NumericError(f"non-finite state at t = {t!r}")
+                              f"{shape}")
     return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
@@ -173,24 +172,26 @@ def _posterior_block(ds: Dataset, c0, c1, x, e):
     """Unnormalised posterior weights over the atoms for (r, d) states.
 
     Writes the weights into the (r, n) buffer ``e`` and returns their
-    (r, 1) row sums ``z``; the posterior weights are ``e / z``.
+    (r, 1) row sums ``z``; the posterior weights are ``e / z``.  Where
+    the logits cannot be formed in float64 (``c1^2`` is 0, or they
+    overflow so that a row sum is not finite), the weights are their
+    ``c1 -> 0`` limit: one-hot at the nearest atom to ``x / c0``, the
+    lowest index on ties.
     """
-    if c0 == 0.0:
-        e.fill(1.0)
-        return np.full((e.shape[0], 1), float(ds.n))
-    if c1 == 0.0:
-        # one-hot at the nearest atom to x / c0 (lowest index on ties)
-        np.matmul(x / c0, ds.atoms.T, out=e)
-        e -= ds.half_sqnorms
-        idx = np.argmax(e, axis=1)
-        e.fill(0.0)
-        e[np.arange(e.shape[0]), idx] = 1.0
-        return np.ones((e.shape[0], 1))
-    scale = c0 / (c1 * c1)
-    np.matmul(x * scale, ds.atoms.T, out=e)
-    e -= (c0 * scale) * ds.half_sqnorms
-    z, _ = _softmax_rows(e)
-    return z
+    if c1 * c1 != 0.0:
+        scale = c0 / (c1 * c1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(x * scale, ds.atoms.T, out=e)
+            e -= (c0 * scale) * ds.half_sqnorms
+            z, _ = _softmax_rows(e)
+        if np.isfinite(z).all():
+            return z
+    np.matmul(x / c0, ds.atoms.T, out=e)
+    e -= ds.half_sqnorms
+    idx = np.argmax(e, axis=1)
+    e.fill(0.0)
+    e[np.arange(e.shape[0]), idx] = 1.0
+    return np.ones((e.shape[0], 1))
 
 
 # Row-block size of the two-thread split (see the module docstring); the
@@ -314,14 +315,20 @@ def _mixture_kernel(g: GaussianMixture, c0, tot, xb):
     The logits are ``log w_k - (d/2) log tot_k - |x - c0 m_k|^2 / (2 tot_k)``,
     expanded into one GEMM of the states against ``c0 m_k / tot_k``, a
     per-component bias and the outer product ``|x|^2 (x) 1 / (2 tot_k)``.
-    Returns ``(e, z, top)`` as :func:`_softmax_rows` leaves them.
+    Returns ``(e, z, top)`` as :func:`_softmax_rows` leaves them.  A
+    state whose ``|x|^2`` overflows (about 1e154 or more) is
+    ``NumericError``.
     """
     m = g.means
     half_inv = 0.5 / tot
+    sq = np.einsum("bd,bd->b", xb, xb)
+    if not np.isfinite(sq).all():
+        raise NumericError("a state too large for the mixture kernel: "
+                           "its squared norm overflows")
     e = xb @ (m * (c0 / tot)[:, None]).T
     e += (np.log(g.weights) - 0.5 * g.d * np.log(tot)
           - (c0 * c0) * half_inv * np.einsum("kd,kd->k", m, m))
-    e -= np.multiply.outer(np.einsum("bd,bd->b", xb, xb), half_inv)
+    e -= np.multiply.outer(sq, half_inv)
     z, top = _softmax_rows(e)
     return e, z, top
 
@@ -358,11 +365,16 @@ def gmm_marginal_logdensity(g: GaussianMixture, s: Schedule, t, x) -> float:
 def score_from_x0hat(s: Schedule, t, x, x0_hat):
     """Score of the marginal at x_t from the posterior-mean prediction:
     ``score = c0/c1^2 * x0_hat - 1/c1^2 * x``."""
+    x = check_array("x", x, (1, 2))
+    x0_hat = check_array("x0_hat", x0_hat, (1, 2))
+    if x.shape != x0_hat.shape:
+        raise ValidationError(f"x has shape {x.shape} but x0_hat has shape "
+                              f"{x0_hat.shape}")
     c0, c1 = mixing_coeffs(s, t)
     if c1 <= 0.0 or c0 <= 0.0:
         raise ParameterError(f"score undefined at (c0, c1) = ({c0}, {c1})")
     v = c1 * c1
-    return (c0 / v) * np.asarray(x0_hat) - np.asarray(x) / v
+    return (c0 / v) * x0_hat - x / v
 
 
 @dataclass(frozen=True)
@@ -458,16 +470,12 @@ def load_mixture(path) -> GaussianMixture:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid mixture file: {exc.msg}",
-                              row=exc.lineno, column=exc.colno) from exc
-        except ValueError as exc:  # bad UTF-8, or an integer too long
+        except ValueError as exc:  # bad JSON (at line L column C), bad
+            # UTF-8, or an integer too long
             raise FormatError(f"invalid mixture file: {exc}") from exc
     try:
-        return GaussianMixture(weights=np.asarray(cfg["weights"]),
-                               means=np.asarray(cfg["means"]),
-                               variances=np.asarray(cfg["variances"]))
-    except ValidationError:
-        raise
+        fields = {key: np.asarray(cfg[key], dtype=np.float64)
+                  for key in ("weights", "means", "variances")}
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed mixture spec: {exc}") from exc
+    return GaussianMixture(**fields)

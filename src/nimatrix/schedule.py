@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DomainError, FormatError, ParameterError,
-                     ValidationError, check_int)
+                     ValidationError, check_array, check_int)
 
 VP_DISCRETE = "vp-discrete"
 FLOW = "flow"
@@ -244,7 +244,8 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
     - vp-continuous + linspace-trailing: ``linspace(1, T_EPS, n)``.
     - vp-continuous + quadratic: linspace in ``sqrt(t)`` from 1 down to
       ``sqrt(T_EPS)``, squared — concentrating points near ``T_EPS``.
-    - explicit: caller-provided list, each time in the schedule's domain
+    - explicit: caller-provided 1-D times (``check_array``; a NaN or
+      infinite time is ``DomainError``), each in the schedule's domain
       (``mixing_coeffs``); vp-discrete times are stored as the integers
       they name.  ``n`` is not read.
 
@@ -256,13 +257,15 @@ def make_grid(s: Schedule, n: int, rule: str = "linspace-trailing",
     if rule != "explicit":
         n = check_int("n", n, 1)
     if rule == "explicit":
-        if explicit is None or len(explicit) == 0:
+        times = check_array("explicit times",
+                            () if explicit is None else explicit, 1,
+                            DomainError)
+        if times.size == 0:
             raise ParameterError("explicit rule requires a time list")
-        for t in explicit:
+        for t in times:
             mixing_coeffs(s, t)
-        times = explicit
         if s.family == VP_DISCRETE:
-            times = [round(float(t)) for t in explicit]
+            times = [round(float(t)) for t in times]
     elif s.family == VP_DISCRETE:
         if n > s.T:
             raise ParameterError(f"n={n} exceeds T={s.T}")

@@ -36,7 +36,7 @@ from scipy.spatial.distance import cdist
 from ._pool import run_blocks
 from .coeffmatrix import CoefficientMatrix, rescale_row, row_sums
 from .engine import RunConfig, _draw, _play, run_matrix
-from .errors import NimatrixError, ParameterError, ValidationError, check_int
+from .errors import NimatrixError, ParameterError, check_array, check_int
 
 
 #: Each sample set is scored on at most this many rows; a larger set is
@@ -120,11 +120,10 @@ def _mean_dists(*pairs) -> list:
 
 
 def _points(x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """A sample set as ``(n, d)`` points; one ``(d,)`` point is ``(1, d)``."""
+    x = np.atleast_2d(check_array("sample sets", x, (1, 2)))
     if x.size == 0:
         raise ParameterError("sample sets must be non-empty")
-    if not np.isfinite(x).all():
-        raise ValidationError("sample sets must be finite")
     return x
 
 
@@ -157,7 +156,7 @@ def prepare_reference(points) -> PreparedReference:
     The points are copied and made read-only, so the precomputed terms
     cannot go stale.
     """
-    points = _points(np.array(points, dtype=np.float64))
+    points = np.array(_points(points))
     points.flags.writeable = False
     return _prepare(points, np.random.default_rng(0))
 

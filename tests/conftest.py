@@ -1,8 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nimatrix.oracles import Dataset, GaussianMixture
 from nimatrix.schedule import make_flow, make_vp_continuous, make_vp_linear
+
+# When an @given test fails, Hypothesis's report path imports its patch
+# writer, which imports libcst where that is installed; libcst 1.0 raises
+# mypy_extensions' TypedDict DeprecationWarning on import, which the
+# suite's warning filters turn into an INTERNALERROR that ends the
+# pytest run.  Importing the module here, with that warning ignored, keeps a
+# failing property an ordinary failure.  Without libcst it is skipped.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture(scope="session")

@@ -62,9 +62,13 @@ class TestDegradation:
                               seed=4)
         assert a == b
 
-    def test_shared_time_list_broadcasts(self, small_dataset, vp, flow):
-        rep = degradation_table(small_dataset, [flow], [0.2, 0.8], trials=50)
-        assert [r.t for r in rep.rows] == [0.2, 0.8]
+    def test_flat_time_list_rejected(self, small_dataset, flow):
+        # one list of times is no longer shared by every schedule
+        with pytest.raises(ParameterError, match="one time list per"):
+            degradation_table(small_dataset, [flow], [0.2, 0.8], trials=50)
+        with pytest.raises(ParameterError, match="one time list per"):
+            degradation_table(small_dataset, [flow, flow], [0.2, 0.8],
+                              trials=50)
 
     def test_csv_header(self, small_dataset, vp):
         rep = degradation_table(small_dataset, [vp], [[300]], trials=50)
@@ -150,8 +154,3 @@ class TestSpectrum:
     def test_submerged_nan_rejected(self, profile):
         with pytest.raises(ValidationError, match="NaN"):
             submerged_fraction(profile)
-
-    def test_submerged_nan_threshold_rejected(self):
-        # every comparison with NaN is false, so it would read 0.0
-        with pytest.raises(ParameterError, match="threshold"):
-            submerged_fraction([0.5, 2.0], threshold=np.nan)

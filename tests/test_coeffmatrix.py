@@ -230,9 +230,9 @@ class TestSerialization:
     def test_invalid_json_reports_position(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text('{"format": "nimatrix/1", ???')
-        with pytest.raises(FormatError) as exc:
+        # JSON's own position of the error is in the printed message
+        with pytest.raises(FormatError, match=r"line 1 column 26"):
             load(p)
-        assert exc.value.row is not None
 
     def test_missing_key(self):
         with pytest.raises(FormatError):

@@ -1,26 +1,38 @@
-"""One integer check for every count, size and seed (``errors.check_int``).
+"""One integer check for every count, size and seed (``errors.check_int``),
+and one array check for every array argument (``errors.check_array``).
 
 Every integer parameter of the API is called with values that are not
 integers of at least its lower bound: a fraction, a numeric string, a
 bool, None, NaN and the bound minus one.  Each must raise
 ``ParameterError``, and a NumPy integer at the bound is accepted.
+
+Every array parameter of the API is called with arrays that hold a NaN,
+an inf or a -inf, an empty array, a scalar, a 3-D array and a string.
+Each must return finite output or raise a ``NimatrixError``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nimatrix.affine import RunContext
-from nimatrix.analysis import (degradation_table, wilson_center,
-                               wilson_halfwidth)
-from nimatrix.coeffmatrix import trace_sampler
+from nimatrix.analysis import (degradation_table, radial_spectrum,
+                               snr_profile, submerged_fraction,
+                               wilson_center, wilson_halfwidth)
+from nimatrix.coeffmatrix import normalize_rows, row_sums, trace_sampler
 from nimatrix.engine import RunConfig, over_enhance
-from nimatrix.errors import ParameterError, check_int
-from nimatrix.oracles import Dataset, GaussianMixture, make_predictor
+from nimatrix.errors import (NimatrixError, NumericError, ParameterError,
+                             ValidationError, check_array, check_int)
+from nimatrix.guidance import classify_row, decompose_row
+from nimatrix.oracles import (Dataset, GaussianMixture, make_predictor,
+                              posterior_mean_dataset, posterior_mean_gmm,
+                              score_from_x0hat)
 from nimatrix.samplers import SamplerSpec, default_grid
-from nimatrix.schedule import make_grid, make_vp_linear
-from nimatrix.search import SearchSpace, optimize_matrix
+from nimatrix.schedule import make_flow, make_grid, make_vp_linear
+from nimatrix.search import (SearchSpace, energy_distance, optimize_matrix,
+                             prepare_reference)
 
 VP = make_vp_linear()
 DDIM = SamplerSpec(kind="ddim")
@@ -116,3 +128,125 @@ class TestCheckInt:
     def test_integer_valued_non_integers_rejected(self, value):
         with pytest.raises(ParameterError):
             check_int("n", value, 1)
+
+
+#: The mixture of ``PRED``, as keyword arguments.
+MIX = {"weights": [0.5, 0.5], "means": [[-1.0, 0.0], [1.0, 0.5]],
+       "variances": [0.1, 0.2]}
+IMAGE = np.random.default_rng(2).standard_normal((8, 8))
+
+#: (callable and array parameter, a valid value, call with a value)
+ARRAY_CALLS = [
+    ("posterior_mean_dataset-x", np.zeros((2, 4)),
+     lambda v: posterior_mean_dataset(DATA, VP, 300, v)),
+    ("posterior_mean_gmm-x", np.zeros((2, 2)),
+     lambda v: posterior_mean_gmm(PRED.source, VP, 300, v)),
+    ("energy_distance-a", POINTS, lambda v: energy_distance(v, POINTS)),
+    ("energy_distance-b", POINTS, lambda v: energy_distance(POINTS, v)),
+    ("prepare_reference-points", POINTS, prepare_reference),
+    ("optimize_matrix-reference", POINTS,
+     lambda v: optimize_matrix(SearchSpace(base=BASE), PRED, v, budget=2,
+                               n_samples=4)),
+    ("Dataset-atoms", DATA.atoms, lambda v: Dataset(atoms=v)),
+    ("Dataset-labels", np.arange(20) % 3,
+     lambda v: Dataset(atoms=DATA.atoms, labels=v)),
+    *((f"GaussianMixture-{key}", MIX[key],
+       lambda v, key=key: GaussianMixture(**{**MIX, key: v}))
+      for key in MIX),
+    ("CoefficientMatrix-signal", BASE.signal,
+     lambda v: dataclasses.replace(BASE, signal=v)),
+    ("CoefficientMatrix-noise", BASE.noise,
+     lambda v: dataclasses.replace(BASE, noise=v)),
+    ("normalize_rows-targets", row_sums(BASE.signal),
+     lambda v: normalize_rows(BASE, v)),
+    ("radial_spectrum-img", IMAGE, radial_spectrum),
+    ("snr_profile-img", IMAGE, lambda v: snr_profile(v, make_flow(), 0.5)),
+    ("submerged_fraction-profile", [0.5, 2.0], submerged_fraction),
+    ("decompose_row-coeffs", [0.7, 0.3], decompose_row),
+    ("classify_row-coeffs", [0.1, -0.9], classify_row),
+    ("over_enhance-x_init", np.zeros((1, 2)),
+     lambda v: over_enhance(PRED, VP, 300, v, k=1)),
+    ("score_from_x0hat-x", np.zeros(2),
+     lambda v: score_from_x0hat(VP, 300, v, np.ones(2))),
+    ("score_from_x0hat-x0_hat", np.ones(2),
+     lambda v: score_from_x0hat(VP, 300, np.zeros(2), v)),
+    ("make_grid-explicit", [900, 500, 0],
+     lambda v: make_grid(VP, None, "explicit", explicit=v)),
+    ("trace_sampler-grid", (999.0, 500.0, 0.0),
+     lambda v: trace_sampler(DDIM, s=VP, grid=v)),
+]
+BAD_ARRAYS = ["nan", "inf", "-inf", "empty", "scalar", "3-D", "string"]
+
+
+def _bad_array(valid, kind):
+    """``valid`` spoiled as ``kind`` says."""
+    a = np.array(valid, dtype=np.float64)
+    if kind in ("nan", "inf", "-inf"):
+        a.flat[-1] = float(kind)
+        return a
+    return {"empty": np.empty((0,) + a.shape[1:]), "scalar": 1.0,
+            "3-D": np.ones((2, 2, 2)), "string": "abc"}[kind]
+
+
+def _finite(out) -> bool:
+    """Whether every number in a result is finite."""
+    if isinstance(out, str) or out is None:
+        return True
+    if dataclasses.is_dataclass(out):
+        return all(_finite(getattr(out, f.name))
+                   for f in dataclasses.fields(out))
+    if isinstance(out, dict):
+        return _finite(list(out.values()))
+    if isinstance(out, (list, tuple)):
+        return all(map(_finite, out))
+    return bool(np.isfinite(np.asarray(out, dtype=np.float64)).all())
+
+
+@pytest.mark.parametrize("name,valid,call", ARRAY_CALLS,
+                         ids=[name for name, _, _ in ARRAY_CALLS])
+def test_valid_array_gives_finite_output(name, valid, call):
+    assert _finite(call(valid))
+
+
+@pytest.mark.parametrize("kind", BAD_ARRAYS)
+@pytest.mark.parametrize("name,valid,call", ARRAY_CALLS,
+                         ids=[name for name, _, _ in ARRAY_CALLS])
+def test_bad_array_gives_finite_output_or_typed_error(name, valid, call,
+                                                      kind):
+    # the suite's filters make any RuntimeWarning a failure too
+    try:
+        out = call(_bad_array(valid, kind))
+    except NimatrixError:
+        return
+    assert _finite(out)
+
+
+class TestCheckArray:
+    def test_returns_float64_without_copying_float64(self):
+        x = np.zeros((2, 3))
+        assert check_array("x", x, 2) is x
+        got = check_array("x", [[1, 2]], (1, 2))
+        assert got.dtype == np.float64 and got.shape == (1, 2)
+
+    @pytest.mark.parametrize("value", ["abc", [[1.0], [1.0, 2.0]], {}],
+                             ids=["string", "ragged", "dict"])
+    def test_non_numeric_is_validation_error(self, value):
+        with pytest.raises(ValidationError, match="^atoms must be numeric"):
+            check_array("atoms", value, 2)
+
+    def test_message_names_the_dimension_counts_and_shape(self):
+        with pytest.raises(ValidationError, match=(
+                r"^need 1-D or 2-D states, got shape \(\)$")):
+            check_array("states", 1.0, (1, 2))
+        with pytest.raises(ValidationError,
+                           match=r"^need 2-D signal, got shape \(2,\)$"):
+            check_array("signal", [0.0, 1.0], 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_the_given_error(self, value):
+        with pytest.raises(ValidationError, match="^non-finite profile$"):
+            check_array("profile", [1.0, value], 1)
+        with pytest.raises(NumericError, match="^non-finite states$"):
+            check_array("states", [1.0, value], 1, NumericError)
+        got = check_array("profile", [1.0, value], 1, nonfinite=None)
+        assert got[1] == value or np.isnan(got[1])

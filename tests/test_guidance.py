@@ -14,7 +14,7 @@ class TestClassifyPair:
         (stage, scale), = decompose_row([0.7, 0.3]).stages
         assert scale == pytest.approx(1.0)
         assert stage.klass == MID
-        assert stage.lam == pytest.approx(0.3)
+        assert stage.eta_good == pytest.approx(0.3)
 
     def test_extrapolation_past_newer_is_fore(self):
         (stage, _), = decompose_row([-0.5, 1.5]).stages
@@ -33,7 +33,7 @@ class TestClassifyPair:
     def test_scale_invariance(self):
         (a, _), = decompose_row([0.7, 0.3]).stages
         (b, _), = decompose_row([7.0, 3.0]).stages
-        assert a.lam == pytest.approx(b.lam)
+        assert a.eta_good == pytest.approx(b.eta_good)
 
     def test_pure_difference_rejected(self):
         with pytest.raises(NumericError):
@@ -52,24 +52,13 @@ class TestDecompose:
             back = unfold(d)
             assert np.abs(np.asarray(back) - coeffs).max() < 1e-12
 
-    def test_roundtrip_newest_first(self, rng):
-        for _ in range(200):
-            n = rng.integers(2, 7)
-            coeffs = rng.standard_normal(n)
-            try:
-                d = decompose_row(coeffs, fold_order="newest-first")
-            except NumericError:
-                continue
-            back = unfold(d)
-            assert np.abs(np.asarray(back) - coeffs).max() < 1e-12
-
     def test_known_three_term_fold(self):
         # (a, b, c) folds as ((a, b) then c): the outer stage weighs the
         # newest term c against the accumulated a + b
         d = decompose_row([1.0, 1.0, 2.0])
         (s1, sc1), (s2, sc2) = d.stages
-        assert sc1 == pytest.approx(2.0) and s1.lam == pytest.approx(0.5)
-        assert sc2 == pytest.approx(4.0) and s2.lam == pytest.approx(0.5)
+        assert sc1 == pytest.approx(2.0) and s1.eta_good == pytest.approx(0.5)
+        assert sc2 == pytest.approx(4.0) and s2.eta_good == pytest.approx(0.5)
         assert d.classes == (MID, MID)
 
     def test_fore_appears_for_negative_older_entry(self):
@@ -95,17 +84,6 @@ class TestDecompose:
     def test_zero_prefix_sum_rejected(self):
         with pytest.raises(NumericError):
             decompose_row([1.0, -1.0, 0.5])
-
-    def test_bad_fold_order(self):
-        with pytest.raises(ValidationError):
-            decompose_row([1.0, 1.0], fold_order="middle-out")
-
-    def test_fold_orders_can_disagree_on_classes(self):
-        coeffs = [0.014, -0.01, 0.072]
-        oldest = decompose_row(coeffs)
-        newest = decompose_row(coeffs, fold_order="newest-first")
-        assert oldest.classes != newest.classes
-        assert FORE in newest.classes
 
 
 class TestClassifyRow:

@@ -154,6 +154,28 @@ class TestPosteriorWeights:
         w = posterior_weights(small_dataset, flow, 0.001, x)
         assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("kind", ["weights", "mean", "top"])
+    @pytest.mark.parametrize("t", [1e-300, 1e-200, 1e-160, 1.2e-154,
+                                   1.5e-154])
+    def test_vanishing_noise_is_the_nearest_atom(self, monkeypatch, flow, t,
+                                                 kind, split):
+        # c1^2 is 0 at the first two times (a ZeroDivisionError), and the
+        # logits overflow at the other three (NaN and RuntimeWarnings)
+        monkeypatch.setattr(oracles, "_split", lambda b: split)
+        ds = Dataset(atoms=np.random.default_rng(7).standard_normal((20, 4)))
+        x = np.random.default_rng(8).standard_normal((130, 4))
+        near = np.argmin(((x[:, None, :] - ds.atoms) ** 2).sum(-1), axis=1)
+        if kind == "weights":
+            w = posterior_weights(ds, flow, t, x)
+            assert np.array_equal(w, np.eye(ds.n)[near])
+        elif kind == "mean":
+            m = posterior_mean_dataset(ds, flow, t, x)
+            assert np.array_equal(m, ds.atoms[near])
+        else:
+            top, w = posterior_top(ds, flow, t, x)
+            assert np.array_equal(top, near) and np.all(w == 1.0)
+
 
 class TestPosteriorKernel:
     def test_tiny_noise_matches_reference(self, small_dataset, flow, rng):
@@ -265,6 +287,17 @@ class TestMixtureKernel:
                                        want, rtol=1e-12)
             assert gmm_marginal_logdensity(g, s, t, x[0]) == pytest.approx(
                 want[0], rel=1e-12)
+
+    @pytest.mark.parametrize("t", [999, 500, 1])
+    def test_state_whose_square_overflows_is_numeric_error(self, vp, t):
+        # |x|^2 overflowed, and both returned NaN
+        g = uneven_mixture(2, 3)
+        for x in (np.full(3, 1e160), np.array([[0.0, 1.0, 2.0],
+                                               [-1e160, 0.0, 0.0]])):
+            with pytest.raises(NumericError, match="squared norm"):
+                posterior_mean_gmm(g, vp, t, x)
+            with pytest.raises(NumericError, match="squared norm"):
+                gmm_marginal_logdensity(g, vp, t, x)
 
     def test_flow_t0_closed_form(self, flow):
         # no noise: the state is x0 itself
