@@ -23,6 +23,20 @@ underflow otherwise; the exponentials are taken in place, the weights and
 the posterior mean are both normalised by the same row sums, and the
 mixture log-density is the row maximum plus the log of the row sum.
 
+A shifted logit below ``_FLUSH = -707`` is taken as exactly 0, not passed
+to ``np.exp``.  NumPy's AVX-512 ``exp`` stays on its fast path only for
+inputs of at least ``ln 2**-1021`` (about -707.7); one lane below that
+sends its whole vector down a path ten to two hundred times slower (its
+AVX2 ``exp`` is slow there too).  Once the posterior has collapsed onto a
+few atoms, a few percent of the shifted logits of a batch lie there.  ``np.exp`` itself gives 0 below
+about -745.13.  The tolerance: an unnormalised weight that the flush
+changes was below ``e**-707`` (about 9.0e-308) and is now 0, so its
+posterior weight changes by less than ``e**-707 / z``.  Every other
+weight, posterior mean, top atom and mixture log-density is bitwise the
+plain ``np.exp`` result unless a row sum ``z`` changes; ``z`` is at least
+1 (the row maximum gives ``e**0``), so terms that small move it only
+where they tip a rounding.
+
 The dataset kernel can run on two threads.  A batch is cut into blocks
 of 64 rows, the remainder joining the last block, and the caller and the
 package's worker thread take the blocks in turn (``_pool.run_blocks``).
@@ -74,6 +88,10 @@ class Dataset:
 
     def __post_init__(self):
         atoms = check_array("atoms", self.atoms, 2)
+        if atoms is self.atoms or not atoms.flags.owndata:
+            # the caller's array or a view of memory it holds: a copy, so
+            # writing there later cannot make half_sqnorms stale
+            atoms = atoms.copy()
         if atoms.shape[0] < 1:
             raise ValidationError("atoms must be a non-empty (n, d) matrix")
         object.__setattr__(self, "atoms", atoms)
@@ -156,15 +174,33 @@ def _batch(d: int, t, x):
     return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
+# Shifted logits below this give an exponential of exactly 0 (module
+# docstring): NumPy's fast exp path holds down to about -707.7.
+_FLUSH = -707.0
+
+
 def _softmax_rows(e):
     """Max-shifted exponentials of a (b, k) logit buffer, in place.
 
     Returns the (b, 1) row sums ``z`` and row maxima ``top``: the softmax
     is ``e / z`` and the log-sum-exp of the logits is ``top + log z``.
+    A shifted logit below ``_FLUSH = -707`` gives exactly 0 and never
+    reaches ``np.exp``, whose AVX-512 loop leaves its fast path for a whole
+    vector when one lane is below about -707.7; an unnormalised weight
+    under ``e**-707`` becomes 0 (the tolerance is in the module
+    docstring).  Every other entry is the plain ``np.exp``.  A block
+    holding a NaN, whose minimum is NaN, takes the plain ``np.exp``
+    throughout, so a row whose logits overflowed keeps a non-finite ``z``.
     """
     top = e.max(axis=1, keepdims=True)
     e -= top
-    np.exp(e, out=e)
+    if e.min(initial=0.0) < _FLUSH:
+        keep = e >= _FLUSH
+        np.maximum(e, _FLUSH, out=e)
+        np.exp(e, out=e)
+        np.multiply(e, keep, out=e)
+    else:
+        np.exp(e, out=e)
     return e.sum(axis=1, keepdims=True), top
 
 
@@ -420,7 +456,11 @@ def make_predictor(source, s: Schedule, label=None) -> Predictor:
 
 def save_dataset(ds: Dataset, path) -> None:
     """Binary layout: magic, u32 n, u32 d (little endian), n*d f64 row-major
-    atom block, then optionally n u32 labels."""
+    atom block, then optionally n u32 labels.  A label outside
+    [0, 2**32) cannot be stored and is ``ValidationError``."""
+    if ds.labels is not None and (np.any(ds.labels < 0)
+                                  or np.any(ds.labels >= 2 ** 32)):
+        raise ValidationError("a dataset file stores labels in [0, 2**32)")
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<II", ds.n, ds.d))
@@ -440,7 +480,8 @@ def load_dataset(path) -> Dataset:
     need = 13 + 8 * n * d
     if len(blob) < need:
         raise FormatError(f"truncated atom block (need {need} bytes)")
-    atoms = np.frombuffer(blob[13:need], dtype="<f8").reshape(n, d).copy()
+    atoms = np.frombuffer(blob, dtype="<f8", count=n * d, offset=13)
+    atoms = atoms.reshape(n, d)
     labels = None
     rest = blob[need:]
     if rest:

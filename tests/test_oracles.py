@@ -130,6 +130,49 @@ class TestDataset:
         with pytest.raises(FormatError):
             load_dataset(p)
 
+    def test_atoms_are_a_copy(self, vp, tmp_path):
+        # writing to the caller's array made the posterior mean wrong by
+        # up to 3.6, because the half squared norms were cached; a memmap
+        # reaches the Dataset as a view, not as the caller's own object
+        rng = np.random.default_rng(2)
+        m = np.memmap(tmp_path / "a.f8", np.float64, "w+", shape=(50, 4))
+        m[:] = rng.standard_normal((50, 4))
+        x = np.random.default_rng(3).standard_normal((6, 4))
+        for a in (rng.standard_normal((50, 4)), m):
+            ds = Dataset(atoms=a)
+            want = posterior_mean_dataset(ds, vp, 300, x)
+            a *= 3.0
+            assert np.array_equal(posterior_mean_dataset(ds, vp, 300, x),
+                                  want)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.half_sqnorms[0] = 0.0
+
+    def test_loaded_atoms_are_writable(self, small_dataset, tmp_path):
+        # load_dataset reads the file's bytes without a copy; the Dataset
+        # holds its own array, which a caller may edit and save again
+        p = tmp_path / "d.bin"
+        save_dataset(small_dataset, p)
+        atoms = load_dataset(p).atoms
+        atoms[0, 0] += 1.0
+        save_dataset(Dataset(atoms=atoms), p)
+        assert load_dataset(p).atoms[0, 0] == small_dataset.atoms[0, 0] + 1.0
+
+    @pytest.mark.parametrize("label", [-1, 2 ** 32, 2 ** 32 + 5])
+    def test_label_a_file_cannot_hold_is_rejected(self, tmp_path, label):
+        # labels are stored as u32: -1 was saved as 4294967295, 2**32 + 5
+        # as 5
+        ds = Dataset(atoms=np.zeros((3, 2)), labels=[0, label, 7])
+        p = tmp_path / "d.bin"
+        with pytest.raises(ValidationError, match="labels"):
+            save_dataset(ds, p)
+        assert not p.exists()
+
+    def test_largest_label_roundtrips(self, tmp_path):
+        ds = Dataset(atoms=np.zeros((2, 2)), labels=[0, 2 ** 32 - 1])
+        p = tmp_path / "d.bin"
+        save_dataset(ds, p)
+        assert np.array_equal(load_dataset(p).labels, [0, 2 ** 32 - 1])
+
 
 class TestPosteriorWeights:
     def test_weights_normalize(self, small_dataset, vp, rng):
@@ -328,8 +371,10 @@ class TestScore:
 SPLIT_B = [1, 2, 63, 64, 65, 127, 128, 129, 500]
 #: Times across both families, including c0 = 0 (flow t = 1) and
 #: c1 = 0 (flow t = 0).
-SPLIT_TIMES = [("vp", 999), ("vp", 500), ("vp", 100), ("vp", 10), ("vp", 0),
-               ("flow", 1.0), ("flow", 0.5), ("flow", 0.05), ("flow", 0.0)]
+#: vp 80 and flow 0.25 are times where the softmax flushes (FLUSH_TIMES)
+SPLIT_TIMES = [("vp", 999), ("vp", 500), ("vp", 100), ("vp", 80), ("vp", 10),
+               ("vp", 0), ("flow", 1.0), ("flow", 0.5), ("flow", 0.25),
+               ("flow", 0.05), ("flow", 0.0)]
 
 
 @pytest.fixture(scope="module")
@@ -531,6 +576,134 @@ class TestPosteriorTop:
         assert len(seen) == 13 and all(len(blocks) == 3 for blocks in seen)
         assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == (
             "532548f1cfd8cfaab6f23ef418cdf20c58879d4f2c367fc93156ed9ea82ebb47")
+
+
+def _shifted_logits(ds, s, t, x):
+    """The dataset kernel's logits for states x, less each row's maximum:
+    the same GEMM and max shift."""
+    c0, c1 = mixing_coeffs(s, t)
+    scale = c0 / (c1 * c1)
+    logits = np.matmul(x * scale, ds.atoms.T)
+    logits -= (c0 * scale) * ds.half_sqnorms
+    return logits - logits.max(axis=1, keepdims=True)
+
+
+#: Times at which a few percent of the wide dataset's shifted logits lie
+#: in [-745.2, -707): np.exp is nonzero there and the kernel flushes.
+FLUSH_TIMES = [("vp", 100), ("vp", 80), ("flow", 0.25)]
+
+
+def _spy_exp(monkeypatch):
+    """Record the smallest input of every 2-D np.exp call."""
+    seen, exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            seen.append(np.min(x, initial=np.inf))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    return seen
+
+
+class TestFlush:
+    @pytest.mark.parametrize("family,t", FLUSH_TIMES)
+    def test_matches_plain_exp_within_the_tolerance(
+            self, monkeypatch, wide_dataset, vp, flow, family, t):
+        s = vp if family == "vp" else flow
+        x = _states(wide_dataset, s, t, 200)
+        logits = _shifted_logits(wide_dataset, s, t, x)
+        band = (logits >= -745.2) & (logits < oracles._FLUSH)
+        assert band.mean() >= 0.01
+        # the plain np.exp reference, normalised as the kernel normalises
+        e = np.exp(logits)
+        z = e.sum(axis=1, keepdims=True)
+        want_w, want_m = e / z, np.matmul(e, wide_dataset.atoms) / z
+        _blas_threads(monkeypatch, 2)
+        w = posterior_weights(wide_dataset, s, t, x)
+        flushed = (w == 0.0) & (want_w < np.exp(oracles._FLUSH) / z)
+        assert np.all((w == want_w) | flushed)
+        assert np.any(flushed & (want_w > 0.0))
+        assert np.array_equal(posterior_mean_dataset(wide_dataset, s, t, x),
+                              want_m)
+        top, top_w = posterior_top(wide_dataset, s, t, x)
+        want_top = np.argmax(want_w, axis=1)
+        assert np.array_equal(top, want_top)
+        assert np.array_equal(top_w, want_w[np.arange(top.size), want_top])
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_exp_never_sees_an_input_below_the_flush(
+            self, monkeypatch, wide_dataset, vp, flow, split):
+        _blas_threads(monkeypatch, 1 if split else 2)
+        seen = _spy_exp(monkeypatch)
+        for family, t in FLUSH_TIMES:
+            s = vp if family == "vp" else flow
+            x = _states(wide_dataset, s, t, 300)
+            posterior_weights(wide_dataset, s, t, x)
+            posterior_mean_dataset(wide_dataset, s, t, x)
+            posterior_top(wide_dataset, s, t, x)
+        assert len(seen) == 3 * len(FLUSH_TIMES) * (4 if split else 1)
+        assert min(seen) >= oracles._FLUSH
+
+    def test_each_row_is_the_same_alone_and_in_a_block(self):
+        # a block that takes the flush gives each row the bits it gets
+        # alone, where the plain np.exp runs
+        rows = np.array([
+            [0.0, -706.9, -707.0, -707.5, -720.0, -745.2, -800.0, -np.inf],
+            [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0],
+        ]) + 3.0
+        e = rows.copy()
+        z, top = oracles._softmax_rows(e)
+        for i, row in enumerate(rows):
+            one = row[None, :].copy()
+            z1, top1 = oracles._softmax_rows(one)
+            assert np.array_equal(one, e[i:i + 1]), i
+            assert np.array_equal(z1, z[i:i + 1]), i
+            assert np.array_equal(top1, top[i:i + 1]), i
+        assert np.array_equal(e[0], [1.0, np.exp(-706.9), np.exp(-707.0)]
+                              + [0.0] * 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_infinite_logit_leaves_a_non_finite_sum(self, bad):
+        # alone or next to a row that is flushed, so the dataset oracle
+        # still takes its nearest-atom branch
+        row = np.array([0.0, -1.0, bad, -720.0, -800.0])
+        flushed = np.array([0.0, -1.0, -2.0, -720.0, -800.0])
+        for block in (row[None, :], np.stack([flushed, row])):
+            with np.errstate(invalid="ignore"):  # inf - inf, as in the kernel
+                z, _ = oracles._softmax_rows(block.copy())
+            assert not np.isfinite(z[-1, 0])
+            assert np.isfinite(z[:-1]).all()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_overflowing_state_takes_the_nearest_atom(
+            self, monkeypatch, wide_dataset, vp, split):
+        # one state whose logits overflow sends its block down the
+        # nearest-atom branch, next to states whose logits are flushed
+        x = _states(wide_dataset, vp, 100, 130)
+        x[5] = 1e306 * np.sign(wide_dataset.atoms[0])
+        monkeypatch.setattr(oracles, "_split", lambda b: split)
+        w = posterior_weights(wide_dataset, vp, 100, x)
+        block = slice(0, 130) if not split else slice(0, 64)
+        assert np.all((w[block] == 0.0) | (w[block] == 1.0))
+        assert np.array_equal(w[block].sum(axis=1), np.ones(w[block].shape[0]))
+        assert np.isfinite(posterior_mean_dataset(wide_dataset, vp, 100,
+                                                  x)).all()
+        top, top_w = posterior_top(wide_dataset, vp, 100, x)
+        assert np.array_equal(top, np.argmax(w, axis=1))
+        assert np.array_equal(top_w, w[np.arange(130), top])
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_empty_batch(self, monkeypatch, wide_dataset, vp, split):
+        # a gate on e.min() with no initial value raised on a (0, n) buffer
+        monkeypatch.setattr(oracles, "_split", lambda b: split)
+        x = np.zeros((0, wide_dataset.d))
+        assert posterior_weights(wide_dataset, vp, 100, x).shape == (
+            0, wide_dataset.n)
+        assert posterior_mean_dataset(wide_dataset, vp, 100, x).shape == (
+            0, wide_dataset.d)
+        top, w = posterior_top(wide_dataset, vp, 100, x)
+        assert top.shape == w.shape == (0,)
 
 
 class TestPredictor:
