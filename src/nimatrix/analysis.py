@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError, check_array, check_int
+from .errors import (ParameterError, ValidationError, check_array, check_int,
+                     check_real)
 from .oracles import Dataset, posterior_top
 # bench/tracing.py spans analysis.posterior_weights, so the name stays bound
 from .oracles import posterior_weights  # noqa: F401
@@ -118,7 +119,8 @@ def degradation_table(ds: Dataset, schedules, times, trials: int = 1000,
     """
     trials = check_int("trials", trials, 1)
     seed = check_int("seed", seed, 0)
-    if not 0.0 < threshold < 1.0:  # also rejects NaN
+    threshold = check_real("threshold", threshold)
+    if not 0.0 < threshold < 1.0:
         raise ParameterError(f"need a threshold in (0, 1), got {threshold}")
     if len(schedules) == 0 or len(times) == 0:
         raise ParameterError("need at least one schedule and one time")

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import schedule as sched
 from .affine import RunContext, TRACE
-from .errors import (FormatError, NimatrixError, NumericError,
-                     ValidationError, check_array)
+from .errors import (DomainError, FormatError, NimatrixError, NumericError,
+                     ValidationError, check_array, check_real)
 from .samplers import SamplerSpec, default_grid, default_schedule, run_native
 from .schedule import (Schedule, make_schedule, mixing_coeffs,
                        validate_decreasing)
@@ -60,33 +60,19 @@ class CoefficientMatrix:
     _schedule: Schedule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        """Check the matrix: finite 2-D blocks, stored read-only; times
+        that are finite floats; the blocks' shapes; input rows at their
+        evaluations' times; triangularity; a schedule header that builds;
+        and every row time in the schedule's domain."""
         for name in ("signal", "noise"):
             block = np.array(check_array(name, getattr(self, name), 2))
             block.setflags(write=False)
             object.__setattr__(self, name, block)
-        self.validate()
-        s = make_schedule(self.schedule_info)
-        # every row time lies in the schedule's domain; only the terminal
-        # row may be TERMINAL_OUTPUT
-        for i, t in enumerate(self.row_times):
-            if not (i == self.n_evals and t == TERMINAL_OUTPUT):
-                mixing_coeffs(s, t)
-        object.__setattr__(self, "_schedule", s)
-        object.__setattr__(self, "schedule_info", s.descriptor())
-
-    # ----- structure -------------------------------------------------
-    @property
-    def n_evals(self) -> int:
-        return len(self.col_times)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_times)
-
-    def validate(self) -> None:
-        """Check the blocks' shapes, the times and triangularity; the
-        blocks were checked as finite 2-D arrays when the matrix was
-        built."""
+        for name, what in (("row_times", "row time"),
+                           ("col_times", "column time"),
+                           ("noise_times", "noise time")):
+            object.__setattr__(self, name, tuple(
+                check_real(what, t, DomainError) for t in getattr(self, name)))
         if self.n_rows != self.n_evals + 1:
             raise ValidationError(
                 f"{self.n_rows} rows for {self.n_evals} evaluations: need "
@@ -114,6 +100,23 @@ class CoefficientMatrix:
             if upper[i]:
                 raise ValidationError(f"row {i} (time {t}) weights evaluation "
                                       f"{i} or later: not lower triangular")
+        s = make_schedule(self.schedule_info)
+        # every row time lies in the schedule's domain; only the terminal
+        # row may be TERMINAL_OUTPUT
+        for i, t in enumerate(self.row_times):
+            if not (i == self.n_evals and t == TERMINAL_OUTPUT):
+                mixing_coeffs(s, t)
+        object.__setattr__(self, "_schedule", s)
+        object.__setattr__(self, "schedule_info", s.descriptor())
+
+    # ----- structure -------------------------------------------------
+    @property
+    def n_evals(self) -> int:
+        return len(self.col_times)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.row_times)
 
     def schedule(self) -> Schedule:
         return self._schedule

@@ -4,12 +4,15 @@ The CLI maps these onto exit codes: parameter/validation problems exit 2,
 numeric failures exit 3, and file-format or I/O problems exit 4.
 
 ``check_int`` is the one check of an integer parameter (a count, a size,
-a seed or a dataset label) of the API and the CLI, and ``check_array``
-the one conversion and check of an array argument of the API: states,
-atoms, labels, mixture parameters, coefficient blocks and rows, sample
-sets, targets, grids, images and profiles.
+a seed or a dataset label) of the API and the CLI; ``check_real`` the one
+conversion and check of a scalar real argument: a time, a threshold, a
+schedule rate or a sampler option; and ``check_array`` the one
+conversion and check of an array argument of the API: states, atoms,
+labels, mixture parameters, coefficient blocks and rows, sample sets,
+targets, grids, images and profiles.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -55,6 +58,28 @@ def check_int(name: str, value, low: int | None) -> int:
         kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
         raise ParameterError(f"need {kind} integer {name}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, error=ParameterError) -> float:
+    """``value`` as a finite ``float``, if it is a Python or NumPy real
+    number that is not a bool.
+
+    Anything else, a string, None, a bool, a complex, an array, NaN, an
+    infinity or an integer too large for a float included, raises
+    ``error``.
+    """
+    # a float is the common case: every time of a traced run is one
+    if type(value) is float and math.isfinite(value):
+        return value
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise error(f"{name} must be a finite number, got one too "
+                        "large for a float") from None
+        if math.isfinite(value):
+            return value
+    raise error(f"{name} must be a finite number, got {value!r}")
 
 
 def check_array(name: str, value, ndim, nonfinite=ValidationError):

@@ -212,7 +212,11 @@ def _posterior_block(ds: Dataset, c0, c1, x, e):
     the logits cannot be formed in float64 (``c1^2`` is 0, or they
     overflow so that a row sum is not finite), the weights are their
     ``c1 -> 0`` limit: one-hot at the nearest atom to ``x / c0``, the
-    lowest index on ties.
+    lowest index on ties, which is the argmax of
+    ``x/c0 . a - |a|^2 / 2``.  A row whose nearest-atom logits overflow
+    too (a state of about 1e306 or more) is formed again from its state
+    scaled by an exact power of two, which leaves the argmax as it is
+    and brings the row's largest entry into [0.5, 1).
     """
     if c1 * c1 != 0.0:
         scale = c0 / (c1 * c1)
@@ -222,8 +226,15 @@ def _posterior_block(ds: Dataset, c0, c1, x, e):
             z, _ = _softmax_rows(e)
         if np.isfinite(z).all():
             return z
-    np.matmul(x / c0, ds.atoms.T, out=e)
-    e -= ds.half_sqnorms
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(x / c0, ds.atoms.T, out=e)
+        e -= ds.half_sqnorms
+    bad = ~np.isfinite(e).all(axis=1)
+    if bad.any():
+        big = x[bad]
+        _, k = np.frexp(np.abs(big).max(axis=1, keepdims=True))
+        e[bad] = ((np.ldexp(big, -k) / c0) @ ds.atoms.T
+                  - np.ldexp(ds.half_sqnorms, -k))
     idx = np.argmax(e, axis=1)
     e.fill(0.0)
     e[np.arange(e.shape[0]), idx] = 1.0

@@ -25,7 +25,6 @@ holds each kind's schedule family, runner and evaluations per step:
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,7 +35,7 @@ from scipy.integrate import quad
 
 from . import schedule as sched
 from .affine import RunContext, lin_combine
-from .errors import NumericError, ParameterError, check_int
+from .errors import NumericError, ParameterError, check_int, check_real
 from .schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, Schedule,
                        mixing_coeffs)
 
@@ -72,10 +71,7 @@ def _check_options(kind: str, options) -> None:
         if name not in defaults:
             raise ParameterError(f"{kind} has no option {name!r} (it takes "
                                  f"{', '.join(defaults) or 'none'})")
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                or not math.isfinite(v):
-            raise ParameterError(f"option {name} must be a finite number, "
-                                 f"got {v!r}")
+        check_real(f"option {name}", v)
     values = {**defaults, **options}
     fractions = [name for name in ("r1", "r2") if name in defaults]
     rs = [values[name] for name in fractions]

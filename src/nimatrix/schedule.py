@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DomainError, FormatError, ParameterError,
-                     ValidationError, check_array, check_int)
+                     ValidationError, check_array, check_int, check_real)
 
 VP_DISCRETE = "vp-discrete"
 FLOW = "flow"
@@ -114,6 +114,8 @@ def make_vp_linear(beta_min: float = 1e-4, beta_max: float = 0.02,
     The cumulative product alpha_bar is accumulated in extended precision
     so that coarse-grid interval ratios stay accurate.
     """
+    beta_min = check_real("beta_min", beta_min)
+    beta_max = check_real("beta_max", beta_max)
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ParameterError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
@@ -136,8 +138,10 @@ def make_flow() -> Schedule:
 
 def make_vp_continuous(beta_min: float = 0.1, beta_max: float = 20.0) -> Schedule:
     """Continuous-time VP schedule on t in [0, 1]."""
-    if not (0.0 < beta_min <= beta_max < math.inf):
-        raise ParameterError(f"need 0 < beta_min <= beta_max < inf, "
+    beta_min = check_real("beta_min", beta_min)
+    beta_max = check_real("beta_max", beta_max)
+    if not 0.0 < beta_min <= beta_max:
+        raise ParameterError(f"need 0 < beta_min <= beta_max, "
                              f"got ({beta_min}, {beta_max})")
     return Schedule(family=VP_CONTINUOUS, beta_min=beta_min, beta_max=beta_max)
 
@@ -162,8 +166,9 @@ def _field(name: str, value):
     """A descriptor field as its constructor takes it.
 
     A value that is not a real number (a bool is not one) raises
-    :class:`FormatError`; an integer too large for a float, or a ``T``
-    that is not a finite integer, raises :class:`ParameterError`.
+    :class:`FormatError`; a ``T`` that is not a finite integer raises
+    :class:`ParameterError`, as the constructor does for a rate that is
+    not a finite float (``check_real``).
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise FormatError(f"schedule field {name} is not a number: {value!r}")
@@ -171,10 +176,7 @@ def _field(name: str, value):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
         raise ParameterError(f"schedule T must be an integer, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParameterError(f"schedule field {name} is too large") from None
+    return value
 
 
 def make_schedule(descriptor: dict) -> Schedule:
@@ -197,10 +199,9 @@ def make_schedule(descriptor: dict) -> Schedule:
 
 
 def _check_vp_discrete_time(s: Schedule, t) -> int:
-    if not math.isfinite(float(t)):
-        raise DomainError(f"vp-discrete times must be finite, got {t}")
-    ti = int(round(float(t)))
-    if abs(float(t) - ti) > 1e-9:
+    t = check_real("time", t, DomainError)
+    ti = int(round(t))
+    if abs(t - ti) > 1e-9:
         raise DomainError(f"vp-discrete times must be integers, got {t}")
     if not 0 <= ti < s.T:
         raise DomainError(f"time {ti} outside [0, {s.T - 1}]")
@@ -213,7 +214,7 @@ def mixing_coeffs(s: Schedule, t) -> tuple[float, float]:
         ti = _check_vp_discrete_time(s, t)
         ab = float(s.alpha_bars[ti])
         return math.sqrt(ab), math.sqrt(1.0 - ab)
-    tf = float(t)
+    tf = check_real("time", t, DomainError)
     if not 0.0 <= tf <= 1.0:
         raise DomainError(f"{s.family} times lie in [0, 1], got {t}")
     if s.family == FLOW:

@@ -127,6 +127,7 @@ class TestTraceCheck:
         ("ddim", "vp-linear:1e-4:0.02:10.5"),
         ("ddim", "vp-linear:1e-4:0.02:1e30"),
         ("ddim", "vp-linear:1e-4:0.02:inf"),
+        ("ddim", "vp-linear:nan"),
         ("flow-euler", "flow:x"),
         ("dpmpp-2s", "vp-continuous:0.1:inf"),
         ("ddim", "cosine")])
@@ -323,6 +324,17 @@ class TestSpectrum:
                                    "--family", "flow", "--t", "0.5")
         assert code == 4
         assert stdout == "" and str(p) in stderr
+
+    @pytest.mark.parametrize("family,t", [("flow", "nan"), ("flow", "inf"),
+                                          ("vp", "nan"), ("vp", "inf")])
+    def test_non_finite_time_is_usage_error(self, capsys, tmp_path, family,
+                                            t):
+        p = tmp_path / "img.csv"
+        np.savetxt(p, np.ones((8, 8)), delimiter=",")
+        code, stdout, stderr = run(capsys, "spectrum", "--image", str(p),
+                                   "--family", family, "--t", t)
+        assert code == 2
+        assert stdout == "" and "finite number" in stderr
 
     def test_nan_pixel_is_usage_error(self, capsys, tmp_path):
         img = np.ones((8, 8))

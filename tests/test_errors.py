@@ -1,36 +1,54 @@
 """One integer check for every count, size and seed (``errors.check_int``),
-and one array check for every array argument (``errors.check_array``).
+one real check for every time, threshold, rate and sampler option
+(``errors.check_real``), and one array check for every array argument
+(``errors.check_array``), over the public API ``nimatrix.__all__``.
 
 Every integer parameter of the API is called with values that are not
 integers of at least its lower bound: a fraction, a numeric string, a
 bool, None, NaN and the bound minus one.  Each must raise
 ``ParameterError``, and a NumPy integer at the bound is accepted.
 
+Every real parameter of the API is called with a string, None, a bool,
+NaN, an inf or a -inf, a complex, a list and an integer too large for a
+float.  Each must raise a ``NimatrixError``, and a NumPy float (and a
+NumPy integer, where the valid value is one) is accepted.
+
 Every array parameter of the API is called with arrays that hold a NaN,
 an inf or a -inf, an empty array, a scalar, a 3-D array and a string.
 Each must return finite output or raise a ``NimatrixError``.
+
+Every parameter of a public function or input class is in one of the
+three tables or on a short list of parameters that hold no number.
 """
 
 import dataclasses
+import inspect
 import math
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import nimatrix
 from nimatrix.affine import RunContext
 from nimatrix.analysis import (degradation_table, radial_spectrum,
                                snr_profile, submerged_fraction,
                                wilson_center, wilson_halfwidth)
-from nimatrix.coeffmatrix import normalize_rows, row_sums, trace_sampler
+from nimatrix.coeffmatrix import (deviation_trend, normalize_rows, row_sums,
+                                  trace_sampler)
 from nimatrix.engine import RunConfig, over_enhance
-from nimatrix.errors import (NimatrixError, NumericError, ParameterError,
-                             ValidationError, check_array, check_int)
+from nimatrix.errors import (DomainError, NimatrixError, NumericError,
+                             ParameterError, ValidationError, check_array,
+                             check_int, check_real)
 from nimatrix.guidance import classify_row, decompose_row
 from nimatrix.oracles import (Dataset, GaussianMixture, make_predictor,
                               posterior_mean_dataset, posterior_mean_gmm,
+                              posterior_top, posterior_weights,
                               score_from_x0hat)
 from nimatrix.samplers import SamplerSpec, default_grid
-from nimatrix.schedule import make_flow, make_grid, make_vp_linear
+from nimatrix.schedule import (make_flow, make_grid, make_vp_continuous,
+                               make_vp_linear, mixing_coeffs)
 from nimatrix.search import (SearchSpace, energy_distance, optimize_matrix,
                              prepare_reference)
 
@@ -54,6 +72,9 @@ CALLS = [
     ("make_vp_linear-T", 1, lambda v: make_vp_linear(T=v)),
     ("make_grid-n", 1, lambda v: make_grid(VP, v)),
     ("default_grid-n_evals", 1, lambda v: default_grid(DDIM, VP, v)),
+    ("trace_sampler-n_evals", 1, lambda v: trace_sampler(DDIM, n_evals=v)),
+    ("deviation_trend-step_counts", 1,
+     lambda v: deviation_trend(DDIM, step_counts=(v, 2))),
     ("SamplerSpec-points", 1,
      lambda v: SamplerSpec(kind="deis-3", options={"points": v})),
     ("RunConfig-n", 1, lambda v: RunConfig(matrix=BASE, predictor=PRED, n=v)),
@@ -139,6 +160,10 @@ IMAGE = np.random.default_rng(2).standard_normal((8, 8))
 ARRAY_CALLS = [
     ("posterior_mean_dataset-x", np.zeros((2, 4)),
      lambda v: posterior_mean_dataset(DATA, VP, 300, v)),
+    ("posterior_weights-x", np.zeros((2, 4)),
+     lambda v: posterior_weights(DATA, VP, 300, v)),
+    ("posterior_top-x", np.zeros((2, 4)),
+     lambda v: posterior_top(DATA, VP, 300, v)),
     ("posterior_mean_gmm-x", np.zeros((2, 2)),
      lambda v: posterior_mean_gmm(PRED.source, VP, 300, v)),
     ("energy_distance-a", POINTS, lambda v: energy_distance(v, POINTS)),
@@ -250,3 +275,120 @@ class TestCheckArray:
             check_array("states", [1.0, value], 1, NumericError)
         got = check_array("profile", [1.0, value], 1, nonfinite=None)
         assert got[1] == value or np.isnan(got[1])
+
+
+#: (callable and real parameter, a valid value, call with a value)
+REAL_CALLS = [
+    ("mixing_coeffs-t", 300, lambda v: mixing_coeffs(VP, v)),
+    ("posterior_weights-t", 300,
+     lambda v: posterior_weights(DATA, VP, v, np.zeros(4))),
+    ("posterior_mean_dataset-t", 300,
+     lambda v: posterior_mean_dataset(DATA, VP, v, np.zeros(4))),
+    ("posterior_top-t", 300,
+     lambda v: posterior_top(DATA, VP, v, np.zeros(4))),
+    ("posterior_mean_gmm-t", 300,
+     lambda v: posterior_mean_gmm(PRED.source, VP, v, np.zeros(2))),
+    ("Predictor-t", 300, lambda v: PRED(v, np.zeros(2))),
+    ("score_from_x0hat-t", 300,
+     lambda v: score_from_x0hat(VP, v, np.zeros(2), np.ones(2))),
+    ("over_enhance-t", 300,
+     lambda v: over_enhance(PRED, VP, v, np.zeros((1, 2)), k=1)),
+    # a flow time: the continuous branch of mixing_coeffs
+    ("snr_profile-t", 1, lambda v: snr_profile(IMAGE, make_flow(), v)),
+    ("degradation_table-times", 300,
+     lambda v: degradation_table(DATA, [VP], [[v]], trials=5)),
+    ("degradation_table-threshold", 0.5,
+     lambda v: degradation_table(DATA, [VP], [[300]], trials=5,
+                                 threshold=v)),
+    ("make_vp_linear-beta_min", 1e-4, lambda v: make_vp_linear(beta_min=v)),
+    ("make_vp_linear-beta_max", 0.02, lambda v: make_vp_linear(beta_max=v)),
+    ("make_vp_continuous-beta_min", 1,
+     lambda v: make_vp_continuous(beta_min=v)),
+    ("make_vp_continuous-beta_max", 20,
+     lambda v: make_vp_continuous(beta_max=v)),
+    ("SamplerSpec-options", 0.5,
+     lambda v: SamplerSpec(kind="dpm-solver-2s", options={"r1": v})),
+    # the terminal row, the one row time no column time repeats
+    ("CoefficientMatrix-row_times", -1,
+     lambda v: dataclasses.replace(BASE, row_times=BASE.row_times[:-1] + (v,))),
+    ("CoefficientMatrix-col_times", 999,
+     lambda v: dataclasses.replace(BASE, row_times=(v, *BASE.row_times[1:]),
+                                   col_times=(v, *BASE.col_times[1:]))),
+    ("CoefficientMatrix-noise_times", 999,
+     lambda v: dataclasses.replace(BASE,
+                                   noise_times=(v, *BASE.noise_times[1:]))),
+]
+REAL_IDS = [name for name, _, _ in REAL_CALLS]
+BAD_REALS = [("x", "string"), (None, "None"), (True, "True"),
+             (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+             (1 + 0j, "complex"), ([0.5], "list"), (10 ** 400, "10^400")]
+
+
+@pytest.mark.parametrize("value", [v for v, _ in BAD_REALS],
+                         ids=[i for _, i in BAD_REALS])
+@pytest.mark.parametrize("name,valid,call", REAL_CALLS, ids=REAL_IDS)
+def test_not_a_finite_real_rejected(name, valid, call, value):
+    with pytest.raises(NimatrixError):
+        call(value)
+
+
+@pytest.mark.parametrize("name,valid,call", REAL_CALLS, ids=REAL_IDS)
+def test_numpy_reals_accepted(name, valid, call):
+    call(np.float64(valid))
+    if float(valid).is_integer():
+        call(np.int64(valid))
+
+
+class TestCheckReal:
+    def test_returns_a_float(self):
+        for value in (np.float32(0.5), np.int64(3), 7, Fraction(1, 4)):
+            assert type(check_real("t", value)) is float
+        x = 0.1
+        assert check_real("t", x) is x
+
+    def test_message_names_the_value_and_error_class(self):
+        with pytest.raises(DomainError,
+                           match="^time must be a finite number, got nan$"):
+            check_real("time", math.nan, DomainError)
+        with pytest.raises(ParameterError, match=(
+                "^beta_max must be a finite number, got one too large for "
+                "a float$")):
+            check_real("beta_max", 10 ** 400)
+
+
+#: Parameters that hold no number for the three checks.
+NON_NUMERIC = {
+    # objects of the package's own types, and lists of them
+    "s", "ds", "g", "m", "spec", "space", "base", "matrix", "cfg", "decomp",
+    "pred", "predictor", "source", "schedule", "schedules",
+    # names, modes, file paths and a callback
+    "kind", "rule", "mode", "name", "path", "log",
+    # a schedule header: make_schedule checks its fields (test_schedule)
+    "schedule_info",
+    # a dataset label, where None selects every atom; an integer one goes
+    # through check_int (test_oracles)
+    "label",
+}
+#: Classes the API returns; a Schedule is built by the make_* helpers.
+RESULTS = {"DegradationReport", "GuidanceDecomposition", "GuidanceStage",
+           "MarginalReport", "PreparedReference", "RunResult",
+           "SearchResult", "Schedule"}
+
+
+def test_every_public_parameter_is_in_a_table():
+    covered = {name for name, _, _ in CALLS + ARRAY_CALLS + REAL_CALLS}
+    missing = [f"{api}-{param}" for api in nimatrix.__all__
+               if api not in RESULTS
+               for param in inspect.signature(getattr(nimatrix, api)).parameters
+               if param not in NON_NUMERIC and f"{api}-{param}" not in covered]
+    assert missing == []
+
+
+def test_all_lists_only_the_api():
+    namespace = {}
+    exec("from nimatrix import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(nimatrix.__all__)
+    assert len(set(nimatrix.__all__)) == len(nimatrix.__all__) == 51
+    assert not any(isinstance(getattr(nimatrix, api), types.ModuleType)
+                   for api in nimatrix.__all__)
+    assert RESULTS <= set(nimatrix.__all__)

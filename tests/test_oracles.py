@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import sys
 import threading
@@ -692,6 +693,24 @@ class TestFlush:
         top, top_w = posterior_top(wide_dataset, vp, 100, x)
         assert np.array_equal(top, np.argmax(w, axis=1))
         assert np.array_equal(top_w, w[np.arange(130), top])
+
+    def test_state_too_large_for_the_nearest_atom_logits(self, vp):
+        # (x / c0) @ atoms.T overflows for a state of about 1e306 or more.
+        # At x = 1e307 * sign, x/c0 . a - |a|^2/2 is largest where the
+        # exact sum of sign * a is (|a|^2/2 is far below its last bit), at
+        # atom 340, as in long double; an overflowed row gave atom 3
+        atoms = np.random.default_rng(5).standard_normal((1000, 64))
+        ds = Dataset(atoms=atoms)
+        sign = -np.sign(atoms[0])
+        assert np.argmax([math.fsum(r) for r in (sign * atoms).tolist()]) == 340
+        x = np.stack([1e307 * sign, 1e306 * np.sign(atoms[3]),
+                      np.zeros(64)])
+        top, w = posterior_top(ds, vp, 100, x)
+        # the rows whose nearest-atom logits are finite keep them as formed
+        c0, _ = mixing_coeffs(vp, 100)
+        logits = (x[1:] / c0) @ atoms.T - ds.half_sqnorms
+        assert np.array_equal(top, [340, *np.argmax(logits, axis=1)])
+        assert np.all(w == 1.0)
 
     @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
     def test_empty_batch(self, monkeypatch, wide_dataset, vp, split):
