@@ -7,8 +7,8 @@ collapses onto a single training sample.  The fraction of such draws per
 time and its Wilson confidence interval quantify how much of the
 trajectory operates in memorization territory.  Each draw needs only its
 posterior's most probable atom and that weight, which
-``oracles.posterior_top`` reads from each row block of weights while the
-block is still in cache.
+``oracles.posterior_top`` reads from each row tile of unnormalised
+weights while the tile is still in cache, without dividing it.
 
 The spectral helpers read the same phenomenon per frequency band: with
 signal amplitude ``c0`` and unit-variance noise at amplitude ``c1``,

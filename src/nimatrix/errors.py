@@ -46,6 +46,17 @@ class FormatError(NimatrixError, ValueError):
     """A file could not be parsed as the expected format."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or a short description of a value whose ``repr``
+    raises, as that of an int past Python's 4300-digit limit does."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def check_int(name: str, value, low: int | None) -> int:
     """``value`` as an ``int``, if it is a Python or NumPy integer of at
     least ``low`` (0 or 1, or None for any integer).
@@ -56,7 +67,8 @@ def check_int(name: str, value, low: int | None) -> int:
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or (low is not None and value < low)):
         kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
-        raise ParameterError(f"need {kind} integer {name}, got {value!r}")
+        raise ParameterError(f"need {kind} integer {name}, "
+                             f"got {_shown(value)}")
     return int(value)
 
 
@@ -79,7 +91,7 @@ def check_real(name: str, value, error=ParameterError) -> float:
                         "large for a float") from None
         if math.isfinite(value):
             return value
-    raise error(f"{name} must be a finite number, got {value!r}")
+    raise error(f"{name} must be a finite number, got {_shown(value)}")
 
 
 def check_array(name: str, value, ndim, nonfinite=ValidationError):

@@ -40,19 +40,25 @@ where they tip a rounding.
 The dataset kernel can run on two threads.  A batch is cut into blocks
 of 64 rows, the remainder joining the last block, and the caller and the
 package's worker thread take the blocks in turn (``_pool.run_blocks``).
-Each block runs its own GEMM and softmax, then writes its rows of a
-preallocated result: the normalised weights, the second GEMM's posterior
-mean, or (``posterior_top``) each row's most probable atom and its
-weight, which it reads from a block-local weight buffer while that is
-still in cache.  The split is taken only when all three hold, read on
-every call: the BLAS NumPy loaded reports one thread (a multi-threaded
-BLAS already has the other cores, and a BLAS whose count cannot be read
-counts as many), the process may run on more than one CPU, and the batch
-has at least two blocks.  Otherwise the batch is one call.  No block has
-one row, because NumPy runs a one-row product as a GEMV, which can round
-differently from the same row of a GEMM.  Where
-the BLAS rounds each row of a GEMM alike in a block and in the whole
-batch, the split is bitwise the one call; OpenBLAS does at the
+Each block runs its own GEMM, then the half-norm shift and the softmax
+on row tiles of about 1 MiB (``_TILE_BYTES``: 13 rows at 10000 atoms),
+each finished while it is still in a core's L2 cache: its normalised
+weights are divided in place, or (``posterior_top``) each row's most
+probable atom and its weight are read from the tile without dividing
+it (``_top_rows``); the posterior mean's second GEMM runs on the whole
+block.  Each block writes its rows of a preallocated result.  A GEMM of
+a tile's few rows runs well below the rate of one of 64 rows (16 rows:
+41 against 71 GFLOP/s on one AVX-512 core), so the block, not the tile,
+is the GEMM's unit; each pass after it works row by row and gives a row
+the same bits on a tile as on the block.  The split is taken only when
+all three hold, read on every call: the BLAS NumPy loaded reports one
+thread (a multi-threaded BLAS already has the other cores, and a BLAS
+whose count cannot be read counts as many), the process may run on more
+than one CPU, and the batch has at least two blocks.  Otherwise the
+batch is one call.  No block has one row, because NumPy runs a one-row
+product as a GEMV, which can round differently from the same row of a
+GEMM.  Where the BLAS rounds each row of a GEMM alike in a block and in
+the whole batch, the split is bitwise the one call; OpenBLAS does at the
 benchmark's 10000 x 64 dataset, but its edge kernels need not when the
 atom count or the dimension is not a multiple of their tile (500 atoms
 in 16-D on AVX-512 differ in the last bit), just as the one call already
@@ -79,6 +85,13 @@ from .schedule import Schedule, mixing_coeffs
 DATASET_MAGIC = b"NIDS1"
 
 
+def _owned(a, given):
+    """``a``, copied if it is the caller's array ``given`` or a view of
+    memory the caller holds, so writing there later cannot make a cached
+    constant stale."""
+    return a.copy() if a is given or not a.flags.owndata else a
+
+
 @dataclass(frozen=True)
 class Dataset:
     atoms: np.ndarray = field(repr=False)  # (n, d)
@@ -87,11 +100,7 @@ class Dataset:
     half_sqnorms: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        atoms = check_array("atoms", self.atoms, 2)
-        if atoms is self.atoms or not atoms.flags.owndata:
-            # the caller's array or a view of memory it holds: a copy, so
-            # writing there later cannot make half_sqnorms stale
-            atoms = atoms.copy()
+        atoms = _owned(check_array("atoms", self.atoms, 2), self.atoms)
         if atoms.shape[0] < 1:
             raise ValidationError("atoms must be a non-empty (n, d) matrix")
         object.__setattr__(self, "atoms", atoms)
@@ -130,10 +139,14 @@ class GaussianMixture:
     weights: np.ndarray = field(repr=False)
     means: np.ndarray = field(repr=False)       # (k, d)
     variances: np.ndarray = field(repr=False)   # (k,), isotropic
+    # log w_k and |m_k|^2 per component, cached for the mixture logits
+    log_weights: np.ndarray = field(init=False, compare=False, repr=False)
+    sqnorms: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        w = check_array("mixture weights", self.weights, 1)
-        mu = check_array("mixture means", self.means, 2)
+        w = _owned(check_array("mixture weights", self.weights, 1),
+                   self.weights)
+        mu = _owned(check_array("mixture means", self.means, 2), self.means)
         v = check_array("mixture variances", self.variances, 1)
         k = mu.shape[0]
         if w.shape != (k,) or v.shape != (k,):
@@ -146,6 +159,10 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", v)
+        for name, value in (("log_weights", np.log(w)),
+                            ("sqnorms", np.einsum("kd,kd->k", mu, mu))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -204,28 +221,71 @@ def _softmax_rows(e):
     return e.sum(axis=1, keepdims=True), top
 
 
-def _posterior_block(ds: Dataset, c0, c1, x, e):
+def _top_rows(e, z):
+    """Each row's ``np.argmax`` of ``e / z`` and the quotient there, for
+    (r, n) exponentials ``e`` with finite (r, 1) row sums ``z``, without
+    dividing ``e``.
+
+    Division by a positive ``z`` is monotone, so the largest quotient is
+    ``emax / z`` for the row maximum ``emax``, and every entry whose
+    quotient equals it lies within a few ulps of ``emax`` (the quotient
+    is at least ``1 / n``, a normal number).  The first entry of at least
+    ``emax * (1 - 2**-30)`` is therefore at or before the argmax, and is
+    the argmax if its quotient ties; a row where it does not tie takes
+    ``np.argmax`` of its divided row.
+    """
+    emax = e.max(axis=1)
+    top = np.argmax(e >= (emax * (1.0 - 2.0 ** -30))[:, None], axis=1)
+    z = z[:, 0]
+    w = emax / z
+    miss = e[np.arange(top.size), top] / z != w
+    if miss.any():
+        top[miss] = np.argmax(e[miss] / z[miss, None], axis=1)
+    return top, w
+
+
+# Bytes of a softmax row tile: half of a 2 MiB L2 cache, so a tile's
+# passes after the GEMM run on data still in cache (module docstring).
+_TILE_BYTES = 2 ** 20
+
+
+def _posterior_block(ds: Dataset, c0, c1, x, e, finish):
     """Unnormalised posterior weights over the atoms for (r, d) states.
 
     Writes the weights into the (r, n) buffer ``e`` and returns their
-    (r, 1) row sums ``z``; the posterior weights are ``e / z``.  Where
-    the logits cannot be formed in float64 (``c1^2`` is 0, or they
-    overflow so that a row sum is not finite), the weights are their
-    ``c1 -> 0`` limit: one-hot at the nearest atom to ``x / c0``, the
-    lowest index on ties, which is the argmax of
+    (r, 1) row sums ``z``; the posterior weights are ``e / z``.  After
+    one GEMM of the whole block, the half-norm shift and the softmax run
+    on tiles of rows of about ``_TILE_BYTES``, and each tile is handed to
+    ``finish(rows, e[rows], z[rows])`` while it is in cache.  Where the
+    logits cannot be formed in float64 (``c1^2`` is 0, or they overflow
+    so that a row sum of any tile is not finite), the whole block is
+    formed again as its ``c1 -> 0`` limit and finished as one tile,
+    which overwrites whatever earlier tiles wrote: one-hot at the nearest
+    atom to ``x / c0``, the lowest index on ties, which is the argmax of
     ``x/c0 . a - |a|^2 / 2``.  A row whose nearest-atom logits overflow
     too (a state of about 1e306 or more) is formed again from its state
     scaled by an exact power of two, which leaves the argmax as it is
     and brings the row's largest entry into [0.5, 1).
     """
+    r = e.shape[0]
     if c1 * c1 != 0.0:
         scale = c0 / (c1 * c1)
+        step = max(1, _TILE_BYTES // (8 * ds.n))
+        z = np.empty((r, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(x * scale, ds.atoms.T, out=e)
-            e -= (c0 * scale) * ds.half_sqnorms
-            z, _ = _softmax_rows(e)
-        if np.isfinite(z).all():
-            return z
+            shift = (c0 * scale) * ds.half_sqnorms
+            for lo in range(0, r, step):
+                rows = slice(lo, min(lo + step, r))
+                tile = e[rows]
+                tile -= shift
+                z[rows], _ = _softmax_rows(tile)
+                zt = z[rows]
+                if not np.isfinite(zt).all():
+                    break
+                finish(rows, tile, zt)
+            else:
+                return z
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(x / c0, ds.atoms.T, out=e)
         e -= ds.half_sqnorms
@@ -237,8 +297,10 @@ def _posterior_block(ds: Dataset, c0, c1, x, e):
                   - np.ldexp(ds.half_sqnorms, -k))
     idx = np.argmax(e, axis=1)
     e.fill(0.0)
-    e[np.arange(e.shape[0]), idx] = 1.0
-    return np.ones((e.shape[0], 1))
+    e[np.arange(r), idx] = 1.0
+    z = np.ones((r, 1))
+    finish(slice(0, r), e, z)
+    return z
 
 
 # Row-block size of the two-thread split (see the module docstring); the
@@ -287,18 +349,19 @@ def _split(b: int) -> bool:
 def _posterior(ds: Dataset, s: Schedule, t, x, kind: str):
     """Posterior ``kind`` for states x: "weights", "mean" or "top".
 
-    Each row block runs :func:`_posterior_block` and normalises by the
-    row sums.  For the weights it writes into its rows of one (b, n)
-    buffer, which it normalises in place; for the mean it runs the second
-    GEMM of those rows into its rows of the (b, d) result.  For the top
-    atom it writes into a block-local (rows, n) buffer, normalises it in
-    place and writes each row's ``np.argmax`` and the weight there into
-    its rows of two length-b results; split, no (b, n) buffer exists.
-    Blocks are ``_ROWS`` rows, the last one taking the remainder; when
-    :func:`_split` allows, the caller and the package's worker thread take
-    them in turn, otherwise the whole batch is one block.  The row
-    reductions are the same either way; the GEMM rows are where the BLAS
-    rounds a row alike in a block and in the batch (module docstring).
+    Each row block runs :func:`_posterior_block`, which hands it its rows
+    tile by tile.  For the weights it writes into its rows of one (b, n)
+    buffer and divides each tile by its row sums in place; for the mean
+    it runs the second GEMM of the block's rows into its rows of the
+    (b, d) result and divides that.  For the top atom it writes into a
+    block-local (rows, n) buffer and reads each tile's top atoms and
+    their weights with :func:`_top_rows` into its rows of two length-b
+    results; split, no (b, n) buffer exists.  Blocks are ``_ROWS`` rows,
+    the last one taking the remainder; when :func:`_split` allows, the
+    caller and the package's worker thread take them in turn, otherwise
+    the whole batch is one block.  The row reductions are the same
+    either way; the GEMM rows are where the BLAS rounds a row alike in a
+    block and in the batch (module docstring).
     """
     xb, single = _batch(ds.d, t, x)
     c0, c1 = mixing_coeffs(s, t)
@@ -312,17 +375,19 @@ def _posterior(ds: Dataset, s: Schedule, t, x, kind: str):
 
     def block(rows):
         w = np.empty((rows.stop - rows.start, ds.n)) if e is None else e[rows]
-        z = _posterior_block(ds, c0, c1, xb[rows], w)
+
+        def finish(tile, wt, z):
+            if kind == "weights":
+                wt /= z
+            elif kind == "top":
+                at = slice(rows.start + tile.start, rows.start + tile.stop)
+                out[0][at], out[1][at] = _top_rows(wt, z)
+
+        z = _posterior_block(ds, c0, c1, xb[rows], w, finish)
         if kind == "mean":
             y = out[0][rows]
             np.matmul(w, ds.atoms, out=y)
             y /= z
-            return
-        w /= z
-        if kind == "top":
-            top = np.argmax(w, axis=1)
-            out[0][rows] = top
-            out[1][rows] = w[np.arange(top.size), top]
 
     if _split(b):
         edges = [*range(0, b - _ROWS + 1, _ROWS), b]
@@ -350,8 +415,9 @@ def posterior_top(ds: Dataset, s: Schedule, t, x):
     Returns ``(index, weight)``: for (b, d) states, a length-b index
     array and a length-b weight array; for one (d,) state, two scalars.
     They are bitwise ``np.argmax`` of :func:`posterior_weights` (the
-    lowest index on ties) and the weight there, each row block reducing
-    its own weights while they are in cache (:func:`_posterior`).
+    lowest index on ties) and the weight there, read from each row tile
+    of unnormalised weights while it is in cache, without dividing it
+    (:func:`_top_rows`).
     """
     return _posterior(ds, s, t, x, "top")
 
@@ -361,20 +427,21 @@ def _mixture_kernel(g: GaussianMixture, c0, tot, xb):
 
     The logits are ``log w_k - (d/2) log tot_k - |x - c0 m_k|^2 / (2 tot_k)``,
     expanded into one GEMM of the states against ``c0 m_k / tot_k``, a
-    per-component bias and the outer product ``|x|^2 (x) 1 / (2 tot_k)``.
+    per-component bias from the ``log w_k`` and ``|m_k|^2`` that each
+    :class:`GaussianMixture` caches, and the outer product
+    ``|x|^2 (x) 1 / (2 tot_k)``.
     Returns ``(e, z, top)`` as :func:`_softmax_rows` leaves them.  A
     state whose ``|x|^2`` overflows (about 1e154 or more) is
     ``NumericError``.
     """
-    m = g.means
     half_inv = 0.5 / tot
     sq = np.einsum("bd,bd->b", xb, xb)
     if not np.isfinite(sq).all():
         raise NumericError("a state too large for the mixture kernel: "
                            "its squared norm overflows")
-    e = xb @ (m * (c0 / tot)[:, None]).T
-    e += (np.log(g.weights) - 0.5 * g.d * np.log(tot)
-          - (c0 * c0) * half_inv * np.einsum("kd,kd->k", m, m))
+    e = xb @ (g.means * (c0 / tot)[:, None]).T
+    e += (g.log_weights - 0.5 * g.d * np.log(tot)
+          - (c0 * c0) * half_inv * g.sqnorms)
     e -= np.multiply.outer(sq, half_inv)
     z, top = _softmax_rows(e)
     return e, z, top

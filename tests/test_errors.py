@@ -150,6 +150,16 @@ class TestCheckInt:
         with pytest.raises(ParameterError):
             check_int("n", value, 1)
 
+    def test_integer_too_long_to_print_is_a_parameter_error(self):
+        # repr of an int past Python's 4300-digit limit raises ValueError
+        with pytest.raises(ParameterError, match=(
+                "^need a non-negative integer seed, got an integer of "
+                "16610 bits$")):
+            check_int("seed", -10 ** 5000, 0)
+        with pytest.raises(ParameterError, match="got a list too long to "
+                                                 "print$"):
+            check_int("n", [10 ** 5000], 1)
+
 
 #: The mixture of ``PRED``, as keyword arguments.
 MIX = {"weights": [0.5, 0.5], "means": [[-1.0, 0.0], [1.0, 0.5]],
@@ -354,6 +364,11 @@ class TestCheckReal:
                 "^beta_max must be a finite number, got one too large for "
                 "a float$")):
             check_real("beta_max", 10 ** 400)
+
+    def test_value_too_long_to_print_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match=(
+                "^t must be a finite number, got a list too long to print$")):
+            check_real("t", [10 ** 5000])
 
 
 #: Parameters that hold no number for the three checks.

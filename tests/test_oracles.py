@@ -343,6 +343,46 @@ class TestMixtureKernel:
             with pytest.raises(NumericError, match="squared norm"):
                 gmm_marginal_logdensity(g, vp, t, x)
 
+    def test_cached_constants_leave_the_outputs_unchanged(self, gmm16, vp,
+                                                          flow):
+        # the kernel as it was before the mixture cached log w_k and
+        # |m_k|^2, taking both on every call; a digest would depend on the
+        # BLAS and the exp of the machine
+        g, x = gmm16, np.random.default_rng(2).standard_normal((40, 16))
+        for s, times in ((vp, (999, 500, 100, 10, 0)),
+                         (flow, (1.0, 0.5, 0.05, 0.0))):
+            for t in times:
+                c0, c1 = mixing_coeffs(s, t)
+                v = g.variances
+                tot = c0 * c0 * v + c1 * c1
+                half_inv = 0.5 / tot
+                e = x @ (g.means * (c0 / tot)[:, None]).T
+                e += (np.log(g.weights) - 0.5 * g.d * np.log(tot)
+                      - (c0 * c0) * half_inv
+                      * np.einsum("kd,kd->k", g.means, g.means))
+                e -= np.multiply.outer(np.einsum("bd,bd->b", x, x), half_inv)
+                z, top = oracles._softmax_rows(e)
+                mean = (e @ (g.means * (c1 * c1 / tot)[:, None])
+                        + (e @ (c0 * v / tot))[:, None] * x) / z
+                logd = ((top + np.log(z))[:, 0]
+                        - 0.5 * g.d * np.log(2.0 * np.pi))
+                assert np.array_equal(posterior_mean_gmm(g, s, t, x), mean)
+                assert np.array_equal(gmm_marginal_logdensity(g, s, t, x),
+                                      logd)
+
+    def test_parameters_are_a_copy(self, vp):
+        # the mixture caches log w_k and |m_k|^2: writing to the caller's
+        # arrays afterwards must not leave them stale
+        w, mu = np.array([0.25, 0.75]), np.array([[1.0, -1.0], [0.5, 2.0]])
+        g = GaussianMixture(weights=w, means=mu, variances=np.ones(2))
+        x = np.random.default_rng(4).standard_normal((5, 2))
+        want = posterior_mean_gmm(g, vp, 400, x)
+        w[:] = w[::-1]
+        mu *= 3.0
+        assert np.array_equal(posterior_mean_gmm(g, vp, 400, x), want)
+        with pytest.raises(ValueError, match="read-only"):
+            g.sqnorms[0] = 0.0
+
     def test_flow_t0_closed_form(self, flow):
         # no noise: the state is x0 itself
         g = uneven_mixture(8, 3)
@@ -563,6 +603,31 @@ class TestPosteriorTop:
             rows = np.arange(500)
             assert np.array_equal(weights[rows, top + 750], w), t
 
+    @pytest.mark.parametrize("row,want", [
+        # the first entry near the row max, 1 - 2**-40, divides to another
+        # quotient, so the row takes np.argmax of its divided row: the
+        # entry just below the max, whose quotient ties with the max's
+        ([1.0 - 2.0 ** -40, np.nextafter(1.0, 0.0), 1.0, 0.5, 0.5], 1),
+        # the first entry near the row max ties with it and is the top
+        ([np.nextafter(1.0, 0.0), 1.0, 0.5, 0.5, 0.0], 0),
+    ], ids=["first-candidate-misses", "first-candidate-ties"])
+    def test_top_read_without_dividing_is_argmax_of_the_quotients(self, row,
+                                                                   want):
+        e = np.array([row])
+        z = e.sum(axis=1, keepdims=True)
+        q = e / z
+        first = np.argmax(e[0] >= e.max() * (1.0 - 2.0 ** -30))
+        assert (q[0, first] == q.max()) == (first == want)
+        assert np.argmax(q) == want != np.argmax(e)
+        top, w = oracles._top_rows(e.copy(), z)
+        assert top.tolist() == [want] and w.tolist() == [q[0, want]]
+        # and the same next to another row in one tile
+        both = np.array([row, row[::-1]])
+        zb = both.sum(axis=1, keepdims=True)
+        top, w = oracles._top_rows(both, zb)
+        assert np.array_equal(top, np.argmax(both / zb, axis=1))
+        assert np.array_equal(w, (both / zb).max(axis=1))
+
     def test_degradation_csv_is_pinned_under_the_split(self, monkeypatch,
                                                        wide_dataset, vp,
                                                        flow):
@@ -607,6 +672,15 @@ def _spy_exp(monkeypatch):
     return seen
 
 
+def _tiles(ds, b, split):
+    """How many row tiles the dataset kernel runs for a batch of b states:
+    ``_ROWS``-row blocks, the last taking the remainder, when split."""
+    step = max(1, oracles._TILE_BYTES // (8 * ds.n))
+    rows = oracles._ROWS
+    blocks = [rows] * (b // rows - 1) + [rows + b % rows] if split else [b]
+    return sum(-(-r // step) for r in blocks)
+
+
 class TestFlush:
     @pytest.mark.parametrize("family,t", FLUSH_TIMES)
     def test_matches_plain_exp_within_the_tolerance(
@@ -643,7 +717,9 @@ class TestFlush:
             posterior_weights(wide_dataset, s, t, x)
             posterior_mean_dataset(wide_dataset, s, t, x)
             posterior_top(wide_dataset, s, t, x)
-        assert len(seen) == 3 * len(FLUSH_TIMES) * (4 if split else 1)
+        # one np.exp per row tile of each 64-row block (or of the batch)
+        assert len(seen) == 3 * len(FLUSH_TIMES) * _tiles(wide_dataset, 300,
+                                                          split)
         assert min(seen) >= oracles._FLUSH
 
     def test_each_row_is_the_same_alone_and_in_a_block(self):
@@ -694,6 +770,28 @@ class TestFlush:
         assert np.array_equal(top, np.argmax(w, axis=1))
         assert np.array_equal(top_w, w[np.arange(130), top])
 
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_overflow_in_the_last_tile_makes_its_block_one_hot(
+            self, monkeypatch, wide_dataset, vp, split):
+        # 3-row tiles: the earlier tiles of the block are finished (the
+        # weights divided, the top atoms read) before the overflowing one
+        monkeypatch.setattr(oracles, "_TILE_BYTES", 3 * 8 * wide_dataset.n)
+        monkeypatch.setattr(oracles, "_split", lambda b: split)
+        x = _states(wide_dataset, vp, 100, 130)
+        spread = posterior_weights(wide_dataset, vp, 100, x)
+        assert not np.all((spread == 0.0) | (spread == 1.0))
+        block = slice(0, 64) if split else slice(0, 130)
+        x[block.stop - 1] = 1e306 * np.sign(wide_dataset.atoms[0])
+        w = posterior_weights(wide_dataset, vp, 100, x)
+        assert np.all((w[block] == 0.0) | (w[block] == 1.0))
+        assert np.array_equal(w[block].sum(axis=1), np.ones(block.stop))
+        # the other block keeps its posterior
+        assert np.array_equal(w[block.stop:], spread[block.stop:])
+        top, top_w = posterior_top(wide_dataset, vp, 100, x)
+        assert np.array_equal(top, np.argmax(w, axis=1))
+        assert np.array_equal(top_w, w[np.arange(130), top])
+        assert np.all(top_w[block] == 1.0)
+
     def test_state_too_large_for_the_nearest_atom_logits(self, vp):
         # (x / c0) @ atoms.T overflows for a state of about 1e306 or more.
         # At x = 1e307 * sign, x/c0 . a - |a|^2/2 is largest where the
@@ -723,6 +821,16 @@ class TestFlush:
             0, wide_dataset.d)
         top, w = posterior_top(wide_dataset, vp, 100, x)
         assert top.shape == w.shape == (0,)
+
+
+class TestThreeRowTiles(TestPosteriorTop, TestFlush):
+    """The top-atom and flush tests, the pinned degradation digest among
+    them, with the softmax run on 3-row tiles: every dataset here has
+    1000 atoms, so a 64-row block is 21 tiles and a 1-row remainder."""
+
+    @pytest.fixture(autouse=True)
+    def three_row_tiles(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_TILE_BYTES", 3 * 8 * 1000)
 
 
 class TestPredictor:
