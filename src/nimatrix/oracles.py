@@ -101,7 +101,7 @@ class Dataset:
 
     def __post_init__(self):
         atoms = _owned(check_array("atoms", self.atoms, 2), self.atoms)
-        if atoms.shape[0] < 1:
+        if atoms.size == 0:
             raise ValidationError("atoms must be a non-empty (n, d) matrix")
         object.__setattr__(self, "atoms", atoms)
         half = 0.5 * np.einsum("ij,ij->i", atoms, atoms)
@@ -148,6 +148,9 @@ class GaussianMixture:
                    self.weights)
         mu = _owned(check_array("mixture means", self.means, 2), self.means)
         v = check_array("mixture variances", self.variances, 1)
+        if mu.size == 0:
+            raise ValidationError("mixture means must be a non-empty (k, d) "
+                                  "matrix")
         k = mu.shape[0]
         if w.shape != (k,) or v.shape != (k,):
             raise ValidationError("weights/variances must have one entry "
@@ -205,13 +208,13 @@ def _softmax_rows(e):
     reaches ``np.exp``, whose AVX-512 loop leaves its fast path for a whole
     vector when one lane is below about -707.7; an unnormalised weight
     under ``e**-707`` becomes 0 (the tolerance is in the module
-    docstring).  Every other entry is the plain ``np.exp``.  A block
-    holding a NaN, whose minimum is NaN, takes the plain ``np.exp``
-    throughout, so a row whose logits overflowed keeps a non-finite ``z``.
+    docstring).  Every other entry is the plain ``np.exp``.  The gate's
+    minimum skips NaN, so a row whose logits overflowed does not keep the
+    flush from the other rows of the buffer; that row keeps a NaN ``z``.
     """
     top = e.max(axis=1, keepdims=True)
     e -= top
-    if e.min(initial=0.0) < _FLUSH:
+    if np.fmin.reduce(e, axis=None, initial=0.0) < _FLUSH:
         keep = e >= _FLUSH
         np.maximum(e, _FLUSH, out=e)
         np.exp(e, out=e)
@@ -249,43 +252,16 @@ def _top_rows(e, z):
 _TILE_BYTES = 2 ** 20
 
 
-def _posterior_block(ds: Dataset, c0, c1, x, e, finish):
-    """Unnormalised posterior weights over the atoms for (r, d) states.
+def _nearest(ds: Dataset, c0, x, e):
+    """One-hot rows at the nearest atom to each of the (r, d) states
+    ``x / c0``, written into the (r, n) buffer ``e``.
 
-    Writes the weights into the (r, n) buffer ``e`` and returns their
-    (r, 1) row sums ``z``; the posterior weights are ``e / z``.  After
-    one GEMM of the whole block, the half-norm shift and the softmax run
-    on tiles of rows of about ``_TILE_BYTES``, and each tile is handed to
-    ``finish(rows, e[rows], z[rows])`` while it is in cache.  Where the
-    logits cannot be formed in float64 (``c1^2`` is 0, or they overflow
-    so that a row sum of any tile is not finite), the whole block is
-    formed again as its ``c1 -> 0`` limit and finished as one tile,
-    which overwrites whatever earlier tiles wrote: one-hot at the nearest
-    atom to ``x / c0``, the lowest index on ties, which is the argmax of
-    ``x/c0 . a - |a|^2 / 2``.  A row whose nearest-atom logits overflow
-    too (a state of about 1e306 or more) is formed again from its state
-    scaled by an exact power of two, which leaves the argmax as it is
-    and brings the row's largest entry into [0.5, 1).
+    The nearest atom is the argmax of ``x/c0 . a - |a|^2 / 2``, the lowest
+    index on ties.  A row whose logits overflow (a state of about 1e306
+    or more) is formed again from its state scaled by an exact power of
+    two, which leaves the argmax as it is and brings the row's largest
+    entry into [0.5, 1).
     """
-    r = e.shape[0]
-    if c1 * c1 != 0.0:
-        scale = c0 / (c1 * c1)
-        step = max(1, _TILE_BYTES // (8 * ds.n))
-        z = np.empty((r, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(x * scale, ds.atoms.T, out=e)
-            shift = (c0 * scale) * ds.half_sqnorms
-            for lo in range(0, r, step):
-                rows = slice(lo, min(lo + step, r))
-                tile = e[rows]
-                tile -= shift
-                z[rows], _ = _softmax_rows(tile)
-                zt = z[rows]
-                if not np.isfinite(zt).all():
-                    break
-                finish(rows, tile, zt)
-            else:
-                return z
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(x / c0, ds.atoms.T, out=e)
         e -= ds.half_sqnorms
@@ -297,9 +273,49 @@ def _posterior_block(ds: Dataset, c0, c1, x, e, finish):
                   - np.ldexp(ds.half_sqnorms, -k))
     idx = np.argmax(e, axis=1)
     e.fill(0.0)
-    e[np.arange(r), idx] = 1.0
-    z = np.ones((r, 1))
-    finish(slice(0, r), e, z)
+    e[np.arange(e.shape[0]), idx] = 1.0
+
+
+def _posterior_block(ds: Dataset, c0, c1, x, e, finish):
+    """Unnormalised posterior weights over the atoms for (r, d) states.
+
+    Writes the weights into the (r, n) buffer ``e`` and returns their
+    (r, 1) row sums ``z``; the posterior weights are ``e / z``.  After
+    one GEMM of the whole block, the half-norm shift and the softmax run
+    on tiles of rows of about ``_TILE_BYTES``, and each tile is handed to
+    ``finish(rows, e[rows], z[rows])`` while it is in cache.  Where the
+    logits cannot be formed in float64, a row is one-hot at the nearest
+    atom to ``x / c0`` (:func:`_nearest`), its ``c1 -> 0`` limit, with a
+    row sum of 1: the whole block when ``c1^2`` is 0, which every row
+    shares, and otherwise each row whose logits overflowed so that its
+    row sum is not finite.  Every other row keeps its softmax, which no
+    other row's overflow changes.
+    """
+    r = e.shape[0]
+    if c1 * c1 == 0.0:
+        _nearest(ds, c0, x, e)
+        z = np.ones((r, 1))
+        finish(slice(0, r), e, z)
+        return z
+    scale = c0 / (c1 * c1)
+    step = max(1, _TILE_BYTES // (8 * ds.n))
+    z = np.empty((r, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(x * scale, ds.atoms.T, out=e)
+        shift = (c0 * scale) * ds.half_sqnorms
+        for lo in range(0, r, step):
+            rows = slice(lo, min(lo + step, r))
+            tile = e[rows]
+            tile -= shift
+            z[rows], _ = _softmax_rows(tile)
+            zt = z[rows]
+            if not np.isfinite(zt).all():
+                bad = ~np.isfinite(zt[:, 0])
+                one_hot = np.empty((np.count_nonzero(bad), ds.n))
+                _nearest(ds, c0, x[rows][bad], one_hot)
+                tile[bad] = one_hot
+                zt[bad] = 1.0
+            finish(rows, tile, zt)
     return z
 
 

@@ -20,6 +20,12 @@ holds each kind's schedule family, runner and evaluations per step:
   the other, so each order has one step for both (:func:`_dpm_form`).
 - ``deis-1`` / ``deis-2`` / ``deis-3``: polynomial exponential-integrator
   (Adams–Bashforth style) steps with quadrature-computed weights.
+
+Only those weights use SciPy: :func:`deis_weights` imports
+``scipy.integrate.quad`` at its first call, so importing this module, or
+tracing any other kind, loads no SciPy module (importing
+``scipy.integrate`` loads its optimize, sparse and special packages too,
+about 0.2 s of a command's start).
 """
 
 from __future__ import annotations
@@ -31,13 +37,14 @@ from functools import partial
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from scipy.integrate import quad
-
 from . import schedule as sched
 from .affine import RunContext, lin_combine
 from .errors import NumericError, ParameterError, check_int, check_real
 from .schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, Schedule,
                        mixing_coeffs)
+
+#: ``scipy.integrate.quad``, bound by the first :func:`deis_weights` call.
+quad = None
 
 #: Evaluation-stencil size per DEIS kind: the named order k uses the
 #: current evaluation plus up to k previous ones (ramping up at the
@@ -261,6 +268,9 @@ def deis_weights(s: Schedule, eval_times, t: float, t_next: float):
     the weight for stencil point j integrates the decay kernel times the
     j-th Lagrange basis polynomial over ``[t, t_next]``.
     """
+    global quad
+    if quad is None:
+        from scipy.integrate import quad
     ts = list(eval_times)
     a_next = s.alpha(t_next)
     weights = []

@@ -13,6 +13,9 @@ sums up the tree.  Unlike the oracle's GEMMs, ``cdist`` does not run on
 BLAS threads, so the split is always taken.  Every entry is computed on
 its own and every addition is one that NumPy's ``pairwise_sum`` makes, so
 each mean is bitwise the single-threaded ``cdist(x, y).mean()``.
+``scipy.spatial.distance.cdist`` is imported at the first ``_mean_dists``
+call, on the caller's thread before any leaf is handed out, so importing
+this module loads no SciPy and the worker never imports.
 
 The search is a banded coordinate descent: only entries within ``band``
 columns left of the diagonal move, a candidate rescales only its edited
@@ -31,12 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._pool import run_blocks
 from .coeffmatrix import CoefficientMatrix, rescale_row, row_sums
 from .engine import RunConfig, _draw, _play, run_matrix
 from .errors import NimatrixError, ParameterError, check_array, check_int
+
+#: ``scipy.spatial.distance.cdist``, bound by the first ``_mean_dists``
+#: call (module docstring); every leaf looks it up here.
+cdist = None
 
 
 #: Each sample set is scored on at most this many rows; a larger set is
@@ -111,6 +117,9 @@ def _mean_dists(*pairs) -> list:
     ``_pool.run_blocks`` as one list, and each pair's leaf sums are added
     up its tree.
     """
+    global cdist
+    if cdist is None:
+        from scipy.spatial.distance import cdist
     leaves = []
     trees = [_sum_tree(x, y, 0, x.shape[0] * y.shape[0], leaves)
              for x, y in pairs]

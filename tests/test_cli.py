@@ -1,4 +1,5 @@
 import json
+import struct
 import sys
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 
 from nimatrix.cli import main
 from nimatrix.coeffmatrix import load, save
-from nimatrix.oracles import Dataset, save_dataset
+from nimatrix.oracles import DATASET_MAGIC, Dataset, save_dataset
 from nimatrix.presets import load_preset
 from nimatrix.samplers import DEIS_POINTS, KINDS
 
@@ -239,6 +240,22 @@ class TestSample:
                               "--predictor", f"gmm:{f}")
         assert code == 4 and f"invalid {which} file" in stderr
 
+    @pytest.mark.parametrize("source", ["dataset", "gmm"])
+    def test_zero_dimension_source_is_usage_error(self, capsys, tmp_path,
+                                                  source):
+        # a dataset file with n = 3, d = 0 (or a mixture of empty means)
+        # ended in a traceback from a reshape
+        p = tmp_path / "source"
+        if source == "dataset":
+            p.write_bytes(DATASET_MAGIC + struct.pack("<II", 3, 0))
+        else:
+            p.write_text(json.dumps({"weights": [1.0], "means": [[]],
+                                     "variances": [1.0]}))
+        code, stdout, stderr = run(capsys, "sample", "--matrix", "ddim-18",
+                                   "--predictor", f"{source}:{p}", "--n", "2")
+        assert code == 2 and stdout == ""
+        assert "non-empty" in stderr and "Traceback" not in stderr
+
     def test_sample_to_dataset_file(self, capsys, tmp_path, small_dataset):
         d = tmp_path / "d.bin"
         save_dataset(small_dataset, d)
@@ -266,6 +283,16 @@ class TestDegrade:
         assert lines[0].startswith("family,t,")
         assert len(lines) == 3
 
+
+    def test_zero_dimension_dataset_is_usage_error(self, capsys, tmp_path):
+        # it printed a table of a uniform posterior and exited 0
+        d = tmp_path / "d.bin"
+        d.write_bytes(DATASET_MAGIC + struct.pack("<II", 3, 0))
+        code, stdout, stderr = run(capsys, "degrade", "--data", str(d),
+                                   "--family", "vp", "--times", "100,600",
+                                   "--trials", "5")
+        assert code == 2 and stdout == ""
+        assert "non-empty" in stderr and "Traceback" not in stderr
 
     @pytest.mark.parametrize("times", ["a,b", "100,", "nan", "100,inf"])
     def test_malformed_times_is_usage_error(self, capsys, tmp_path,

@@ -256,6 +256,21 @@ def test_bad_array_gives_finite_output_or_typed_error(name, valid, call,
     assert _finite(out)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Dataset(atoms=np.empty((3, 0))),
+    lambda: Dataset(atoms=np.empty((0, 0))),
+    lambda: GaussianMixture(**{**MIX, "means": [[], []]}),
+    lambda: GaussianMixture(weights=[], means=np.empty((0, 2)),
+                            variances=[]),
+], ids=["Dataset-d0", "Dataset-n0-d0", "GaussianMixture-d0",
+        "GaussianMixture-k0"])
+def test_source_without_atoms_or_dimensions_rejected(make):
+    # a dataset or mixture of dimension 0 was accepted, and its predictor
+    # ended in NumPy's bare ValueError
+    with pytest.raises(ValidationError, match="must be a non-empty"):
+        make()
+
+
 class TestCheckArray:
     def test_returns_float64_without_copying_float64(self):
         x = np.zeros((2, 3))

@@ -681,6 +681,31 @@ def _tiles(ds, b, split):
     return sum(-(-r // step) for r in blocks)
 
 
+def _check_overflowing_row(ds, s, t, x, i):
+    """Put a state whose logits overflow at row ``i`` of the ordinary
+    states ``x``: row ``i`` is one-hot at the nearest atom to ``x[i] / c0``
+    and every other row is bitwise what it is with the ordinary state."""
+    def kernels(x):
+        return (posterior_weights(ds, s, t, x),
+                posterior_mean_dataset(ds, s, t, x),
+                *posterior_top(ds, s, t, x))
+
+    before = kernels(x)
+    assert not np.all((before[0] == 0.0) | (before[0] == 1.0))
+    x = x.copy()
+    x[i] = 1e306 * np.sign(ds.atoms[0])
+    after = kernels(x)
+    others = np.arange(x.shape[0]) != i
+    for got, want in zip(after, before):
+        assert np.array_equal(got[others], want[others])
+    c0, _ = mixing_coeffs(s, t)
+    nearest = np.argmax((x[i] / c0) @ ds.atoms.T - ds.half_sqnorms)
+    w, mean, top, top_w = after
+    assert np.array_equal(w[i], np.eye(ds.n)[nearest])
+    assert np.array_equal(mean[i], ds.atoms[nearest])
+    assert (top[i], top_w[i]) == (nearest, 1.0)
+
+
 class TestFlush:
     @pytest.mark.parametrize("family,t", FLUSH_TIMES)
     def test_matches_plain_exp_within_the_tolerance(
@@ -755,42 +780,25 @@ class TestFlush:
     @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
     def test_overflowing_state_takes_the_nearest_atom(
             self, monkeypatch, wide_dataset, vp, split):
-        # one state whose logits overflow sends its block down the
-        # nearest-atom branch, next to states whose logits are flushed
-        x = _states(wide_dataset, vp, 100, 130)
-        x[5] = 1e306 * np.sign(wide_dataset.atoms[0])
+        # one state whose logits overflow is one-hot at its nearest atom,
+        # not its whole block: the states next to it, whose logits are
+        # flushed, keep their posteriors
         monkeypatch.setattr(oracles, "_split", lambda b: split)
-        w = posterior_weights(wide_dataset, vp, 100, x)
-        block = slice(0, 130) if not split else slice(0, 64)
-        assert np.all((w[block] == 0.0) | (w[block] == 1.0))
-        assert np.array_equal(w[block].sum(axis=1), np.ones(w[block].shape[0]))
-        assert np.isfinite(posterior_mean_dataset(wide_dataset, vp, 100,
-                                                  x)).all()
-        top, top_w = posterior_top(wide_dataset, vp, 100, x)
-        assert np.array_equal(top, np.argmax(w, axis=1))
-        assert np.array_equal(top_w, w[np.arange(130), top])
+        _check_overflowing_row(wide_dataset, vp, 100,
+                               _states(wide_dataset, vp, 100, 130), 5)
 
     @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
     def test_overflow_in_the_last_tile_makes_its_block_one_hot(
             self, monkeypatch, wide_dataset, vp, split):
         # 3-row tiles: the earlier tiles of the block are finished (the
-        # weights divided, the top atoms read) before the overflowing one
+        # weights divided, the top atoms read) before the overflowing one;
+        # only the overflowing row is one-hot, its block and tile keep
+        # their posteriors
         monkeypatch.setattr(oracles, "_TILE_BYTES", 3 * 8 * wide_dataset.n)
         monkeypatch.setattr(oracles, "_split", lambda b: split)
-        x = _states(wide_dataset, vp, 100, 130)
-        spread = posterior_weights(wide_dataset, vp, 100, x)
-        assert not np.all((spread == 0.0) | (spread == 1.0))
-        block = slice(0, 64) if split else slice(0, 130)
-        x[block.stop - 1] = 1e306 * np.sign(wide_dataset.atoms[0])
-        w = posterior_weights(wide_dataset, vp, 100, x)
-        assert np.all((w[block] == 0.0) | (w[block] == 1.0))
-        assert np.array_equal(w[block].sum(axis=1), np.ones(block.stop))
-        # the other block keeps its posterior
-        assert np.array_equal(w[block.stop:], spread[block.stop:])
-        top, top_w = posterior_top(wide_dataset, vp, 100, x)
-        assert np.array_equal(top, np.argmax(w, axis=1))
-        assert np.array_equal(top_w, w[np.arange(130), top])
-        assert np.all(top_w[block] == 1.0)
+        last = (64 if split else 130) - 1
+        _check_overflowing_row(wide_dataset, vp, 100,
+                               _states(wide_dataset, vp, 100, 130), last)
 
     def test_state_too_large_for_the_nearest_atom_logits(self, vp):
         # (x / c0) @ atoms.T overflows for a state of about 1e306 or more.
@@ -807,8 +815,11 @@ class TestFlush:
         # the rows whose nearest-atom logits are finite keep them as formed
         c0, _ = mixing_coeffs(vp, 100)
         logits = (x[1:] / c0) @ atoms.T - ds.half_sqnorms
-        assert np.array_equal(top, [340, *np.argmax(logits, axis=1)])
-        assert np.all(w == 1.0)
+        assert np.array_equal(top[:2], [340, np.argmax(logits[0])])
+        assert np.all(w[:2] == 1.0)
+        # the zero state keeps its posterior, atom 19 at 0.99995, as alone
+        alone = posterior_top(ds, vp, 100, x[2])
+        assert (top[2], w[2]) == alone and alone[1] < 1.0
 
     @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
     def test_empty_batch(self, monkeypatch, wide_dataset, vp, split):
