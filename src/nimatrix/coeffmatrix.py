@@ -32,7 +32,8 @@ import numpy as np
 from . import schedule as sched
 from .affine import RunContext, TRACE
 from .errors import (DomainError, FormatError, NimatrixError, NumericError,
-                     ValidationError, check_array, check_real)
+                     ValidationError, check_array, check_json_array,
+                     check_real)
 from .samplers import SamplerSpec, default_grid, default_schedule, run_native
 from .schedule import (Schedule, make_schedule, mixing_coeffs,
                        validate_decreasing)
@@ -295,20 +296,19 @@ def save(m: CoefficientMatrix, path) -> None:
         fh.write("}\n")
 
 
-def _block(value, rows: int, cols: int, fmt: str):
-    """A payload's signal or noise block, to be read as (rows, cols).
+def _block(name: str, value, rows: int, cols: int, fmt: str):
+    """A payload's ``name`` block, signal or noise, read as (rows, cols).
 
     Under ``nimatrix/1`` the block is a list of rows, and ``[]`` is an
-    empty block; its entries are read as numbers here, so a row that is
-    not one (``ValueError``, ``TypeError``) is a format error of the
-    file.  Under ``nimatrix/2`` it is the base64 of exactly
+    empty block; its entries must be JSON numbers (``check_json_array``).
+    Under ``nimatrix/2`` it is the base64 of exactly
     ``8 * rows * cols`` little-endian float64 bytes.  Shape and
     finiteness are checked when the matrix is built.
     """
     if fmt == LIST_FORMAT:
         if not isinstance(value, list):
             raise FormatError(f"a {fmt} block must be a list of rows")
-        return (np.asarray(value, dtype=np.float64) if value
+        return (check_json_array(name, value) if value
                 else np.zeros((rows, 0)))
     if not isinstance(value, str):
         raise FormatError(f"a {fmt} block must be a base64 string")
@@ -321,6 +321,14 @@ def _block(value, rows: int, cols: int, fmt: str):
         raise FormatError(f"block holds {len(raw)} bytes, want {need} for "
                           f"{rows} x {cols} float64 entries")
     return np.frombuffer(raw, "<f8").reshape(rows, cols)
+
+
+def _times(name: str, value) -> tuple:
+    """A payload's list of times: JSON numbers, each a finite float."""
+    times = check_json_array(name, value, DomainError)
+    if times.ndim != 1:
+        raise FormatError(f"{name} must be a list of numbers")
+    return tuple(times.tolist())
 
 
 def from_payload(payload: dict) -> CoefficientMatrix:
@@ -336,11 +344,12 @@ def from_payload(payload: dict) -> CoefficientMatrix:
         raise ValidationError(f"unknown noise mode {mode!r}")
     try:
         schedule_info = dict(payload["schedule"])
-        row_times = tuple(float(t) for t in payload["row_times"])
-        col_times = tuple(float(t) for t in payload["col_times"])
-        noise_times = tuple(float(t) for t in payload.get("noise_times", ()))
+        row_times = _times("row_times", payload["row_times"])
+        col_times = _times("col_times", payload["col_times"])
+        noise_times = _times("noise_times", payload.get("noise_times", []))
         rows = len(row_times)
-        noise = _block(payload.get("noise", []), rows, len(noise_times), fmt)
+        noise = _block("noise", payload.get("noise", []), rows,
+                       len(noise_times), fmt)
         if mode == "single-terminal":
             if noise_times or np.shape(noise) != (rows, 0):
                 raise FormatError("a single-terminal matrix stores no noise "
@@ -352,7 +361,8 @@ def from_payload(payload: dict) -> CoefficientMatrix:
             schedule_info=schedule_info,
             row_times=row_times,
             col_times=col_times,
-            signal=_block(payload["signal"], rows, len(col_times), fmt),
+            signal=_block("signal", payload["signal"], rows, len(col_times),
+                          fmt),
             noise=noise,
             noise_times=noise_times,
         )

@@ -9,7 +9,9 @@ conversion and check of a scalar real argument: a time, a threshold, a
 schedule rate or a sampler option; and ``check_array`` the one
 conversion and check of an array argument of the API: states, atoms,
 labels, mixture parameters, coefficient blocks and rows, sample sets,
-targets, grids, images and profiles.
+targets, grids, images and profiles.  ``check_json_array`` reads the
+numbers of a JSON file, matrix times and list blocks and mixture
+parameters, before those checks.
 """
 
 import math
@@ -113,3 +115,44 @@ def check_array(name: str, value, ndim, nonfinite=ValidationError):
     if nonfinite is not None and not np.isfinite(a).all():
         raise nonfinite(f"non-finite {name}")
     return a
+
+
+#: The types ``json.load`` gives a number; a bool is not one.
+_JSON_NUMBERS = {int, float}
+_JSON_NAMES = {int: "a number", float: "a number", str: "a string",
+               bool: "a bool", type(None): "null", dict: "an object"}
+
+
+def _entry_types(value: list) -> set:
+    """The types of a list's entries, with nested lists taken apart."""
+    types = set(map(type, value))
+    if list in types:
+        types.discard(list)
+        for v in value:
+            if type(v) is list:
+                types |= _entry_types(v)
+    return types
+
+
+def check_json_array(name: str, value, too_large=ValidationError):
+    """A JSON array of numbers, or of such arrays, as a float64 array.
+
+    A value that is not an array, an entry that is not a JSON number (a
+    string, a bool, null or an object) and arrays of unequal lengths
+    raise :class:`FormatError`; a number too large for a float raises
+    ``too_large``.  Shape and finiteness are left to the caller's check.
+    """
+    if type(value) is not list:
+        raise FormatError(f"{name} must be a JSON array, not "
+                          + _JSON_NAMES.get(type(value), type(value).__name__))
+    bad = _entry_types(value) - _JSON_NUMBERS
+    if bad:
+        raise FormatError(f"{name} must hold JSON numbers, not " + " or ".join(
+            sorted(_JSON_NAMES.get(t, t.__name__) for t in bad)))
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise too_large(f"{name} holds a number too large for a float"
+                        ) from None
+    except ValueError as exc:  # arrays of unequal lengths
+        raise FormatError(f"{name} is not a regular array: {exc}") from None

@@ -79,7 +79,8 @@ import numpy as np
 
 from ._pool import run_blocks
 from .errors import (FormatError, NumericError, ParameterError,
-                     ValidationError, check_array, check_int)
+                     ValidationError, check_array, check_int,
+                     check_json_array)
 from .schedule import Schedule, mixing_coeffs
 
 DATASET_MAGIC = b"NIDS1"
@@ -609,8 +610,8 @@ def load_mixture(path) -> GaussianMixture:
             # UTF-8, or an integer too long
             raise FormatError(f"invalid mixture file: {exc}") from exc
     try:
-        fields = {key: np.asarray(cfg[key], dtype=np.float64)
+        fields = {key: check_json_array(f"mixture {key}", cfg[key])
                   for key in ("weights", "means", "variances")}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:  # a key missing, or not an object
         raise FormatError(f"malformed mixture spec: {exc}") from exc
     return GaussianMixture(**fields)

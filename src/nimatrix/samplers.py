@@ -4,7 +4,9 @@ Every sampler is written once against the :mod:`nimatrix.affine` element
 algebra, in x0-prediction form: the model is a predictor ``y = f_t(x)``
 estimating the clean signal.  The same code path executes concretely or
 traces the sampler into its coefficient matrix.  :data:`KIND_TABLE`
-holds each kind's schedule family, runner and evaluations per step:
+holds every per-kind choice: schedule family, runner (with the kind's
+constants bound in), evaluations per step, options and default grid
+(linspace-trailing unless noted):
 
 - ``ddpm`` / ``ddim``: ancestral sampling on the discrete VP chain and
   its deterministic counterpart.
@@ -18,14 +20,14 @@ holds each kind's schedule family, runner and evaluations per step:
   ``dpmpp-2s`` / ``dpmpp-3s`` are their data-prediction duals: swapping
   alpha with sigma and the log-SNR step ``h`` with ``-h`` turns one into
   the other, so each order has one step for both (:func:`_dpm_form`).
-- ``deis-1`` / ``deis-2`` / ``deis-3``: polynomial exponential-integrator
-  (Adams–Bashforth style) steps with quadrature-computed weights.
+- ``deis-1`` / ``deis-2`` / ``deis-3``: Adams–Bashforth style exponential
+  integrators with quadrature weights over the last 1, 2 and 4 evaluations
+  (as in the reference tables; ``deis-1`` is DDIM), on a quadratic grid.
 
 Only those weights use SciPy: :func:`deis_weights` imports
 ``scipy.integrate.quad`` at its first call, so importing this module, or
-tracing any other kind, loads no SciPy module (importing
-``scipy.integrate`` loads its optimize, sparse and special packages too,
-about 0.2 s of a command's start).
+tracing any other kind, loads no SciPy module (``scipy.integrate`` also
+loads SciPy's optimize, sparse and special packages: 0.2 s of a start).
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ from .schedule import (FLOW, VP_CONTINUOUS, VP_DISCRETE, Schedule,
 
 #: ``scipy.integrate.quad``, bound by the first :func:`deis_weights` call.
 quad = None
-
-#: Evaluation-stencil size per DEIS kind: the named order k uses the
-#: current evaluation plus up to k previous ones (ramping up at the
-#: start of the run).  ``deis-1`` degenerates to DDIM.
-DEIS_POINTS = {"deis-1": 1, "deis-2": 2, "deis-3": 4}
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,6 @@ def _check_options(kind: str, options) -> None:
     if options.get("correction_sign", -1) not in (-1, 1):
         raise ParameterError(f"correction_sign must be +1 or -1, got "
                              f"{options['correction_sign']!r}")
-    check_int("points", options.get("points", 1), 1)
 
 
 @dataclass(frozen=True)
@@ -199,18 +195,18 @@ def _run_first_order(step, spec, s, grid, ctx):
     return x
 
 
-def _dpm_form(spec, s):
+def _dpm_form(dual: bool, s):
     """Scales ``q``, ``p``, step sign and prediction map ``z`` of a
-    DPM-Solver step: noise prediction over ``h``, or for ++ the
-    x0-prediction over ``-h`` with alpha and sigma swapped."""
-    if spec.kind.startswith("dpmpp"):
+    DPM-Solver step: noise prediction over ``h``, or for the ``dual``
+    (++) the x0-prediction over ``-h`` with alpha and sigma swapped."""
+    if dual:
         return s.sigma, s.alpha, -1.0, lambda t, x, y: y
     return s.alpha, s.sigma, 1.0, partial(eps_from_x0, s)
 
 
-def _run_dpm_2s(spec, s, grid, ctx):
+def _run_dpm_2s(dual, spec, s, grid, ctx):
     r1 = float(spec.option("r1"))
-    q, p, sign, z = _dpm_form(spec, s)
+    q, p, sign, z = _dpm_form(dual, s)
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
     for t, tn in zip(times, times[1:]):
@@ -228,12 +224,11 @@ def _run_dpm_2s(spec, s, grid, ctx):
     return x
 
 
-def _run_dpm_3s(spec, s, grid, ctx):
+def _run_dpm_3s(dual, spec, s, grid, ctx):
     r1, r2 = float(spec.option("r1")), float(spec.option("r2"))
-    q, p, sign, z = _dpm_form(spec, s)
-    # Sign of the difference-correction terms; an option of the ++ variant
-    # whose default reproduces the reference coefficient tables.
-    c = sign * (float(spec.option("correction_sign")) if sign < 0 else -1.0)
+    q, p, sign, z = _dpm_form(dual, s)
+    # Sign of the difference-correction terms; ++ takes it from an option.
+    c = -float(spec.option("correction_sign")) if dual else -1.0
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
     for t, tn in zip(times, times[1:]):
@@ -266,7 +261,8 @@ def deis_weights(s: Schedule, eval_times, t: float, t_next: float):
 
     ``eval_times`` are the stencil times (oldest first, current last);
     the weight for stencil point j integrates the decay kernel times the
-    j-th Lagrange basis polynomial over ``[t, t_next]``.
+    j-th Lagrange basis polynomial over ``[t, t_next]``.  A result that
+    ``quad`` flags raises :class:`NumericError`, not a SciPy warning.
     """
     global quad
     if quad is None:
@@ -281,18 +277,18 @@ def deis_weights(s: Schedule, eval_times, t: float, t_next: float):
                 if k != j:
                     p *= (tau - tk) / (ts[j] - tk)
             return (a_next / s.alpha(tau)) * (s.beta(tau) / (2.0 * s.sigma(tau))) * p
-        w, err = quad(integrand, t, t_next, epsabs=1e-13, epsrel=1e-12,
-                      limit=200)
-        if not math.isfinite(w) or abs(err) > 1e-8:
+        w, err, _, *flag = quad(integrand, t, t_next, epsabs=1e-13,
+                                epsrel=1e-12, limit=200, full_output=1)
+        if flag or not math.isfinite(w) or abs(err) > 1e-8:
+            why = f": {' '.join(flag[0].split())}" if flag else ""
             raise NumericError(
                 f"quadrature did not converge on [{t}, {t_next}] "
-                f"(weight {w}, error estimate {err})")
+                f"(weight {w}, error estimate {err}){why}")
         weights.append(w)
     return weights
 
 
-def _run_deis(spec, s, grid, ctx):
-    points = int(spec.option("points"))
+def _run_deis(points, spec, s, grid, ctx):
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
     history: list = []  # (time, eps-expression), newest last
@@ -316,6 +312,7 @@ class Kind(NamedTuple):
     run: Callable  # (spec, schedule, grid, ctx) -> sample or terminal row
     evals_per_step: int = 1
     options: dict = {}  # the options the runner reads, with their defaults
+    grid: str = "linspace-trailing"  # the default ``make_grid`` rule
 
 
 # The intermediate steps' fractions of the log-SNR step ``h``.
@@ -331,13 +328,14 @@ KIND_TABLE = {
         _run_first_order, partial(_vp_euler_step_coeffs, stochastic=True))),
     "ode-euler": Kind(VP_DISCRETE, partial(
         _run_first_order, partial(_vp_euler_step_coeffs, stochastic=False))),
-    "dpm-solver-2s": Kind(VP_CONTINUOUS, _run_dpm_2s, 2, _R1),
-    "dpm-solver-3s": Kind(VP_CONTINUOUS, _run_dpm_3s, 3, _R12),
-    "dpmpp-2s": Kind(VP_CONTINUOUS, _run_dpm_2s, 2, _R1),
-    "dpmpp-3s": Kind(VP_CONTINUOUS, _run_dpm_3s, 3,
+    "dpm-solver-2s": Kind(VP_CONTINUOUS, partial(_run_dpm_2s, False), 2, _R1),
+    "dpm-solver-3s": Kind(VP_CONTINUOUS, partial(_run_dpm_3s, False), 3, _R12),
+    "dpmpp-2s": Kind(VP_CONTINUOUS, partial(_run_dpm_2s, True), 2, _R1),
+    "dpmpp-3s": Kind(VP_CONTINUOUS, partial(_run_dpm_3s, True), 3,
                      {**_R12, "correction_sign": -1.0}),
-    **{kind: Kind(VP_CONTINUOUS, _run_deis, options={"points": points})
-       for kind, points in DEIS_POINTS.items()},
+    "deis-1": Kind(VP_CONTINUOUS, partial(_run_deis, 1), grid="quadratic"),
+    "deis-2": Kind(VP_CONTINUOUS, partial(_run_deis, 2), grid="quadratic"),
+    "deis-3": Kind(VP_CONTINUOUS, partial(_run_deis, 4), grid="quadratic"),
 }
 
 KINDS = tuple(KIND_TABLE)
@@ -347,21 +345,26 @@ def default_schedule(spec: SamplerSpec) -> Schedule:
     return sched.FAMILY_TABLE[KIND_TABLE[spec.kind].family].make()
 
 
+def _kind(spec: SamplerSpec, s: Schedule) -> Kind:
+    """The table entry of ``spec``'s kind, once ``s`` is of its family."""
+    kind = KIND_TABLE[spec.kind]
+    if s.family != kind.family:
+        raise ParameterError(f"{spec.kind} requires a {kind.family} schedule")
+    return kind
+
+
 def default_grid(spec: SamplerSpec, s: Schedule, n_evals: int,
                  rule: str | None = None) -> tuple[float, ...]:
     """The grid giving exactly ``n_evals`` model evaluations, spaced by
-    the ``make_grid`` rule: by default quadratic (dense near the terminal
-    time) for DEIS kinds and linspace-trailing for every other kind."""
-    kind = KIND_TABLE[spec.kind]
-    if rule is None:
-        rule = "quadratic" if spec.kind in DEIS_POINTS else "linspace-trailing"
+    the ``make_grid`` rule, by default the kind's own (``Kind.grid``)."""
+    kind = _kind(spec, s)
     n_evals = check_int("n_evals", n_evals, 1)
     if n_evals % kind.evals_per_step:
         raise ParameterError(f"{spec.kind} needs an evaluation count "
                              f"divisible by {kind.evals_per_step}")
     if kind.family == VP_CONTINUOUS:  # n grid points span n - 1 steps
         n_evals = n_evals // kind.evals_per_step + 1
-    return sched.make_grid(s, n_evals, rule)
+    return sched.make_grid(s, n_evals, kind.grid if rule is None else rule)
 
 
 def run_native(spec: SamplerSpec, s: Schedule, grid: tuple,
@@ -372,7 +375,4 @@ def run_native(spec: SamplerSpec, s: Schedule, grid: tuple,
     ``ctx.records`` and the returned element is the terminal-row
     expression.  In concrete mode the returned element is the sample.
     """
-    kind = KIND_TABLE[spec.kind]
-    if s.family != kind.family:
-        raise ParameterError(f"{spec.kind} requires a {kind.family} schedule")
-    return kind.run(spec, s, grid, ctx)
+    return _kind(spec, s).run(spec, s, grid, ctx)

@@ -10,7 +10,7 @@ from nimatrix.cli import main
 from nimatrix.coeffmatrix import load, save
 from nimatrix.oracles import DATASET_MAGIC, Dataset, save_dataset
 from nimatrix.presets import load_preset
-from nimatrix.samplers import DEIS_POINTS, KINDS
+from nimatrix.samplers import KINDS
 
 
 def run(capsys, *argv):
@@ -57,6 +57,25 @@ class TestTraceCheck:
         code, _, _ = run(capsys, "check", str(p))
         assert code == 4
 
+    def test_family_checked_before_the_grid(self, capsys):
+        # the default 18 evaluations do not fit a five-step chain, and
+        # that was the error reported
+        code, stdout, stderr = run(capsys, "trace", "--sampler", "flow-euler",
+                                   "--schedule", "vp-linear:0.1:0.2:5")
+        assert code == 2 and stdout == ""
+        assert stderr.splitlines() == [
+            "error: flow-euler requires a flow schedule"]
+
+    def test_flagged_deis_quadrature_is_numeric_error(self, capsys):
+        # SciPy flags these weights for roundoff; they were used, with its
+        # IntegrationWarning and source line on stderr
+        code, stdout, stderr = run(capsys, "trace", "--sampler", "deis-2",
+                                   "--schedule", "vp-continuous:1e-9:1e-9",
+                                   "--steps", "4")
+        assert code == 3 and stdout == ""
+        assert "quadrature did not converge on [" in stderr
+        assert "roundoff error" in stderr and "Warning" not in stderr
+
     @pytest.mark.parametrize("grid,code", [("trailing", 0), ("quadratic", 0),
                                            ("bogus", 2), ("explicit", 2)])
     def test_grid_values(self, capsys, grid, code):
@@ -80,7 +99,7 @@ class TestTraceCheck:
             times[grid] = [line.split(",")[0]
                            for line in stdout.splitlines()[1:]]
         assert times["trailing"] != times["quadratic"]
-        own = "quadratic" if kind in DEIS_POINTS else "trailing"
+        own = "quadratic" if kind.startswith("deis") else "trailing"
         assert times[None] == times[own]
 
     @pytest.mark.parametrize("text,code", [("999\n600\n300\n", 0),

@@ -75,8 +75,6 @@ CALLS = [
     ("trace_sampler-n_evals", 1, lambda v: trace_sampler(DDIM, n_evals=v)),
     ("deviation_trend-step_counts", 1,
      lambda v: deviation_trend(DDIM, step_counts=(v, 2))),
-    ("SamplerSpec-points", 1,
-     lambda v: SamplerSpec(kind="deis-3", options={"points": v})),
     ("RunConfig-n", 1, lambda v: RunConfig(matrix=BASE, predictor=PRED, n=v)),
     ("RunConfig-seed", 0,
      lambda v: RunConfig(matrix=BASE, predictor=PRED, seed=v)),

@@ -9,9 +9,10 @@ files hold, ``cli.main`` returns 0, 2, 3 or 4 and never raises, and
 ``guidance`` rejects exactly the matrix files that ``check`` rejects,
 with the same code.  The mutations start from preset payloads, files
 written by ``save`` or by the first ``nimatrix/2`` writer, and small valid
-files: rows dropped or duplicated, a time changed, NaN or a string put in
-a cell, a key deleted, a base64 block cut or spoiled, the format tag or
-the noise mode swapped, bytes truncated or flipped.
+files: rows dropped or duplicated, a time changed, NaN, a string, a bool
+or an integer past a float's range put in a cell, a key deleted, a
+base64 block cut or spoiled, the format tag or the noise mode swapped,
+bytes truncated or flipped.
 """
 
 import base64
@@ -35,7 +36,10 @@ from test_coeffmatrix import _base64_mode_save, _held
 EXIT_CODES = {0, 2, 3, 4}
 BASES = ("ddim-18", "ddpm-18", "flow-euler-18", "dpmpp-2s-18")
 ROW_KEYS = ("row_times", "signal", "noise")
-CELL_VALUES = (float("nan"), float("inf"), "x", None, [1.0])
+#: Numbers a JSON file may not hold: a string that reads as one, a bool
+#: and an integer past a float's range.
+NOT_FLOATS = ("0.944", True, 10 ** 400)
+CELL_VALUES = (float("nan"), float("inf"), "x", None, [1.0]) + NOT_FLOATS
 FORMATS = ("nimatrix/1", "nimatrix/2")
 NOT_BASE64 = ("*", "-", "_", " ", "\n", "é", "=")
 #: ``noise_mode`` values put in a file; None deletes the key.
@@ -126,7 +130,8 @@ def matrix_files(draw):
     elif how == "time":
         times = payload[draw(st.sampled_from(("row_times", "col_times")))]
         i = draw(st.integers(0, len(times) - 1))
-        times[i] = draw(st.one_of(st.floats(), st.integers(-5, 1005)))
+        times[i] = draw(st.one_of(st.floats(), st.integers(-5, 1005),
+                                  st.sampled_from(NOT_FLOATS)))
     elif how == "cell":
         rows = payload[draw(st.sampled_from(lists + ["col_times"]))]
         if rows:
@@ -439,6 +444,77 @@ def test_table_with_no_data_exits_4(workdir, argv, blob):
     # unreadable as a table, like every other unreadable file
     path = _write(workdir, "empty.csv", blob)
     assert _exit_code(*[a.format(path) for a in argv]) == 4
+
+
+#: Where a matrix file holds numbers: (file, key, index of the entry).
+#: flow-euler-18 is a ``nimatrix/1`` preset, whose blocks are lists; the
+#: saved ddpm-18 stores noise times.
+MATRIX_NUMBERS = {"row-time": ("flow-euler-18", "row_times", (3,)),
+                  "col-time": ("flow-euler-18", "col_times", (3,)),
+                  "noise-time": ("ddpm-18", "noise_times", (3,)),
+                  "list-block": ("flow-euler-18", "signal", (5, 2))}
+MIXTURE_NUMBERS = {"weights": (0,), "means": (1, 0), "variances": (0,)}
+#: What each value in a number's place gives: exit 4 for what is not a
+#: JSON number, exit 2 for a JSON number that is not a finite float.
+NUMBER_VALUES = {"string": ("0.944", 4), "padded-string": (" 0.944\n", 4),
+                 "true": (True, 4), "null": (None, 4),
+                 "400-digits": (10 ** 400, 2), "1e400": (float("inf"), 2)}
+
+
+def _with_entry(payload: dict, key: str, index: tuple, value) -> bytes:
+    cells = payload[key]
+    for i in index[:-1]:
+        cells = cells[i]
+    cells[index[-1]] = value
+    return json.dumps(payload).replace("Infinity", "1e400").encode()
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", NUMBER_VALUES)
+@pytest.mark.parametrize("where", MATRIX_NUMBERS)
+def test_matrix_numbers_must_be_json_floats(workdir, capsys, where, value):
+    # the times were read with float(), which took "0.944" and true and
+    # ended a 400-digit integer in an OverflowError traceback; list blocks
+    # with np.asarray, which took strings and bools
+    name, key, index = MATRIX_NUMBERS[where]
+    payload = (preset_payload(name) if name != "ddpm-18"
+               else json.loads(SAVED[1]))
+    cell, code = NUMBER_VALUES[value]
+    path = _write(workdir, "numbers.json", _with_entry(payload, key, index,
+                                                       cell))
+    mix = f"gmm:{workdir / 'mix.json'}"
+    for argv in (("check", path),
+                 ("sample", "--matrix", path, "--predictor", mix)):
+        got, err = _run(capsys, *argv)
+        assert got == code and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", NUMBER_VALUES)
+@pytest.mark.parametrize("key", MIXTURE_NUMBERS)
+def test_mixture_numbers_must_be_json_floats(workdir, capsys, key, value):
+    cell, code = NUMBER_VALUES[value]
+    payload = json.loads(json.dumps(MIXTURE))
+    path = _write(workdir, "numbers.json", _with_entry(
+        payload, key, MIXTURE_NUMBERS[key], cell))
+    got, err = _run(capsys, "sample", "--matrix", "ddim-18",
+                    "--predictor", f"gmm:{path}", "--n", "2")
+    assert got == code and "Traceback" not in err
+    assert f"mixture {key}" in err
+
+
+def test_mixture_of_strings_and_bools_is_format_error(workdir, capsys):
+    path = _write(workdir, "numbers.json", json.dumps(
+        {"weights": ["1.0"], "means": [[True, False, "0.5", 0]],
+         "variances": [True]}).encode())
+    got, err = _run(capsys, "sample", "--matrix", "ddim-18",
+                    "--predictor", f"gmm:{path}")
+    assert got == 4
+    assert err.splitlines() == [
+        "i/o error: mixture weights must hold JSON numbers, not a string"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

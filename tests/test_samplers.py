@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from nimatrix.errors import DomainError, NumericError, ParameterError
-from nimatrix.samplers import (DEIS_POINTS, KIND_TABLE, KINDS, SamplerSpec,
+from nimatrix.samplers import (KIND_TABLE, KINDS, SamplerSpec,
                                ddim_step_coeffs, ddpm_step_coeffs,
                                default_grid, default_schedule, deis_weights,
-                               flow_euler_step_coeffs, eps_from_x0)
-from nimatrix.schedule import (FAMILIES, make_flow, make_vp_continuous,
-                               make_vp_linear, mixing_coeffs)
-from nimatrix.affine import AffineState, lin_combine
+                               flow_euler_step_coeffs, eps_from_x0,
+                               run_native)
+from nimatrix.schedule import (FAMILIES, make_flow, make_grid,
+                               make_vp_continuous, make_vp_linear,
+                               mixing_coeffs)
+from nimatrix.affine import AffineState, RunContext, lin_combine
 from nimatrix.coeffmatrix import trace_sampler
 
 
@@ -96,9 +98,10 @@ class TestDefaults:
         ("dpmpp-3s", {"r2": 1.0}, "0 < r1 < r2 < 1"),
         ("dpmpp-3s", {"correction_sign": 0.5}, "correction_sign"),
         ("dpmpp-3s", {"correction_sign": 0}, "correction_sign"),
-        ("deis-2", {"points": 0}, "positive integer"),
-        ("deis-3", {"points": 2.5}, "positive integer"),
-        ("deis-1", {"points": True}, "finite number"),
+        # the stencil size is bound into each DEIS runner, not an option
+        ("deis-2", {"points": 2}, "no option 'points'"),
+        ("deis-3", {"points": 4}, "no option 'points'"),
+        ("deis-1", {"points": 1}, "no option 'points'"),
         ("dpm-solver-2s", {"bogus": 3}, "no option 'bogus'"),
         ("dpm-solver-3s", {"correction_sign": 1}, "no option"),
         ("ddpm", {"r1": 0.5}, "no option 'r1'"),
@@ -118,10 +121,26 @@ class TestDefaults:
 
     @pytest.mark.parametrize("kind,options", [
         ("dpm-solver-2s", {"r1": 0.3}), ("dpmpp-3s", {"correction_sign": 1}),
-        ("dpm-solver-3s", {"r1": 0.2, "r2": 0.9}), ("deis-3", {"points": 3})])
+        ("dpm-solver-3s", {"r1": 0.2, "r2": 0.9})])
     def test_good_options_trace(self, kind, options):
         assert trace_sampler(SamplerSpec(kind=kind, options=options),
                              n_evals=6).n_evals == 6
+
+    def test_kind_table(self):
+        # the table holds each kind's default grid, and the DEIS runners
+        # have their stencil sizes bound in; no option sets those
+        for kind in KINDS:
+            spec = SamplerSpec(kind=kind)
+            s = default_schedule(spec)
+            rule = KIND_TABLE[kind].grid
+            assert rule == ("quadratic" if kind.startswith("deis")
+                            else "linspace-trailing")
+            assert default_grid(spec, s, 6) == default_grid(spec, s, 6, rule)
+        assert {k: KIND_TABLE[k].run.args
+                for k in ("deis-1", "deis-2", "deis-3")} == {
+            "deis-1": (1,), "deis-2": (2,), "deis-3": (4,)}
+        with pytest.raises(ParameterError, match="no option 'points'"):
+            SamplerSpec(kind="deis-3", options={"points": 3})
 
     def test_grouped_kinds_need_divisible_counts(self, vpc):
         with pytest.raises(ParameterError):
@@ -168,6 +187,12 @@ class TestDeisWeights:
         want, _ = quad(kernel, 0.7, 0.5, epsabs=1e-13, epsrel=1e-12)
         assert combo == pytest.approx(want, abs=1e-9)
 
+    def test_flagged_quadrature_raises(self):
+        # on a nearly flat schedule quad flags its results for roundoff
+        s = make_vp_continuous(1e-9, 1e-9)
+        with pytest.raises(NumericError, match="did not converge.*roundoff"):
+            trace_sampler(SamplerSpec(kind="deis-3"), s=s, n_evals=18)
+
     def test_deis1_equals_ddim_on_matched_grid(self, vpc):
         # a one-point stencil makes the integrator a first-order
         # deterministic step; compare whole traced matrices
@@ -176,9 +201,6 @@ class TestDeisWeights:
         m2 = trace_sampler(SamplerSpec(kind="deis-2"), s=vpc, grid=g)
         # order 2 differs from order 1 beyond the first step
         assert not np.allclose(m1.signal, m2.signal, atol=1e-6)
-
-    def test_points_table(self):
-        assert DEIS_POINTS == {"deis-1": 1, "deis-2": 2, "deis-3": 4}
 
 
 class TestTracedStructure:
@@ -192,11 +214,17 @@ class TestTracedStructure:
     @pytest.mark.parametrize("kind,family", [
         (k, f) for k in KINDS for f in FAMILIES if f != KIND_TABLE[k].family])
     def test_family_mismatch_rejected(self, kind, family):
-        from nimatrix.samplers import run_native
-        from nimatrix.affine import RunContext
-        from nimatrix.schedule import make_grid
-        s = {"vp-discrete": make_vp_linear, "flow": make_flow,
-             "vp-continuous": make_vp_continuous}[family]()
-        want = f"{kind} requires a {KIND_TABLE[kind].family} schedule"
-        with pytest.raises(ParameterError, match=want):
-            run_native(SamplerSpec(kind=kind), s, make_grid(s, 4), RunContext())
+        # the family is checked before a grid is built: on a five-step
+        # chain the default grid of 18 evaluations would not fit
+        spec = SamplerSpec(kind=kind)
+        want = f"^{kind} requires a {KIND_TABLE[kind].family} schedule$"
+        for s in {"vp-discrete": (make_vp_linear(), make_vp_linear(T=5)),
+                  "flow": (make_flow(),),
+                  "vp-continuous": (make_vp_continuous(),)}[family]:
+            grid = make_grid(s, 4)
+            for call in (lambda: default_grid(spec, s, 18),
+                         lambda: trace_sampler(spec, s=s),
+                         lambda: trace_sampler(spec, s=s, grid=grid),
+                         lambda: run_native(spec, s, grid, RunContext())):
+                with pytest.raises(ParameterError, match=want):
+                    call()
