@@ -9,11 +9,15 @@ profiles, and export embedded presets.
 Results go to stdout as CSV; diagnostics go to stderr.  Exit codes:
 0 success, 2 usage/parameter error, 3 numeric failure, 4 I/O or file
 format error.
+
+The argument parser is built once per process, at the first ``main``
+call, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from tokenize import TokenError
 
@@ -89,13 +93,13 @@ def _parse_predictor(text: str, s, label=None):
 
 
 def _marginal_csv(report) -> str:
+    rows = np.column_stack((
+        report.row_times, report.equivalent_signal, report.equivalent_noise,
+        report.ideal_signal, report.ideal_noise, report.signal_deviation,
+        report.noise_deviation)).tolist()
     lines = ["time,equivalent_signal,equivalent_noise,ideal_signal,"
              "ideal_noise,signal_deviation,noise_deviation"]
-    for i, t in enumerate(report.row_times):
-        lines.append(",".join(repr(float(v)) for v in (
-            t, report.equivalent_signal[i], report.equivalent_noise[i],
-            report.ideal_signal[i], report.ideal_noise[i],
-            report.signal_deviation[i], report.noise_deviation[i])))
+    lines += [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -336,9 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at the first ``main`` call:
+    parsing keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, ValidationError, DomainError, ProtocolError) as exc:

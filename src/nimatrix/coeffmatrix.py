@@ -34,7 +34,8 @@ from .affine import RunContext, TRACE
 from .errors import (DomainError, FormatError, NimatrixError, NumericError,
                      ValidationError, check_array, check_json_array,
                      check_real)
-from .samplers import SamplerSpec, default_grid, default_schedule, run_native
+from .samplers import (SamplerSpec, _kind, default_grid, default_schedule,
+                       run_native)
 from .schedule import (Schedule, make_schedule, mixing_coeffs,
                        validate_decreasing)
 
@@ -160,8 +161,11 @@ def trace_sampler(spec: SamplerSpec, s: Schedule | None = None,
     """Run the sampler symbolically and assemble its coefficient matrix."""
     if s is None:
         s = default_schedule(spec)
-    grid = (default_grid(spec, s, n_evals) if grid is None
-            else sched.make_grid(s, None, "explicit", grid))
+    if grid is None:
+        grid = default_grid(spec, s, n_evals)
+    else:  # the kind's family is checked before the grid's times
+        _kind(spec, s)
+        grid = sched.make_grid(s, None, "explicit", grid)
     ctx = RunContext(mode=TRACE)
     final = run_native(spec, s, grid, ctx)
     n = len(ctx.records)
@@ -194,9 +198,17 @@ def ideal_coeffs(s: Schedule, t: float) -> tuple[float, float]:
 
 
 def row_sums(signal) -> np.ndarray:
-    """Correctly rounded (fsum) row sums of a signal block."""
-    return np.array([math.fsum(row) for row in np.asarray(
-        signal, dtype=np.float64).tolist()])
+    """Correctly rounded (fsum) row sums of a signal block.
+
+    Each row is summed only through its last nonzero entry, found for
+    every row in one pass: ``fsum`` skips zeros of either sign, so the
+    sums are bitwise those of the whole rows.
+    """
+    block = np.asarray(signal, dtype=np.float64)
+    ends = np.max((block != 0) * np.arange(1, block.shape[1] + 1), axis=1,
+                  initial=0)
+    return np.array([math.fsum(row[:end].tolist())
+                     for row, end in zip(block, ends.tolist())])
 
 
 def equivalent_marginals(m: CoefficientMatrix) -> MarginalReport:
@@ -273,8 +285,10 @@ def save(m: CoefficientMatrix, path) -> None:
 
     The header keys are written through ``json.dumps``; each block is
     one base64 string of its row-major little-endian float64 bytes, so
-    every entry, ``-0.0`` included, loads back bitwise.  The lines are
-    streamed, so no whole-file string is built.
+    every entry, ``-0.0`` included, loads back bitwise.  The file is
+    written in binary mode, each block's base64 bytes as ``b64encode``
+    returns them, never decoded into a string; on POSIX these are the
+    bytes a text-mode writer gives.
     """
     header = {
         "format": FORMAT_NAME,
@@ -284,16 +298,17 @@ def save(m: CoefficientMatrix, path) -> None:
         "noise_mode": "traced",  # older readers default to single-terminal
         "noise_times": list(m.noise_times),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\n")
-        for key, value in header.items():
-            fh.write(f"{json.dumps(key)}: {json.dumps(value)},\n")
+    lines = "".join(f"{json.dumps(key)}: {json.dumps(value)},\n"
+                    for key, value in header.items())
+    with open(path, "wb") as fh:
+        fh.write(f"{{\n{lines}".encode())
         for key, block, end in (("signal", m.signal, ","),
                                 ("noise", m.noise, "")):
-            raw = block.astype("<f8", copy=False).tobytes()
-            fh.write(f'{json.dumps(key)}: "'
-                     f'{base64.b64encode(raw).decode("ascii")}"{end}\n')
-        fh.write("}\n")
+            fh.write(f'{json.dumps(key)}: "'.encode())
+            fh.write(base64.b64encode(block.astype("<f8", copy=False)
+                                      .tobytes()))
+            fh.write(f'"{end}\n'.encode())
+        fh.write(b"}\n")
 
 
 def _block(name: str, value, rows: int, cols: int, fmt: str):

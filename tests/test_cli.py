@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import struct
 import sys
@@ -6,11 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nimatrix import cli
 from nimatrix.cli import main
 from nimatrix.coeffmatrix import load, save
 from nimatrix.oracles import DATASET_MAGIC, Dataset, save_dataset
 from nimatrix.presets import load_preset
-from nimatrix.samplers import KINDS
+from nimatrix.samplers import KIND_TABLE, KINDS
+from test_coeffmatrix import FAMILY_GRIDS, WRONG_FAMILIES
+
+#: ``--schedule`` name of each schedule family.
+SCHEDULE_OF = {family: name for name, family in cli._SCHEDULE_NAMES.items()}
 
 
 def run(capsys, *argv):
@@ -65,6 +72,21 @@ class TestTraceCheck:
         assert code == 2 and stdout == ""
         assert stderr.splitlines() == [
             "error: flow-euler requires a flow schedule"]
+
+    @pytest.mark.parametrize("kind,family", WRONG_FAMILIES)
+    def test_family_checked_before_an_explicit_grid(self, capsys, tmp_path,
+                                                    kind, family):
+        # with a grid file, the grid's times were checked first: a flow
+        # grid under vp-linear reported "times must be integers"
+        own = KIND_TABLE[kind].family
+        g = tmp_path / "g.txt"
+        g.write_text("".join(f"{t!r}\n" for t in FAMILY_GRIDS[own]))
+        code, stdout, stderr = run(capsys, "trace", "--sampler", kind,
+                                   "--schedule", SCHEDULE_OF[family],
+                                   "--grid", f"explicit:{g}")
+        assert code == 2 and stdout == ""
+        assert stderr.splitlines() == [
+            f"error: {kind} requires a {own} schedule"]
 
     def test_flagged_deis_quadrature_is_numeric_error(self, capsys):
         # SciPy flags these weights for roundoff; they were used, with its
@@ -455,3 +477,73 @@ class TestSearchCommand:
                                    "--predictor", f"gmm:{g}", "--budget", "4")
         assert code == 4
         assert stdout == "" and "invalid mixture file" in stderr
+
+
+#: sha256 of ``trace``'s stdout, taken before the CSV writer formatted
+#: its columns from one ``tolist``.
+TRACE_STDOUT_DIGESTS = {
+    ("ddpm", "300"): "61f51700f3a0d810a28ee86bf72dd846"
+                     "ab0f94303aa2f9ec1c732188c4adaee9",
+    ("deis-3", "18"): "0344fc36d1cd145353e2d483c3adea6b"
+                      "0084c1d7b49ab369acab88d0a7ed6570",
+}
+
+
+class TestTraceStdout:
+    @pytest.mark.parametrize("kind,steps", sorted(TRACE_STDOUT_DIGESTS))
+    def test_stdout_is_pinned(self, capsys, kind, steps):
+        code, stdout, _ = run(capsys, "trace", "--sampler", kind,
+                              "--steps", steps)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == \
+            TRACE_STDOUT_DIGESTS[kind, steps]
+
+
+class TestOneParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert main(["trace", "--sampler", "ddim", "--steps", "6"]) == 0
+            with pytest.raises(SystemExit) as usage:
+                main(["trace", "--sampler", "ddim", "--no-such-flag"])
+            with pytest.raises(SystemExit) as help_:
+                main(["--help"])
+        finally:
+            cli._parser.cache_clear()
+        assert (usage.value.code, help_.value.code) == (2, 0)
+        assert len(builds) == 1
+        assert "usage: nimatrix" in capsys.readouterr().out
+
+    def test_trace_and_sample_leave_no_cyclic_garbage(self, capsys, tmp_path,
+                                                      gmm16):
+        # each parser build left 389 objects that only the cyclic
+        # collector frees
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"weights": gmm16.weights.tolist(),
+                                 "means": gmm16.means.tolist(),
+                                 "variances": gmm16.variances.tolist()}))
+        m, out = tmp_path / "m.json", tmp_path / "s.bin"
+
+        def pair():
+            assert main(["trace", "--sampler", "ddpm", "--steps", "300",
+                         "--out", str(m)]) == 0
+            assert main(["sample", "--matrix", str(m), "--predictor",
+                         f"gmm:{g}", "--n", "4", "--out", str(out)]) == 0
+
+        pair()  # warm-up: first imports and the parser
+        gc.collect()
+        gc.disable()
+        try:
+            pair()
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -6,18 +7,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
                                   equivalent_marginals, from_payload, load,
-                                  normalize_rows, rescale_row, save,
+                                  normalize_rows, rescale_row, row_sums, save,
                                   trace_sampler)
 from nimatrix.engine import RunConfig, run_matrix
 from nimatrix.errors import (DomainError, FormatError, NumericError,
-                             ValidationError)
+                             ParameterError, ValidationError)
 from nimatrix.oracles import make_predictor
 from nimatrix.presets import list_presets, load_preset, preset_payload
-from nimatrix.samplers import KINDS, SamplerSpec
-from nimatrix.schedule import mixing_coeffs
+from nimatrix.samplers import KIND_TABLE, KINDS, SamplerSpec
+from nimatrix.schedule import FAMILY_TABLE, mixing_coeffs
 
 
 def tiny_matrix(vp):
@@ -168,6 +171,51 @@ class TestMarginals:
                 0.0063528, abs=1e-6)
 
 
+#: Entries a signal row may hold: zeros of both signs, the smallest and
+#: largest subnormals, and finite floats small enough that no row sum
+#: overflows.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     -2.225073858507201e-308, 1e300, -1e300]),
+    st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _signal_blocks(draw):
+    """Blocks with cancelling pairs, all-zero rows, trailing zeros of
+    either sign and entries on or above the diagonal."""
+    block = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2,
+                                                 min_side=0, max_side=7),
+                        elements=_ENTRIES))
+    rows, cols = block.shape
+    for i in range(rows):
+        if cols >= 2 and draw(st.booleans()):  # a pair that cancels
+            j, k = draw(st.lists(st.integers(0, cols - 1), min_size=2,
+                                 max_size=2, unique=True))
+            block[i, k] = -block[i, j]
+        end = draw(st.integers(0, cols))  # trailing zeros, signs drawn
+        block[i, end:] = draw(arrays(np.float64, cols - end,
+                                     elements=st.sampled_from([0.0, -0.0])))
+    return block
+
+
+class TestRowSums:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_signal_blocks())
+    @example(np.array([[-0.0, -0.0], [0.0, -0.0], [1e-310, -0.0]]))
+    @example(np.array([[1e300, 1.0, -1e300, -0.0], [0.5, -0.5, 0.0, 0.0]]))
+    @example(np.zeros((3, 0)))
+    def test_bitwise_the_fsum_of_whole_rows(self, block):
+        want = np.array([math.fsum(r) for r in block.tolist()],
+                        dtype=np.float64)
+        assert _bits(row_sums(block)) == _bits(want)
+
+    def test_long_traced_block(self):
+        signal = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=300).signal
+        want = [math.fsum(r) for r in signal.tolist()]
+        assert _bits(row_sums(signal)) == _bits(want)
+
+
 class TestNormalization:
     def test_rows_hit_targets(self, vp):
         m = tiny_matrix(vp)
@@ -191,6 +239,28 @@ class TestNormalization:
         assert rescale_row(zero, 0.0) == 1.0
         assert rescale_row(zero, 0.5) is None
         assert _bits(zero) == _bits([1.0, -1.0])
+
+
+#: One explicit grid per schedule family, in that family's domain.
+FAMILY_GRIDS = {"vp-discrete": (999.0, 500.0, 0.0),
+                "flow": (1.0, 0.5, 0.0),
+                "vp-continuous": (1.0, 0.5, 0.001)}
+#: Every sampler kind with each schedule family other than its own.
+WRONG_FAMILIES = [(kind, family) for kind in KINDS for family in FAMILY_TABLE
+                  if family != KIND_TABLE[kind].family]
+
+
+class TestTraceFamily:
+    @pytest.mark.parametrize("kind,family", WRONG_FAMILIES)
+    def test_family_checked_before_an_explicit_grid(self, kind, family):
+        # the grid of the kind's own family: under the other schedule its
+        # times were checked first, and that error was reported
+        own = KIND_TABLE[kind].family
+        with pytest.raises(ParameterError) as exc:
+            trace_sampler(SamplerSpec(kind=kind),
+                          s=FAMILY_TABLE[family].make(),
+                          grid=FAMILY_GRIDS[own])
+        assert str(exc.value) == f"{kind} requires a {own} schedule"
 
 
 class TestSerialization:
@@ -409,6 +479,40 @@ class TestWriter:
         m = terminal_only_matrix(vp)
         save(m, tmp_path / "m.json")
         assert_bitwise_equal(load(tmp_path / "m.json"), m)
+
+
+def _edited_matrix():
+    """ddpm at six evaluations, edited to hold ``-0.0`` and subnormal
+    entries in both blocks."""
+    m = trace_sampler(SamplerSpec(kind="ddpm"), n_evals=6)
+    signal, noise = m.signal.copy(), m.noise.copy()
+    signal[3, 0] = -0.0
+    signal[4, 1] = 5e-324
+    signal[6, 2] = -2.2250738585072014e-309
+    noise[1, 5] = -0.0
+    noise[2, 1] = 1e-310
+    return replace(m, signal=signal, noise=noise)
+
+
+#: sha256 of the files ``save`` writes, taken from the text-mode writer
+#: it replaced: the binary writer keeps every byte.
+SAVE_DIGESTS = {
+    "ddpm-300": "2f799a663e623b55aaa55a2fe7f30d02"
+                "8158e22432d05ba344e59e8645a42905",
+    "edited": "cd8d692df62b61f74aeacc948628749f"
+              "2cb2d2bccbe67a7635f3a11f667cce40",
+}
+
+
+class TestSavedBytes:
+    @pytest.mark.parametrize("name", sorted(SAVE_DIGESTS))
+    def test_file_bytes_are_pinned(self, tmp_path, name):
+        m = (_edited_matrix() if name == "edited" else
+             trace_sampler(SamplerSpec(kind="ddpm"), n_evals=300))
+        p = tmp_path / "m.json"
+        save(m, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == \
+            SAVE_DIGESTS[name]
 
 
 def _saved_payload(m, tmp_path):
