@@ -358,7 +358,9 @@ def from_payload(payload: dict) -> CoefficientMatrix:
     if mode not in ("traced", "custom", "single-terminal"):
         raise ValidationError(f"unknown noise mode {mode!r}")
     try:
-        schedule_info = dict(payload["schedule"])
+        schedule_info = payload["schedule"]
+        if not isinstance(schedule_info, dict):
+            raise FormatError("schedule must be a JSON object")
         row_times = _times("row_times", payload["row_times"])
         col_times = _times("col_times", payload["col_times"])
         noise_times = _times("noise_times", payload.get("noise_times", []))

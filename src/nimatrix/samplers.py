@@ -20,6 +20,9 @@ constants bound in), evaluations per step, options and default grid
   ``dpmpp-2s`` / ``dpmpp-3s`` are their data-prediction duals: swapping
   alpha with sigma and the log-SNR step ``h`` with ``-h`` turns one into
   the other, so each order has one step for both (:func:`_dpm_form`).
+  Inner stages sit at DPM-Solver's fractions of ``h`` (1/2; 1/3, 2/3).
+  Two options stay, as the acceptance contract sets them: ``r1`` on
+  ``dpm-solver-2s`` and ``correction_sign`` on ``dpmpp-3s``.
 - ``deis-1`` / ``deis-2`` / ``deis-3``: Adams–Bashforth style exponential
   integrators with quadrature weights over the last 1, 2 and 4 evaluations
   (as in the reference tables; ``deis-1`` is DDIM), on a quadratic grid.
@@ -61,6 +64,9 @@ class SamplerSpec:
         # a read-only copy, so the checked values cannot change later
         object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
 
+    def __hash__(self):  # the generated one would hash the options proxy
+        return hash((self.kind, frozenset(self.options.items())))
+
     def option(self, name: str):
         """The option's value, or the kind's default for it."""
         return self.options.get(name, KIND_TABLE[self.kind].options[name])
@@ -76,17 +82,10 @@ def _check_options(kind: str, options) -> None:
             raise ParameterError(f"{kind} has no option {name!r} (it takes "
                                  f"{', '.join(defaults) or 'none'})")
         check_real(f"option {name}", v)
-    values = {**defaults, **options}
-    fractions = [name for name in ("r1", "r2") if name in defaults]
-    rs = [values[name] for name in fractions]
-    if rs and not (0.0 < rs[0] and rs[-1] < 1.0
-                   and all(a < b for a, b in zip(rs, rs[1:]))):
-        raise ParameterError(
-            f"{kind} needs {' < '.join(['0', *fractions, '1'])}, got "
-            + ", ".join(f"{n}={r!r}" for n, r in zip(fractions, rs)))
-    if options.get("correction_sign", -1) not in (-1, 1):
-        raise ParameterError(f"correction_sign must be +1 or -1, got "
-                             f"{options['correction_sign']!r}")
+        if name == "r1" and not 0.0 < v < 1.0:
+            raise ParameterError(f"{kind} needs 0 < r1 < 1, got {v}")
+        if name == "correction_sign" and v not in (-1, 1):
+            raise ParameterError(f"correction_sign must be +1 or -1, got {v}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def _dpm_form(dual: bool, s):
 
 
 def _run_dpm_2s(dual, spec, s, grid, ctx):
-    r1 = float(spec.option("r1"))
+    r1 = float(spec.options.get("r1", R1))
     q, p, sign, z = _dpm_form(dual, s)
     times = list(grid)
     x = ctx.fresh_noise((times[0], 0))
@@ -225,7 +224,7 @@ def _run_dpm_2s(dual, spec, s, grid, ctx):
 
 
 def _run_dpm_3s(dual, spec, s, grid, ctx):
-    r1, r2 = float(spec.option("r1")), float(spec.option("r2"))
+    r1, r2 = 1.0 / 3.0, 2.0 / 3.0  # DPM-Solver-3's own fractions of h
     q, p, sign, z = _dpm_form(dual, s)
     # Sign of the difference-correction terms; ++ takes it from an option.
     c = -float(spec.option("correction_sign")) if dual else -1.0
@@ -315,9 +314,7 @@ class Kind(NamedTuple):
     grid: str = "linspace-trailing"  # the default ``make_grid`` rule
 
 
-# The intermediate steps' fractions of the log-SNR step ``h``.
-_R1 = {"r1": 0.5}
-_R12 = {"r1": 1.0 / 3.0, "r2": 2.0 / 3.0}
+R1 = 0.5  # a 2-stage kind's midpoint, as a fraction of the log-SNR step
 
 KIND_TABLE = {
     "ddpm": Kind(VP_DISCRETE, partial(_run_first_order, ddpm_step_coeffs)),
@@ -328,11 +325,12 @@ KIND_TABLE = {
         _run_first_order, partial(_vp_euler_step_coeffs, stochastic=True))),
     "ode-euler": Kind(VP_DISCRETE, partial(
         _run_first_order, partial(_vp_euler_step_coeffs, stochastic=False))),
-    "dpm-solver-2s": Kind(VP_CONTINUOUS, partial(_run_dpm_2s, False), 2, _R1),
-    "dpm-solver-3s": Kind(VP_CONTINUOUS, partial(_run_dpm_3s, False), 3, _R12),
-    "dpmpp-2s": Kind(VP_CONTINUOUS, partial(_run_dpm_2s, True), 2, _R1),
+    "dpm-solver-2s": Kind(VP_CONTINUOUS, partial(_run_dpm_2s, False), 2,
+                          {"r1": R1}),
+    "dpm-solver-3s": Kind(VP_CONTINUOUS, partial(_run_dpm_3s, False), 3),
+    "dpmpp-2s": Kind(VP_CONTINUOUS, partial(_run_dpm_2s, True), 2),
     "dpmpp-3s": Kind(VP_CONTINUOUS, partial(_run_dpm_3s, True), 3,
-                     {**_R12, "correction_sign": -1.0}),
+                     {"correction_sign": -1.0}),
     "deis-1": Kind(VP_CONTINUOUS, partial(_run_deis, 1), grid="quadratic"),
     "deis-2": Kind(VP_CONTINUOUS, partial(_run_deis, 2), grid="quadratic"),
     "deis-3": Kind(VP_CONTINUOUS, partial(_run_deis, 4), grid="quadratic"),

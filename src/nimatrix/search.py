@@ -53,7 +53,7 @@ MAX_ROWS = 2000
 #: first, and by half as much after each sweep that accepts nothing.
 STEP = 0.25
 
-#: Every searched entry stays in ``[-ENTRY_BOUND, ENTRY_BOUND]``.
+#: A moved entry is clipped to +-ENTRY_BOUND; its row's rescale can pass it.
 ENTRY_BOUND = 2.0
 
 # cdist releases the GIL, so the worker thread can fill distance rows
@@ -250,12 +250,12 @@ def optimize_matrix(space: SearchSpace, predictor, reference,
     replays only from row ``i`` (``engine._play``), with the same draws.
     The pairs swap when a candidate is accepted.  The samples are bitwise
     those of a full run of the candidate.  Candidates that fail with a
-    package or arithmetic
-    error are charged against the budget and skipped, as is an edit that
-    leaves its row summing to zero against a nonzero target; any other
-    exception propagates.  The first evaluation scores the starting
-    matrix, whose rows sum to the targets already, so the final objective
-    never exceeds the baseline.
+    package or arithmetic error are charged against the budget and
+    skipped, as is an edit leaving its row summing to zero against a
+    nonzero target; other exceptions propagate.  The first evaluation
+    scores the starting matrix, whose rows sum to the targets, so the
+    final objective never exceeds the baseline.  The edited entry is
+    clipped to ``ENTRY_BOUND``; the row's rescale can take entries past it.
     """
     budget = check_int("budget", budget, 0)
     n_samples = check_int("n_samples", n_samples, 1)

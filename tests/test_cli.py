@@ -64,6 +64,18 @@ class TestTraceCheck:
         code, _, _ = run(capsys, "check", str(p))
         assert code == 4
 
+    @pytest.mark.parametrize("schedule", [[["family", "flow"]], "flow"])
+    def test_check_schedule_not_an_object(self, capsys, tmp_path, schedule):
+        p = tmp_path / "m.json"
+        save(load_preset("ddim-18"), p)
+        payload = json.loads(p.read_text())
+        payload["schedule"] = schedule
+        p.write_text(json.dumps(payload))
+        code, _, stderr = run(capsys, "check", str(p))
+        assert code == 4
+        assert "schedule must be a JSON object" in stderr
+        assert "Traceback" not in stderr
+
     def test_family_checked_before_the_grid(self, capsys):
         # the default 18 evaluations do not fit a five-step chain, and
         # that was the error reported

@@ -308,6 +308,18 @@ class TestSerialization:
         with pytest.raises(FormatError):
             from_payload({"format": "nimatrix/1"})
 
+    @pytest.mark.parametrize("schedule", [[["family", "flow"]], "flow"])
+    def test_schedule_must_be_an_object(self, tmp_path, schedule):
+        # a list of pairs is not read as a header, and a string fails with
+        # the format's message, not Python's
+        p = tmp_path / "m.json"
+        save(trace_sampler(SamplerSpec(kind="flow-euler"), n_evals=6), p)
+        payload = json.loads(p.read_text())
+        assert payload["format"] == "nimatrix/2"
+        payload["schedule"] = schedule
+        with pytest.raises(FormatError, match="schedule must be a JSON object"):
+            from_payload(payload)
+
     def test_header_is_kept_in_normal_form(self, tmp_path):
         # the matrix holds its schedule's descriptor, not the raw header:
         # a stray "T": 0 on vp-continuous and an integral float T drop out
