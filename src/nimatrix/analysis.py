@@ -95,9 +95,15 @@ def _degradation_batch(ds: Dataset, s: Schedule, t, trials: int, rng,
 
     Each trial draws an atom and a forward state from it.  Returns how
     many posteriors have max weight above the threshold (degraded), and
-    how many of those put it on the source atom (to source).
+    how many of those put it on the source atom (to source).  A trial
+    count whose atom indices cannot be allocated is ``ParameterError``.
     """
-    idx = rng.integers(ds.n, size=trials)
+    try:
+        idx = rng.integers(ds.n, size=trials)
+    except (MemoryError, ValueError):  # ValueError: past NumPy's size limit
+        raise ParameterError(f"trials = {trials} needs {8 * trials} bytes "
+                             "of atom indices, more than can be "
+                             "allocated") from None
     c0, c1 = mixing_coeffs(s, t)
     x = c0 * ds.atoms[idx] + c1 * rng.standard_normal((trials, ds.d))
     top, wmax = posterior_top(ds, s, t, x)

@@ -18,6 +18,11 @@ its shape comes from the header's time lists.  ``load`` also reads
 ``nimatrix/1``, where each block is a list of rows: the embedded
 presets and older files use it.  A matrix is exactly its two blocks: a
 file's noise mode is read only at load (``from_payload``).
+
+A matrix stores its blocks read-only.  A block given as an array is
+copied, so the caller's array can change later without changing the
+matrix; a loaded ``nimatrix/2`` block is not copied, because its memory
+is the ``bytes`` the base64 decoded into, which nothing can write.
 """
 
 from __future__ import annotations
@@ -49,6 +54,14 @@ LIST_FORMAT = "nimatrix/1"
 TERMINAL_OUTPUT = -1.0
 
 
+def _in_bytes(a: np.ndarray) -> bool:
+    """Whether ``a``'s memory is a ``bytes`` object: NumPy keeps such an
+    array read-only, and no one can write its memory."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, bytes)
+
+
 @dataclass(frozen=True)
 class CoefficientMatrix:
     schedule_info: dict
@@ -62,12 +75,15 @@ class CoefficientMatrix:
     _schedule: Schedule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """Check the matrix: finite 2-D blocks, stored read-only; times
-        that are finite floats; the blocks' shapes; input rows at their
-        evaluations' times; triangularity; a schedule header that builds;
-        and every row time in the schedule's domain."""
+        """Check the matrix: finite 2-D blocks, stored read-only (copied
+        unless their memory is ``bytes``); times that are finite floats;
+        the blocks' shapes; input rows at their evaluations' times;
+        triangularity; a schedule header that builds; and every row time
+        in the schedule's domain."""
         for name in ("signal", "noise"):
-            block = np.array(check_array(name, getattr(self, name), 2))
+            block = check_array(name, getattr(self, name), 2)
+            if not _in_bytes(block):
+                block = np.array(block)
             block.setflags(write=False)
             object.__setattr__(self, name, block)
         for name, what in (("row_times", "row time"),
@@ -305,8 +321,7 @@ def save(m: CoefficientMatrix, path) -> None:
         for key, block, end in (("signal", m.signal, ","),
                                 ("noise", m.noise, "")):
             fh.write(f'{json.dumps(key)}: "'.encode())
-            fh.write(base64.b64encode(block.astype("<f8", copy=False)
-                                      .tobytes()))
+            fh.write(base64.b64encode(np.ascontiguousarray(block, "<f8")))
             fh.write(f'"{end}\n'.encode())
         fh.write(b"}\n")
 

@@ -2,10 +2,19 @@
 self-enhancement loop.
 
 ``run_matrix`` plays a coefficient matrix forward as matrix products.
-All noise is drawn in one call (``_draw``), and every predictor output is
-written into one preallocated ``(n_evals, n*d)`` buffer, next to a second
-such buffer that holds each input row's state (the model input).  The
-row loop is ``_play``, with one row rule:
+A run makes one allocation, a ``(k + 2*n_evals, n*d)`` run buffer for
+``k`` noise columns: its first ``k`` rows hold the draws, written by one
+call (``_draw``), the next ``n_evals`` every predictor output, and the
+last ``n_evals`` each input row's state (the model input).  It is the
+run's largest allocation, made before any work, so a batch too large to
+hold is one ``ParameterError`` naming ``n``.  One block also keeps the
+heap mapped between runs in one process: glibc's malloc raises its mmap
+threshold to the largest mmapped block freed so far and trims its heap
+once more than twice that is free, so one block holding all three parts
+(7.4 MB for ddpm-300, ``n = 16``, ``d = 64``) sets the trim threshold
+above what a run frees, where three blocks of a third the size let the
+heap be trimmed after each run and every page fault in again.  The row
+loop is ``_play``, with one row rule:
 
     x_i = a_i * x_{i-1} + r_sig @ outputs[s0:s1] + r_noise @ draws[n0:n1]
 
@@ -66,15 +75,17 @@ class RunResult:
     states: np.ndarray                   # (n_evals, n, d) predictor inputs
 
 
-def _draw(m: CoefficientMatrix, n: int, d: int, seed: int) -> np.ndarray:
-    """The run's noise columns as one ``(k, n*d)`` array.
+def _draw(m: CoefficientMatrix, n: int, d: int, seed: int,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """The run's noise columns as one ``(k, n*d)`` array, ``out`` if given.
 
-    One ``standard_normal((k, n, d))`` call draws the ``k`` noise
-    columns, the same stream as one ``(n, d)`` batch per column in
-    column order.
+    One ``standard_normal`` call fills the ``k`` noise columns, the same
+    stream as one ``(n, d)`` batch per column in column order.
     """
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((m.noise.shape[1], n, d)).reshape(-1, n * d)
+    if out is None:
+        out = np.empty((m.noise.shape[1], n * d))
+    np.random.default_rng(seed).standard_normal(out=out)
+    return out
 
 
 #: Residual entries at most this fraction of the row's largest entry are
@@ -196,18 +207,25 @@ def _play(m: CoefficientMatrix, pred, draws: np.ndarray,
 def run_matrix(cfg: RunConfig) -> RunResult:
     """Execute the matrix with the given predictor.
 
-    The noise is drawn once (``_draw``) and every row is played into the
-    ``(n_evals, n*d)`` output and state buffers (``_play`` from row 0).
-    The result's ``trajectory`` and ``states`` are views of those
-    buffers, not copies.
+    The noise is drawn once (``_draw``) into the run buffer's first rows
+    and every row is played into its output and state rows (``_play``
+    from row 0).  The result's ``trajectory`` and ``states`` are views of
+    that buffer, not copies.  A buffer that cannot be allocated is
+    ``ParameterError``.
     """
     m = cfg.matrix
     d = cfg.predictor.d
-    draws = _draw(m, cfg.n, d, cfg.seed)
-    outputs = np.empty((m.n_evals, cfg.n * d))
-    states = np.empty_like(outputs)
+    k, e = m.noise.shape[1], m.n_evals
+    try:
+        buf = np.empty((k + 2 * e, cfg.n * d))
+    except (MemoryError, ValueError):  # ValueError: past NumPy's size limit
+        nbytes = 8 * (k + 2 * e) * cfg.n * d
+        raise ParameterError(f"n = {cfg.n} needs a run buffer of {nbytes} "
+                             "bytes, more than can be allocated") from None
+    draws = _draw(m, cfg.n, d, cfg.seed, buf[:k])
+    outputs, states = buf[k:k + e], buf[k + e:]
     samples = _play(m, cfg.predictor, draws, outputs, states, 0)
-    shape = (m.n_evals, cfg.n, d)
+    shape = (e, cfg.n, d)
     return RunResult(samples=samples, trajectory=outputs.reshape(shape),
                      states=states.reshape(shape))
 

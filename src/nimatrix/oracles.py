@@ -565,20 +565,30 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a ``save_dataset`` file.
+
+    The header's atom count is checked against the file's size before
+    the atom block is allocated, so a header claiming more atoms than
+    the file holds is ``FormatError`` at once; the block is then read
+    straight into a float64 array of its own.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:5] != DATASET_MAGIC:
-        raise FormatError("not a dataset file (bad magic)")
-    if len(blob) < 13:
-        raise FormatError("truncated dataset header")
-    n, d = struct.unpack("<II", blob[5:13])
-    need = 13 + 8 * n * d
-    if len(blob) < need:
-        raise FormatError(f"truncated atom block (need {need} bytes)")
-    atoms = np.frombuffer(blob, dtype="<f8", count=n * d, offset=13)
-    atoms = atoms.reshape(n, d)
+        head = fh.read(13)
+        if head[:5] != DATASET_MAGIC:
+            raise FormatError("not a dataset file (bad magic)")
+        if len(head) < 13:
+            raise FormatError("truncated dataset header")
+        n, d = struct.unpack("<II", head[5:])
+        need = 13 + 8 * n * d
+        truncated = FormatError(f"truncated atom block (need {need} bytes)")
+        if os.fstat(fh.fileno()).st_size < need:
+            raise truncated
+        atoms = np.empty((n, d), dtype="<f8")
+        # a flat byte view: memoryview.cast fails on a zero-size shape
+        if fh.readinto(atoms.reshape(-1).view(np.uint8)) != atoms.nbytes:
+            raise truncated
+        rest = fh.read()
     labels = None
-    rest = blob[need:]
     if rest:
         if len(rest) != 4 * n:
             raise FormatError("trailing bytes are not a label block")

@@ -55,6 +55,15 @@ class TestDegradation:
         rep = degradation_table(ds, [vp], [[990]], trials=200, seed=0)
         assert rep.rows[0].rate_degraded == 0.0
 
+    @pytest.mark.parametrize("trials", [10 ** 12, 2 ** 62])
+    def test_unallocatable_trials_are_parameter_error(self, small_dataset, vp,
+                                                      trials):
+        # NumPy refuses both before touching memory: MemoryError for
+        # 10**12, "array is too big" ValueError for 2**62
+        with pytest.raises(ParameterError, match=(
+                f"trials = {trials} needs {8 * trials} bytes")):
+            degradation_table(small_dataset, [vp], [[500]], trials=trials)
+
     def test_cells_are_seed_stable(self, small_dataset, vp):
         a = degradation_table(small_dataset, [vp], [[300, 600]], trials=100,
                               seed=4)

@@ -3,7 +3,8 @@
 ``cli.main`` reuses one parser for every call in a process.  Hypothesis
 draws up to six argv lists over the eight commands, with flag values
 from 0, -1, nan, inf, 1e400, "x", "", a valid value, missing files and
-files of the wrong kind.  Every call returns, or exits through
+files of the wrong kind; ``--n`` and ``--trials`` also take sizes that
+no run can allocate.  Every call returns, or exits through
 argparse's ``SystemExit``, with 0, 2, 3 or 4; nothing else escapes.
 Played in reverse order, and each with a newly built parser, every argv
 gives the same exit code and the same stdout, so no call leaves state
@@ -70,6 +71,9 @@ def _file(*right):
     return _mostly(st.sampled_from(right), st.sampled_from(INPUTS))
 
 
+#: Sizes no run can allocate: NumPy raises MemoryError for the first and
+#: ValueError for the second, before touching memory; both exit 2.
+BIG, HUGE = str(10 ** 12), str(2 ** 62)
 _MATRIX = _file("matrix.json", "ddim-18", "flow-euler-18")
 _PREDICTOR = _mostly(
     st.tuples(st.sampled_from(["gmm", "dataset"]),
@@ -101,12 +105,12 @@ COMMANDS = {
     "sample": [("--matrix", _MATRIX, REQUIRED),
                ("--predictor", _PREDICTOR, REQUIRED),
                ("--label", _flag("1"), OPTIONAL),
-               ("--n", _flag("4"), OPTIONAL),
+               ("--n", _flag("4", BIG, HUGE), OPTIONAL),
                ("--seed", _flag("3"), OPTIONAL), ("--out", OUT, OPTIONAL)],
     "degrade": [("--data", _file("data.bin", "data.csv"), REQUIRED),
                 ("--family", _FAMILY, REQUIRED),
                 ("--times", _flag("999,500", "0.9,0.1"), REQUIRED),
-                ("--trials", _flag("20"), ALWAYS),
+                ("--trials", _flag("20", BIG, HUGE), ALWAYS),
                 ("--threshold", _flag("0.9"), OPTIONAL),
                 ("--seed", _flag("2"), OPTIONAL)],
     "guidance": [("", _MATRIX, REQUIRED)],

@@ -526,6 +526,31 @@ class TestSavedBytes:
         assert hashlib.sha256(p.read_bytes()).hexdigest() == \
             SAVE_DIGESTS[name]
 
+    def test_fortran_ordered_block_saves_the_same_bytes(self, tmp_path):
+        m = _edited_matrix()
+        f = replace(m, signal=np.asfortranarray(m.signal),
+                    noise=np.asfortranarray(m.noise))
+        assert not f.signal.flags.c_contiguous  # the copy keeps the order
+        save(m, tmp_path / "c.json")
+        save(f, tmp_path / "f.json")
+        assert (tmp_path / "f.json").read_bytes() == \
+            (tmp_path / "c.json").read_bytes()
+
+    def test_loaded_blocks_are_the_decoded_bytes(self, tmp_path):
+        # a loaded nimatrix/2 block is kept, not copied: its memory is the
+        # bytes its base64 decoded into, which NumPy will not make writable
+        save(_edited_matrix(), tmp_path / "m.json")
+        m = load(tmp_path / "m.json")
+        for block in (m.signal, m.noise):
+            memory = block
+            while isinstance(memory, np.ndarray):
+                memory = memory.base
+            assert type(memory) is bytes
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block.setflags(write=True)
+        assert_bitwise_equal(m, _edited_matrix())
+
 
 def _saved_payload(m, tmp_path):
     save(m, tmp_path / "m.json")

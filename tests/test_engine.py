@@ -1,6 +1,8 @@
+import hashlib
 import json
 from dataclasses import replace
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from nimatrix.coeffmatrix import (TERMINAL_OUTPUT, CoefficientMatrix,
 from nimatrix.engine import (CARRY_TOL, RunConfig, _draw, _plan,
                              over_enhance, run_matrix)
 from nimatrix.errors import NumericError, ParameterError, ValidationError
-from nimatrix.oracles import make_predictor
+from nimatrix.oracles import GaussianMixture, make_predictor
 from nimatrix.presets import PRESET_NAMES, load_preset
 from nimatrix.samplers import KINDS, SamplerSpec
 from nimatrix.schedule import mixing_coeffs
@@ -347,6 +349,69 @@ class TestPlan:
                                  seed=1))
         assert r.states.shape == r.trajectory.shape
         assert all(np.array_equal(x, s) for x, s in zip(seen, r.states))
+
+
+#: sha256 of ``run_matrix``'s samples, trajectory and states, in that
+#: order, for ddpm-300 against ``_mixture_64()`` with n = 16 and seed 7,
+#: taken when the draws, outputs and states were three separate arrays.
+RUN_DIGEST = "b526795d9dfaed4e44d2a3cbee4ba22fd91e11d68f2b66c5ae2b0b42afa17d13"
+
+
+def _mixture_64():
+    """An 8-component mixture in d = 64 with unequal weights and variances."""
+    r = np.random.default_rng(5)
+    w = r.uniform(0.5, 1.5, 8)
+    return GaussianMixture(weights=w / w.sum(),
+                           means=2.0 * r.standard_normal((8, 64)),
+                           variances=r.uniform(0.2, 1.0, 8))
+
+
+class TestRunBuffer:
+    """A run allocates one ``(k + 2*n_evals, n*d)`` buffer: draws, then
+    outputs, then states."""
+
+    @pytest.mark.parametrize("k,n,d", [(0, 3, 2), (1, 4, 5), (1, 1, 1),
+                                       (6, 1, 1), (7, 3, 16)])
+    def test_draw_into_out_is_bitwise_draw(self, k, n, d):
+        m = SimpleNamespace(noise=np.zeros((1, k)))  # _draw reads k only
+        want = np.random.default_rng(9).standard_normal((k, n, d))
+        drawn = _draw(m, n, d, 9)
+        out = np.full((k, n * d), np.nan)
+        assert _draw(m, n, d, 9, out) is out
+        assert drawn.shape == out.shape == (k, n * d)
+        assert drawn.tobytes() == out.tobytes() == want.tobytes()
+
+    def test_draws_outputs_and_states_share_one_buffer(self, gmm16):
+        m = _traced("ddpm", 18)
+        pred = make_predictor(gmm16, m.schedule())
+        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=3, seed=2))
+        k, e = m.noise.shape[1], m.n_evals
+        buf = r.trajectory.base
+        assert buf.shape == (k + 2 * e, 3 * 16) and buf.flags.owndata
+        assert r.states.base is buf
+        assert np.shares_memory(r.trajectory, buf[k:k + e])
+        assert np.shares_memory(r.states, buf[k + e:])
+        assert not np.shares_memory(r.trajectory, r.states)
+        assert np.array_equal(buf[:k], _draw(m, 3, 16, 2))
+
+    def test_run_bits_are_pinned(self):
+        m = _traced("ddpm", 300)
+        pred = make_predictor(_mixture_64(), m.schedule())
+        r = run_matrix(RunConfig(matrix=m, predictor=pred, n=16, seed=7))
+        h = hashlib.sha256()
+        for a in (r.samples, r.trajectory, r.states):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == RUN_DIGEST
+
+    @pytest.mark.parametrize("n", [10 ** 12, 2 ** 62])
+    def test_unallocatable_batch_is_parameter_error(self, ddim18, n):
+        # NumPy refuses both before touching memory: MemoryError for
+        # 10**12, "array is too big" ValueError for 2**62
+        m, pred = ddim18
+        rows = m.noise.shape[1] + 2 * m.n_evals
+        with pytest.raises(ParameterError, match=(
+                f"n = {n} needs a run buffer of {8 * rows * n * 16} bytes")):
+            run_matrix(RunConfig(matrix=m, predictor=pred, n=n))
 
 
 class TestOverEnhance:

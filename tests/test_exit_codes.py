@@ -421,6 +421,24 @@ def test_negative_seed_exits_2(workdir, capsys, argv):
     assert err == ["error: need a non-negative integer seed, got -1"]
 
 
+@pytest.mark.parametrize("size", [10 ** 12, 2 ** 62])
+@pytest.mark.parametrize("argv,message", [
+    (("sample", "--matrix", "ddim-18", "--predictor", "gmm:{mix}", "--n"),
+     "n = {size} needs a run buffer of"),
+    (("degrade", "--data", "{data}", "--family", "vp", "--times", "500",
+      "--trials"), "trials = {size} needs"),
+], ids=["sample", "degrade"])
+def test_unallocatable_size_exits_2(workdir, capsys, argv, message, size):
+    # a usage error, not NumPy's MemoryError (10**12) or "array is too
+    # big" ValueError (2**62) as a traceback with exit 1
+    paths = {"mix": workdir / "mix.json",
+             "data": _write(workdir, "data.bin", DATASET)}
+    assert main([a.format(**paths) for a in argv] + [str(size)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: " + message.format(size=size))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @FILE_SETTINGS
 @given(image=image_files())

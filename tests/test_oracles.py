@@ -1,8 +1,10 @@
 import hashlib
 import math
 import os
+import struct
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -149,14 +151,78 @@ class TestDataset:
             ds.half_sqnorms[0] = 0.0
 
     def test_loaded_atoms_are_writable(self, small_dataset, tmp_path):
-        # load_dataset reads the file's bytes without a copy; the Dataset
-        # holds its own array, which a caller may edit and save again
+        # load_dataset reads the atom block into an array of its own; the
+        # Dataset holds its own array, which a caller may edit and save
+        # again
         p = tmp_path / "d.bin"
         save_dataset(small_dataset, p)
         atoms = load_dataset(p).atoms
         atoms[0, 0] += 1.0
         save_dataset(Dataset(atoms=atoms), p)
         assert load_dataset(p).atoms[0, 0] == small_dataset.atoms[0, 0] + 1.0
+
+    @pytest.mark.parametrize("blob,message", [
+        (b"NIDS", "bad magic"),
+        (b"NIDS1\x02\x00\x00\x00\x03", "truncated dataset header"),
+        (b"NIDS1" + struct.pack("<II", 2, 3) + bytes(40),
+         r"truncated atom block \(need 61 bytes\)"),
+        (b"NIDS1" + struct.pack("<II", 2, 3) + bytes(48 + 7),
+         "trailing bytes are not a label block"),
+        (b"NIDS1" + struct.pack("<II", 2, 3) + bytes(48 + 12),
+         "trailing bytes are not a label block"),
+    ], ids=["short-magic", "short-header", "short-atoms",
+            "odd-labels", "three-labels"])
+    def test_load_errors(self, tmp_path, blob, message):
+        p = tmp_path / "d.bin"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match=message):
+            load_dataset(p)
+
+    def test_header_past_the_file_allocates_nothing(self, tmp_path):
+        # the header is checked against the file's size first: 4e9 x 4e9
+        # atoms, or 10**5 x 100 (80 MB, which NumPy could allocate), in a
+        # file of 13 + 16 bytes
+        p = tmp_path / "d.bin"
+        for n, d in ((4_000_000_000, 4_000_000_000), (100_000, 100)):
+            p.write_bytes(b"NIDS1" + struct.pack("<II", n, d) + bytes(16))
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError, match=(
+                        rf"truncated atom block \(need {13 + 8 * n * d} ")):
+                    load_dataset(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n,d", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_size_atoms_are_validation_error(self, tmp_path, n, d):
+        p = tmp_path / "d.bin"
+        p.write_bytes(b"NIDS1" + struct.pack("<II", n, d))
+        with pytest.raises(ValidationError, match="non-empty"):
+            load_dataset(p)
+
+    def test_labelled_roundtrip_matches_a_whole_file_read(self, tmp_path):
+        # the loader before the atoms were read in place: the whole file
+        # as bytes, the blocks as views of it
+        def whole_file_load(path):
+            blob = path.read_bytes()
+            n, d = struct.unpack("<II", blob[5:13])
+            atoms = np.frombuffer(blob, "<f8", count=n * d, offset=13)
+            labels = np.frombuffer(blob[13 + 8 * n * d:], "<u4")
+            return atoms.reshape(n, d), labels.astype(np.int64)
+
+        rng = np.random.default_rng(4)
+        ds = Dataset(atoms=rng.standard_normal((37, 5)),
+                     labels=rng.integers(0, 2 ** 32, 37))
+        p = tmp_path / "d.bin"
+        save_dataset(ds, p)
+        got = load_dataset(p)
+        atoms, labels = whole_file_load(p)
+        assert got.atoms.dtype == np.float64 and got.atoms.flags.owndata
+        assert got.atoms.tobytes() == atoms.tobytes()
+        assert got.labels.dtype == labels.dtype
+        assert np.array_equal(got.labels, labels)
 
     @pytest.mark.parametrize("label", [-1, 2 ** 32, 2 ** 32 + 5])
     def test_label_a_file_cannot_hold_is_rejected(self, tmp_path, label):
