@@ -100,11 +100,16 @@ def check_array(name: str, value, ndim, nonfinite=ValidationError):
     """``value`` as a float64 array with ``ndim`` dimensions (one count or
     a tuple of counts); no copy is made of a float64 array.
 
-    A value NumPy cannot read as numbers, or one with another dimension
+    A value NumPy cannot read as numbers, a NumPy array or scalar of a
+    complex dtype (read from its dtype alone, which NumPy would cast to
+    real by dropping the imaginary part), or one with another dimension
     count, raises :class:`ValidationError`; a NaN or infinite entry raises
     ``nonfinite``, unless that is None.
     """
     dims = (ndim,) if isinstance(ndim, int) else ndim
+    dtype = getattr(value, "dtype", None)
+    if isinstance(dtype, np.dtype) and dtype.kind == "c":
+        raise ValidationError(f"{name} must be real, got dtype {dtype}")
     try:
         a = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:

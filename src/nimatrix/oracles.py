@@ -63,6 +63,24 @@ benchmark's 10000 x 64 dataset, but its edge kernels need not when the
 atom count or the dimension is not a multiple of their tile (500 atoms
 in 16-D on AVX-512 differ in the last bit), just as the one call already
 differs in the last bit between one and two BLAS threads.
+
+The degradation statistic asks only whether each state's top posterior
+weight ``w = max(e) / z`` is above a threshold, and for its top atom
+where it is.  A row's two largest shifted logits bound ``z`` from both
+sides: with ``e2`` the exponential of the second largest, ``z`` is at
+least ``1 + e2`` and at most ``1 + (n - 1) e2``, each up to the
+rounding of ``np.exp`` and of the sum.  Between the half-norm shift and
+the softmax, ``_settle`` decides each row whose comparison these bounds
+prove, with a margin of ``2**-30`` and ``n 2**-52`` for those roundings
+(derived in its docstring, without assuming ``exp(0) == 1`` or a
+monotone ``np.exp``).  A row settled as above takes the logit argmax as
+its top atom, and only when ``e2 <= 1 - 2**-30``, so that no other
+exponential can round up to the top one's.  Only the other rows run the
+softmax and ``_top_rows``: rows with a non-finite maximum, every row of
+a block where ``c1^2`` is 0, and rows inside a margin.  This is not a
+one-hot shortcut: no weight or mean is approximated, only a comparison
+whose result is proven is skipped, so the flags and top atoms are
+bitwise those of ``posterior_top``.
 """
 
 from __future__ import annotations
@@ -277,7 +295,90 @@ def _nearest(ds: Dataset, c0, x, e):
     e[np.arange(e.shape[0]), idx] = 1.0
 
 
-def _posterior_block(ds: Dataset, c0, c1, x, e, finish):
+def _softmax_tile(ds: Dataset, c0, x, tile):
+    """The softmax of a tile of shifted logits, in place, with each row
+    whose row sum is not finite made one-hot at the nearest atom to its
+    state in ``x`` (:func:`_nearest`) with a row sum of 1; returns the
+    (r, 1) row sums."""
+    z, _ = _softmax_rows(tile)
+    if not np.isfinite(z).all():
+        bad = ~np.isfinite(z[:, 0])
+        one_hot = np.empty((np.count_nonzero(bad), ds.n))
+        _nearest(ds, c0, x[bad], one_hot)
+        tile[bad] = one_hot
+        z[bad] = 1.0
+    return z
+
+
+# The settle step's margin for the rounding of np.exp, the row sum, the
+# division and the bounds themselves (derived in _settle's docstring).
+_SETTLE_EPS = 2.0 ** -30
+
+
+def _settle(tile, threshold):
+    """Whether each row's top posterior weight is above ``threshold``,
+    where the row's two largest logits prove it, without ``np.exp`` of
+    the row.
+
+    Returns ``(top, above, open)`` for the (r, n) logits ``tile``: the
+    logit argmax, whether the row is settled as above, and the rows left
+    open, whose comparison the bound does not prove; it leaves the
+    logits as it found them.  The exact path (:func:`_softmax_rows`,
+    then :func:`_top_rows`) gives ``w = emax / z`` with ``emax`` the
+    largest of ``E_j = exp(s_j)`` (0 below ``_FLUSH``), ``s_j =
+    fl(l_j - lmax)`` and ``z`` their rounded sum.  Let ``s2`` be the
+    second largest ``s_j`` (0 when ``lmax`` is repeated) and ``e2`` its
+    exponential, formed as the kernel forms them.  With ``u = 2**-53``
+    and ``np.exp`` within a relative ``d <= 2**-40`` of ``e**x`` on
+    ``[-707, 0]`` (where its results are normal), and assuming neither
+    ``exp(0) == 1`` nor a monotone ``np.exp``:
+
+    - *Not above.*  Every ``E_j <= 1 + d`` (``s_j <= 0``), so ``emax <=
+      1 + d``.  Every term is nonnegative and rounded addition is
+      monotone, so in any summation order ``z >= fl(E_0 + E_2)``, the sum
+      of the argmax's and the second entry's terms, and ``E_0 + E_2 >=
+      (1 - d) + e2 (1 - 2d)``.  So ``z >= (1 + e2)(1 - 2d)(1 - u)`` and
+      ``w <= (1 + 2**-38) / (1 + e2)``: ``(1 + 2**-30) / (1 + e2) <=
+      threshold`` settles the row as not above, with room for the
+      check's own two roundings.
+    - *Above.*  Each other ``s_j <= s2``, so ``E_j <= e2 (1 + 3d)``, and
+      ``E_0 >= 1 - d``.  Any summation order gives ``z <= (sum E_j)(1 +
+      g)`` with ``g = (n-1) u / (1 - (n-1) u) <= (n-1) 2**-52`` for every
+      ``n`` below ``2**50``, so ``w >= 1 / ((1 + (n-1) e2)(1 + 2**-37)(1
+      + g))`` and ``threshold (1 + (n-1) e2)(1 + 2**-30 + n 2**-52) < 1``
+      settles the row as above, with room for the check's five
+      roundings.  Its top atom is the logit argmax only when ``e2 <= 1 -
+      2**-30`` too: then every other ``E_j <= (1 - 2**-30)(1 + 5d)
+      E_0``, a gap no rounding of ``e / z`` closes, so ``E_0`` is the
+      unique largest quotient, and ``lmax`` is not repeated.  Without
+      it the logits ``[nextafter(0.25, 0), 0.25]`` are a counterexample:
+      both exponentials round to 1.0, so ``np.argmax`` of the weights is
+      atom 0, not the logit argmax 1.
+
+    A row with a non-finite maximum (NaN comes first in ``np.argmax``)
+    or a NaN ``e2`` is left open, for the exact path's nearest-atom
+    fallback.  No weight is approximated: a settled row's comparison has
+    the exact path's result, proven, and a settled-above row's top atom
+    is the exact path's.
+    """
+    r, n = tile.shape
+    rows = np.arange(r)
+    top = np.argmax(tile, axis=1)
+    lmax = tile[rows, top]
+    tile[rows, top] = -np.inf
+    s2 = tile.max(axis=1) - lmax
+    tile[rows, top] = lmax
+    keep = s2 >= _FLUSH
+    e2 = np.exp(np.maximum(s2, _FLUSH)) * keep
+    below = (1.0 + _SETTLE_EPS) / (1.0 + e2) <= threshold
+    above = ((threshold * (1.0 + (n - 1) * e2)
+              * (1.0 + _SETTLE_EPS + n * 2.0 ** -52) < 1.0)
+             & (e2 <= 1.0 - _SETTLE_EPS))
+    open_ = ~(np.isfinite(lmax) & (below | above))
+    return top, above & ~open_, open_
+
+
+def _posterior_block(ds: Dataset, c0, c1, x, e, finish, threshold=None):
     """Unnormalised posterior weights over the atoms for (r, d) states.
 
     Writes the weights into the (r, n) buffer ``e`` and returns their
@@ -291,16 +392,28 @@ def _posterior_block(ds: Dataset, c0, c1, x, e, finish):
     shares, and otherwise each row whose logits overflowed so that its
     row sum is not finite.  Every other row keeps its softmax, which no
     other row's overflow changes.
+
+    With a ``threshold``, each tile is handed over as ``finish(rows,
+    top, above)``: whether each row's top weight is above the threshold,
+    and an atom that is its top atom where it is; the caller then needs
+    no row sums, and None is returned.  Between the half-norm shift and the softmax,
+    :func:`_settle` decides the rows whose two largest logits prove the
+    comparison; only the others run the softmax and :func:`_top_rows`,
+    moved up to the front of their tile rather than copied.
     """
     r = e.shape[0]
     if c1 * c1 == 0.0:
         _nearest(ds, c0, x, e)
         z = np.ones((r, 1))
-        finish(slice(0, r), e, z)
+        if threshold is None:
+            finish(slice(0, r), e, z)
+        else:
+            top, w = _top_rows(e, z)
+            finish(slice(0, r), top, w > threshold)
         return z
     scale = c0 / (c1 * c1)
     step = max(1, _TILE_BYTES // (8 * ds.n))
-    z = np.empty((r, 1))
+    z = np.empty((r, 1)) if threshold is None else None
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(x * scale, ds.atoms.T, out=e)
         shift = (c0 * scale) * ds.half_sqnorms
@@ -308,15 +421,21 @@ def _posterior_block(ds: Dataset, c0, c1, x, e, finish):
             rows = slice(lo, min(lo + step, r))
             tile = e[rows]
             tile -= shift
-            z[rows], _ = _softmax_rows(tile)
-            zt = z[rows]
-            if not np.isfinite(zt).all():
-                bad = ~np.isfinite(zt[:, 0])
-                one_hot = np.empty((np.count_nonzero(bad), ds.n))
-                _nearest(ds, c0, x[rows][bad], one_hot)
-                tile[bad] = one_hot
-                zt[bad] = 1.0
-            finish(rows, tile, zt)
+            if threshold is None:
+                z[rows] = _softmax_tile(ds, c0, x[rows], tile)
+                finish(rows, tile, z[rows])
+                continue
+            top, above, open_ = _settle(tile, threshold)
+            if open_.any():
+                # the open rows move up to the front of the tile, in order
+                for k, i in enumerate(np.flatnonzero(open_)):
+                    if k != i:
+                        tile[k] = tile[i]
+                sub = tile[:np.count_nonzero(open_)]
+                top[open_], w = _top_rows(
+                    sub, _softmax_tile(ds, c0, x[rows][open_], sub))
+                above[open_] = w > threshold
+            finish(rows, top, above)
     return z
 
 
@@ -363,8 +482,9 @@ def _split(b: int) -> bool:
     return cpus > 1
 
 
-def _posterior(ds: Dataset, s: Schedule, t, x, kind: str):
-    """Posterior ``kind`` for states x: "weights", "mean" or "top".
+def _posterior(ds: Dataset, s: Schedule, t, x, kind: str, threshold=None):
+    """Posterior ``kind`` for states x: "weights", "mean", "top" or
+    "above".
 
     Each row block runs :func:`_posterior_block`, which hands it its rows
     tile by tile.  For the weights it writes into its rows of one (b, n)
@@ -373,19 +493,25 @@ def _posterior(ds: Dataset, s: Schedule, t, x, kind: str):
     (b, d) result and divides that.  For the top atom it writes into a
     block-local (rows, n) buffer and reads each tile's top atoms and
     their weights with :func:`_top_rows` into its rows of two length-b
-    results; split, no (b, n) buffer exists.  Blocks are ``_ROWS`` rows,
-    the last one taking the remainder; when :func:`_split` allows, the
-    caller and the package's worker thread take them in turn, otherwise
-    the whole batch is one block.  The row reductions are the same
-    either way; the GEMM rows are where the BLAS rounds a row alike in a
-    block and in the batch (module docstring).
+    results; split, no (b, n) buffer exists.  "above" takes the
+    ``threshold`` and returns ``(top, above)`` the same way: whether
+    each state's top weight is above the threshold, and its top atom
+    where it is (-1 elsewhere), bitwise ``posterior_top``'s ``w >
+    threshold`` and index there; :func:`_settle` decides most rows from
+    their two largest logits, without the softmax.  Blocks are ``_ROWS``
+    rows, the last one taking the remainder; when :func:`_split` allows,
+    the caller and the package's worker thread take them in turn,
+    otherwise the whole batch is one block.  The row reductions are the
+    same either way; the GEMM rows are where the BLAS rounds a row alike
+    in a block and in the batch (module docstring).
     """
     xb, single = _batch(ds.d, t, x)
     c0, c1 = mixing_coeffs(s, t)
     b = xb.shape[0]
-    if kind == "top":
+    if kind in ("top", "above"):
         e = None
-        out = (np.empty(b, dtype=np.intp), np.empty(b))
+        out = (np.empty(b, dtype=np.intp),
+               np.empty(b, dtype=float if kind == "top" else bool))
     else:
         e = np.empty((b, ds.n))
         out = (np.empty((b, ds.d)) if kind == "mean" else e,)
@@ -394,13 +520,15 @@ def _posterior(ds: Dataset, s: Schedule, t, x, kind: str):
         w = np.empty((rows.stop - rows.start, ds.n)) if e is None else e[rows]
 
         def finish(tile, wt, z):
+            # for "above", wt and z are the tile's top atoms and flags
             if kind == "weights":
                 wt /= z
-            elif kind == "top":
+            elif kind != "mean":
                 at = slice(rows.start + tile.start, rows.start + tile.stop)
-                out[0][at], out[1][at] = _top_rows(wt, z)
+                out[0][at], out[1][at] = (_top_rows(wt, z) if kind == "top"
+                                          else (wt, z))
 
-        z = _posterior_block(ds, c0, c1, xb[rows], w, finish)
+        z = _posterior_block(ds, c0, c1, xb[rows], w, finish, threshold)
         if kind == "mean":
             y = out[0][rows]
             np.matmul(w, ds.atoms, out=y)
@@ -411,9 +539,11 @@ def _posterior(ds: Dataset, s: Schedule, t, x, kind: str):
         run_blocks(block, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
     else:
         block(slice(0, b))
+    if kind == "above":
+        out[0][~out[1]] = -1
     if single:
         out = tuple(o[0] for o in out)
-    return out if kind == "top" else out[0]
+    return out if kind in ("top", "above") else out[0]
 
 
 def posterior_weights(ds: Dataset, s: Schedule, t, x):

@@ -78,6 +78,10 @@ class TestDegradation:
         with pytest.raises(ParameterError, match="one time list per"):
             degradation_table(small_dataset, [flow, flow], [0.2, 0.8],
                               trials=50)
+        # a 0-d array holds one time, not a list of them
+        with pytest.raises(ParameterError, match="one time list per"):
+            degradation_table(small_dataset, [flow], [np.array(0.2)],
+                              trials=50)
 
     def test_csv_header(self, small_dataset, vp):
         rep = degradation_table(small_dataset, [vp], [[300]], trials=50)
@@ -105,9 +109,10 @@ class TestDegradation:
         assert rep == degradation_table(small_dataset, [vp], [[300]],
                                         trials=50)
 
-    @pytest.mark.parametrize("n_schedules,times", [(1, []), (0, [[300]]),
-                                                   (0, [])],
-                             ids=["no-times", "no-schedules", "neither"])
+    @pytest.mark.parametrize("n_schedules,times", [
+        (1, []), (0, [[300]]), (0, []), (1, [[]]), (2, [[300], []])],
+        ids=["no-times", "no-schedules", "neither", "empty-time-list",
+             "second-time-list-empty"])
     def test_empty_inputs_rejected(self, small_dataset, vp, n_schedules,
                                    times):
         with pytest.raises(ParameterError):

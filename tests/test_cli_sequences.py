@@ -1,11 +1,13 @@
 """Sequences of ``nimatrix`` commands run in one process.
 
-``cli.main`` reuses one parser for every call in a process.  Hypothesis
-draws up to six argv lists over the eight commands, with flag values
-from 0, -1, nan, inf, 1e400, "x", "", a valid value, missing files and
-files of the wrong kind; ``--n`` and ``--trials`` also take sizes that
-no run can allocate.  Every call returns, or exits through
-argparse's ``SystemExit``, with 0, 2, 3 or 4; nothing else escapes.
+``cli.main`` reuses one parser for every call in a process.  For each of
+the eight commands, Hypothesis draws four sequences of two to six argv
+lists that it leads, followed by calls of it and of at most one other
+command.  Flag values come from 0, -1, nan, inf, 1e400, "x", "", a
+valid value, missing files and files of the wrong kind; ``--n`` and
+``--trials`` also take sizes that no run can allocate.  Every call
+returns, or exits through argparse's ``SystemExit``, with 0, 2, 3 or 4;
+nothing else escapes.
 Played in reverse order, and each with a newly built parser, every argv
 gives the same exit code and the same stdout, so no call leaves state
 behind for the next.
@@ -168,15 +170,18 @@ def _call(argv, fresh=False):
     return code, out.getvalue()
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@pytest.mark.parametrize("lead", sorted(COMMANDS))
+@settings(max_examples=4, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_sequences_in_one_process(workdir, data):
-    # one or two commands, so that calls of one command with other flags
-    # follow each other
-    commands = data.draw(st.lists(st.sampled_from(sorted(COMMANDS)),
-                                  min_size=1, max_size=2, unique=True))
-    sequence = data.draw(st.lists(argv_lists(workdir, commands), min_size=2,
-                                  max_size=6))
+def test_sequences_in_one_process(workdir, lead, data):
+    # every command leads four sequences; after it come calls of it and of
+    # at most one other command, so that calls of one command with other
+    # flags follow each other
+    others = data.draw(st.lists(st.sampled_from(sorted(set(COMMANDS) - {lead})),
+                                max_size=1))
+    sequence = [data.draw(argv_lists(workdir, [lead]))] + data.draw(
+        st.lists(argv_lists(workdir, [lead] + others), min_size=1,
+                 max_size=5))
     forward = [_call(argv) for argv in sequence]
     for argv, (code, _) in zip(sequence, forward):
         assert code in EXIT_CODES, argv

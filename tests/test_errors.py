@@ -14,8 +14,9 @@ float.  Each must raise a ``NimatrixError``, and a NumPy float (and a
 NumPy integer, where the valid value is one) is accepted.
 
 Every array parameter of the API is called with arrays that hold a NaN,
-an inf or a -inf, an empty array, a scalar, a 3-D array and a string.
-Each must return finite output or raise a ``NimatrixError``.
+an inf or a -inf, an empty array, a scalar, a 3-D array, a string and
+a complex array.  Each must return finite output or raise a
+``NimatrixError``.
 
 Every parameter of a public function or input class is in one of the
 three tables or on a short list of parameters that hold no number.
@@ -208,7 +209,8 @@ ARRAY_CALLS = [
     ("trace_sampler-grid", (999.0, 500.0, 0.0),
      lambda v: trace_sampler(DDIM, s=VP, grid=v)),
 ]
-BAD_ARRAYS = ["nan", "inf", "-inf", "empty", "scalar", "3-D", "string"]
+BAD_ARRAYS = ["nan", "inf", "-inf", "empty", "scalar", "3-D", "string",
+              "complex"]
 
 
 def _bad_array(valid, kind):
@@ -216,6 +218,10 @@ def _bad_array(valid, kind):
     a = np.array(valid, dtype=np.float64)
     if kind in ("nan", "inf", "-inf"):
         a.flat[-1] = float(kind)
+        return a
+    if kind == "complex":
+        a = a.astype(np.complex128)
+        a.flat[-1] += 1j
         return a
     return {"empty": np.empty((0,) + a.shape[1:]), "scalar": 1.0,
             "3-D": np.ones((2, 2, 2)), "string": "abc"}[kind]
@@ -280,6 +286,16 @@ class TestCheckArray:
                              ids=["string", "ragged", "dict"])
     def test_non_numeric_is_validation_error(self, value):
         with pytest.raises(ValidationError, match="^atoms must be numeric"):
+            check_array("atoms", value, 2)
+
+    @pytest.mark.parametrize("value", [
+        np.array([[1 + 5j, 2], [3, 4j]]), np.array([[1.0, 2.0]], np.complex64),
+        np.complex128(1j)], ids=["complex128", "complex64", "scalar"])
+    def test_complex_is_validation_error(self, value):
+        # NumPy casts a complex array to float64 by dropping the imaginary
+        # part, with only a ComplexWarning
+        with pytest.raises(ValidationError,
+                           match=r"^atoms must be real, got dtype complex"):
             check_array("atoms", value, 2)
 
     def test_message_names_the_dimension_counts_and_shape(self):

@@ -630,6 +630,16 @@ def _top_of_weights(ds, s, t, x):
     return top, w[np.arange(top.size), top]
 
 
+#: Thresholds of the concentration statistic the settle step is checked at.
+THRESHOLDS = [1e-3, 0.5, 0.9, 1.0 - 1e-6]
+
+
+def _above(ds, s, t, x, threshold):
+    """The settled top-weight comparison the degradation statistic takes:
+    ``(top, above)``, with top -1 where the flag does not hold."""
+    return oracles._posterior(ds, s, t, x, "above", threshold)
+
+
 class TestPosteriorTop:
     @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
     @pytest.mark.parametrize("b", [None, 2, 127, 128, 129, 500],
@@ -708,6 +718,111 @@ class TestPosteriorTop:
         assert len(seen) == 13 and all(len(blocks) == 3 for blocks in seen)
         assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == (
             "532548f1cfd8cfaab6f23ef418cdf20c58879d4f2c367fc93156ed9ea82ebb47")
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    @pytest.mark.parametrize("atoms", [1, 2, 7, 1000, "tied"])
+    def test_above_is_the_top_weight_over_the_threshold(
+            self, monkeypatch, wide_dataset, vp, flow, split, atoms):
+        # the settle step decides most rows from their two largest logits;
+        # every row's flag, and its top atom where the flag holds, are
+        # posterior_top's, at every time, c0 = 0 and c1 = 0 included
+        if atoms == 1000:
+            ds = wide_dataset
+        elif atoms == "tied":  # atoms i and i + 250 are the same point
+            ds = Dataset(atoms=np.tile(wide_dataset.atoms[:250], (4, 1)))
+        else:
+            ds = Dataset(atoms=np.random.default_rng(atoms).standard_normal(
+                (atoms, 64)))
+        seen = _spy_blocks(monkeypatch)
+        _blas_threads(monkeypatch, 1 if split else 2)
+        for family, t in SPLIT_TIMES:
+            s = vp if family == "vp" else flow
+            x = _states(ds, s, t, 130)
+            top, w = posterior_top(ds, s, t, x)
+            for threshold in THRESHOLDS:
+                got, above = _above(ds, s, t, x, threshold)
+                assert np.array_equal(above, w > threshold), (family, t)
+                assert np.array_equal(got, np.where(above, top, -1))
+                one = _above(ds, s, t, x[0], threshold)
+                assert one == (got[0], above[0]) and np.ndim(one[0]) == 0
+        assert len(seen) == (len(SPLIT_TIMES) * (1 + len(THRESHOLDS))
+                             if split else 0)
+
+    def test_a_near_tie_is_not_settled_above(self, flow):
+        # shifted logits [-2**-59, 0]: both exponentials round to 1.0, so
+        # the top atom is 0, while the logit argmax is 1; the bound alone
+        # (w >= 0.5 > 0.4) would settle the row above at atom 1
+        for logits in ([-2.0 ** -59, 0.0], [np.nextafter(0.25, 0.0), 0.25]):
+            tile = np.array([logits])
+            top, above, open_ = oracles._settle(tile, 0.4)
+            assert open_.tolist() == [True] and not above[0]
+            assert tile.tolist() == [logits]  # left as it was found
+        ds = Dataset(atoms=np.eye(2))
+        x = np.array([0.25 - 2.0 ** -60, 0.25])  # flow 0.5: logits 2x - 1/2
+        assert mixing_coeffs(flow, 0.5) == (0.5, 0.5)
+        assert posterior_top(ds, flow, 0.5, x) == (0, 0.5)
+        assert _above(ds, flow, 0.5, x, 0.4) == (0, True)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_overflowing_state_is_above_at_its_nearest_atom(
+            self, monkeypatch, wide_dataset, vp, split):
+        # its logits overflow, so it is never settled and takes the exact
+        # path's nearest-atom fallback; its neighbours are settled
+        monkeypatch.setattr(oracles, "_split", lambda b: split)
+        x = _states(wide_dataset, vp, 100, 130)
+        x[5] = 1e306 * np.sign(wide_dataset.atoms[0])
+        c0, _ = mixing_coeffs(vp, 100)
+        nearest = np.argmax((x[5] / c0) @ wide_dataset.atoms.T
+                            - wide_dataset.half_sqnorms)
+        top, w = posterior_top(wide_dataset, vp, 100, x)
+        got, above = _above(wide_dataset, vp, 100, x, 0.9)
+        assert (got[5], above[5]) == (nearest, True)
+        assert np.array_equal(above, w > 0.9)
+        assert np.array_equal(got, np.where(above, top, -1))
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_settling_never_passes_exp_an_input_below_the_flush(
+            self, monkeypatch, wide_dataset, vp, flow, split):
+        # 1-D calls too: the settle step takes each row's second-largest
+        # exponential, and at vp 10 every such logit is below -707
+        _blas_threads(monkeypatch, 1 if split else 2)
+        seen, exp = [], np.exp
+
+        def spy(x, *args, **kwargs):
+            seen.append((np.ndim(x), np.min(x, initial=np.inf)))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        for family, t in FLUSH_TIMES + [("vp", 10), ("vp", 300)]:
+            s = vp if family == "vp" else flow
+            x = _states(wide_dataset, s, t, 300)
+            for threshold in THRESHOLDS:
+                _above(wide_dataset, s, t, x, threshold)
+                _above(wide_dataset, s, t, x[0], threshold)
+        assert {ndim for ndim, _ in seen} == {1, 2}
+        assert min(low for _, low in seen) >= oracles._FLUSH
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_settled_rows_skip_the_softmax(self, monkeypatch, wide_dataset,
+                                           vp, split):
+        # at vp 100 every posterior has collapsed above 0.9, at vp 900
+        # none has, and the two largest logits prove it for every row
+        _blas_threads(monkeypatch, 1 if split else 2)
+        rows, softmax = [], oracles._softmax_rows
+
+        def spy(e):
+            rows.append(e.shape[0])
+            return softmax(e)
+
+        monkeypatch.setattr(oracles, "_softmax_rows", spy)
+        for t, want in ((100, True), (900, False)):
+            x = _states(wide_dataset, vp, t, 300)
+            top, above = _above(wide_dataset, vp, t, x, 0.9)
+            assert np.all(above == want), t
+            assert sum(rows) == 0, t
+            posterior_top(wide_dataset, vp, t, x)  # the control
+            assert sum(rows) == 300, t
+            rows.clear()
 
 
 def _shifted_logits(ds, s, t, x):
@@ -898,6 +1013,8 @@ class TestFlush:
             0, wide_dataset.d)
         top, w = posterior_top(wide_dataset, vp, 100, x)
         assert top.shape == w.shape == (0,)
+        top, above = _above(wide_dataset, vp, 100, x, 0.9)
+        assert top.shape == above.shape == (0,)
 
 
 class TestThreeRowTiles(TestPosteriorTop, TestFlush):
