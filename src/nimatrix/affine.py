@@ -14,6 +14,13 @@ The same sampler code also runs concretely: samplers call the two
 methods of :class:`RunContext`, and the context decides whether
 ``apply_model`` invokes a predictor or records a matrix row, and whether
 ``fresh_noise`` draws a Gaussian vector or mints a basis term.
+
+A predictor is any callable ``f(t, x)`` with a ``d`` that returns a
+real, finite array of ``x``'s shape.  Every loop that calls one, the
+concrete ``apply_model`` here and the executor's and ``over_enhance``'s
+loops in ``engine``, reads its output through :func:`predict`: a complex
+or non-numeric output or one of another shape raises
+``ValidationError``, and a NaN or infinite entry ``NumericError``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ProtocolError, check_int
+from .errors import (NumericError, ProtocolError, ValidationError,
+                     check_array, check_int)
 
 TRACE = "trace"
 CONCRETE = "concrete"
@@ -102,6 +110,25 @@ def lin_combine(terms):
     return total
 
 
+def predict(pred, t, x: np.ndarray) -> np.ndarray:
+    """``pred(t, x)`` as a float64 array of ``x``'s shape.
+
+    The one reading of a predictor's output.  A complex or non-numeric
+    output raises ``ValidationError`` by ``check_array``'s rule, which
+    copies no float64 array; so does an output of another shape, one
+    that would broadcast against ``x`` included.  A NaN or infinite
+    entry raises ``NumericError`` naming ``t``.
+    """
+    y = check_array("predictor output", pred(t, x), x.ndim, None)
+    if y.shape != x.shape:
+        raise ValidationError(
+            f"predictor returned shape {y.shape}, expected {x.shape}")
+    if not np.isfinite(y).all():
+        raise NumericError(
+            f"predictor returned a non-finite value at t = {t!r}")
+    return y
+
+
 class RunContext:
     """Holds the representation mode, RNG, predictor, and trace records.
 
@@ -141,9 +168,10 @@ class RunContext:
         return self.rng.standard_normal(self.shape)
 
     def apply_model(self, t, x):
-        """Evaluate the predictor at (t, x), or record the matrix row."""
+        """Evaluate the predictor at (t, x) through ``predict``, or record
+        the matrix row."""
         if self.mode == CONCRETE:
-            return self.predictor(t, x)
+            return predict(self.predictor, t, x)
         if not isinstance(x, AffineState):
             raise ProtocolError("trace mode requires affine states")
         idx = len(self.records)

@@ -41,6 +41,12 @@ executor reproduces the native sampler output.
 
 The executor plays the matrix's noise block as stored; a single-terminal
 file loads as its one-column ``c1`` block (``coeffmatrix.from_payload``).
+
+A predictor is any callable ``f(t, x)`` with a ``d`` that returns a
+real, finite array of ``x``'s shape.  ``_play`` and ``over_enhance``
+read every output through ``affine.predict``, as the native samplers
+do: a complex or non-numeric output or one of another shape raises
+``ValidationError``, and a NaN or infinite entry ``NumericError``.
 """
 
 from __future__ import annotations
@@ -50,9 +56,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .affine import predict
 from .coeffmatrix import CoefficientMatrix
-from .errors import (NumericError, ParameterError, ValidationError,
-                     check_array, check_int)
+from .errors import ParameterError, check_array, check_int
 from .schedule import Schedule, mixing_coeffs
 
 
@@ -193,13 +199,7 @@ def _play(m: CoefficientMatrix, pred, draws: np.ndarray,
         if row.carry:
             x += row.carry * states[i - 1]
         states[i] = x
-        y = np.asarray(pred(m.row_times[i], x.reshape(shape)))
-        if y.shape != shape:
-            raise ValidationError(
-                f"predictor returned shape {y.shape}, expected {shape}")
-        if not np.isfinite(y).all():
-            raise NumericError(f"predictor returned a non-finite value at "
-                               f"row {i} (t = {m.row_times[i]!r})")
+        y = predict(pred, m.row_times[i], x.reshape(shape))
         outputs[i] = y.reshape(-1)
     return (m.signal[-1] @ outputs + m.noise[-1] @ draws).reshape(shape)
 
@@ -238,8 +238,8 @@ def over_enhance(pred, s: Schedule, t, x_init, k: int,
     level before the next prediction, ``x <- f_t(c0 x + c1 eps)``.
     ``dry``: the raw prediction feeds straight back in, ``x <- f_t(x)``.
     ``x_init`` is one ``(d,)`` state or a ``(b, d)`` batch of finite
-    numbers (``check_array``).  Returns the full sequence including
-    ``x_init``.
+    numbers (``check_array``), and each prediction is read by
+    ``affine.predict``.  Returns the full sequence including ``x_init``.
     """
     k = check_int("k", k, 0)
     if mode not in ("renoise", "dry"):
@@ -250,8 +250,7 @@ def over_enhance(pred, s: Schedule, t, x_init, k: int,
     c0, c1 = mixing_coeffs(s, t)
     for _ in range(k):
         if mode == "renoise":
-            x = np.asarray(pred(t, c0 * x + c1 * rng.standard_normal(x.shape)))
-        else:
-            x = np.asarray(pred(t, x))
+            x = c0 * x + c1 * rng.standard_normal(x.shape)
+        x = predict(pred, t, x)
         seq.append(x)
     return seq

@@ -100,20 +100,23 @@ def check_array(name: str, value, ndim, nonfinite=ValidationError):
     """``value`` as a float64 array with ``ndim`` dimensions (one count or
     a tuple of counts); no copy is made of a float64 array.
 
-    A value NumPy cannot read as numbers, a NumPy array or scalar of a
-    complex dtype (read from its dtype alone, which NumPy would cast to
-    real by dropping the imaginary part), or one with another dimension
-    count, raises :class:`ValidationError`; a NaN or infinite entry raises
-    ``nonfinite``, unless that is None.
+    A value NumPy cannot read as numbers, a value of a complex dtype
+    (which NumPy would cast to real by dropping the imaginary part), or
+    one with another dimension count, raises :class:`ValidationError`; a
+    NaN or infinite entry raises ``nonfinite``, unless that is None.  An
+    array's dtype is read as it is; any other value, a list holding a
+    complex array included, is first read with the dtype NumPy infers.
     """
     dims = (ndim,) if isinstance(ndim, int) else ndim
-    dtype = getattr(value, "dtype", None)
-    if isinstance(dtype, np.dtype) and dtype.kind == "c":
-        raise ValidationError(f"{name} must be real, got dtype {dtype}")
     try:
-        a = np.asarray(value, dtype=np.float64)
+        a = value if isinstance(value, np.ndarray) else np.asarray(value)
+        real = a.dtype.kind != "c"
+        if real:
+            a = np.asarray(a, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be numeric: {exc}") from None
+    if not real:
+        raise ValidationError(f"{name} must be real, got dtype {a.dtype}")
     if a.ndim not in dims:
         want = " or ".join(f"{k}-D" for k in dims)
         raise ValidationError(f"need {want} {name}, got shape {a.shape}")

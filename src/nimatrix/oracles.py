@@ -166,7 +166,8 @@ class GaussianMixture:
         w = _owned(check_array("mixture weights", self.weights, 1),
                    self.weights)
         mu = _owned(check_array("mixture means", self.means, 2), self.means)
-        v = check_array("mixture variances", self.variances, 1)
+        v = _owned(check_array("mixture variances", self.variances, 1),
+                   self.variances)
         if mu.size == 0:
             raise ValidationError("mixture means must be a non-empty (k, d) "
                                   "matrix")

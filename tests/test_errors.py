@@ -14,9 +14,10 @@ float.  Each must raise a ``NimatrixError``, and a NumPy float (and a
 NumPy integer, where the valid value is one) is accepted.
 
 Every array parameter of the API is called with arrays that hold a NaN,
-an inf or a -inf, an empty array, a scalar, a 3-D array, a string and
-a complex array.  Each must return finite output or raise a
-``NimatrixError``.
+an inf or a -inf, an empty array, a scalar, a 3-D array, a string, a
+complex array and a list of complex arrays.  Each must return finite
+output or raise a ``NimatrixError``.  A predictor's output gets the
+same arrays, in each of the three loops that call a predictor.
 
 Every parameter of a public function or input class is in one of the
 three tables or on a short list of parameters that hold no number.
@@ -32,13 +33,13 @@ import numpy as np
 import pytest
 
 import nimatrix
-from nimatrix.affine import RunContext
+from nimatrix.affine import CONCRETE, RunContext
 from nimatrix.analysis import (degradation_table, radial_spectrum,
                                snr_profile, submerged_fraction,
                                wilson_center, wilson_halfwidth)
 from nimatrix.coeffmatrix import (deviation_trend, normalize_rows, row_sums,
                                   trace_sampler)
-from nimatrix.engine import RunConfig, over_enhance
+from nimatrix.engine import RunConfig, over_enhance, run_matrix
 from nimatrix.errors import (DomainError, NimatrixError, NumericError,
                              ParameterError, ValidationError, check_array,
                              check_int, check_real)
@@ -47,7 +48,7 @@ from nimatrix.oracles import (Dataset, GaussianMixture, make_predictor,
                               posterior_mean_dataset, posterior_mean_gmm,
                               posterior_top, posterior_weights,
                               score_from_x0hat)
-from nimatrix.samplers import SamplerSpec, default_grid
+from nimatrix.samplers import SamplerSpec, default_grid, run_native
 from nimatrix.schedule import (make_flow, make_grid, make_vp_continuous,
                                make_vp_linear, mixing_coeffs)
 from nimatrix.search import (SearchSpace, energy_distance, optimize_matrix,
@@ -165,6 +166,29 @@ MIX = {"weights": [0.5, 0.5], "means": [[-1.0, 0.0], [1.0, 0.5]],
        "variances": [0.1, 0.2]}
 IMAGE = np.random.default_rng(2).standard_normal((8, 8))
 
+
+class _Returns:
+    """A predictor of dimension ``d`` that returns ``value`` at every call."""
+
+    def __init__(self, value, d):
+        self.value, self.d = value, d
+
+    def __call__(self, t, x):
+        return self.value
+
+
+#: The three loops that call a predictor, each run on ``(n, d)`` states
+#: with a predictor that returns ``v``.
+PREDICTOR_LOOPS = {
+    "run_matrix": lambda v, n, d: run_matrix(
+        RunConfig(matrix=BASE, predictor=_Returns(v, d), n=n)),
+    "over_enhance": lambda v, n, d: over_enhance(
+        _Returns(v, d), VP, 300, np.zeros((n, d)), k=1),
+    "RunContext": lambda v, n, d: run_native(
+        DDIM, VP, default_grid(DDIM, VP, 3),
+        RunContext(CONCRETE, predictor=_Returns(v, d), shape=(n, d))),
+}
+
 #: (callable and array parameter, a valid value, call with a value)
 ARRAY_CALLS = [
     ("posterior_mean_dataset-x", np.zeros((2, 4)),
@@ -208,9 +232,13 @@ ARRAY_CALLS = [
      lambda v: make_grid(VP, None, "explicit", explicit=v)),
     ("trace_sampler-grid", (999.0, 500.0, 0.0),
      lambda v: trace_sampler(DDIM, s=VP, grid=v)),
+    # one predictor output, as each loop that calls a predictor reads it
+    *((f"{loop}-prediction", np.zeros((1, 2)),
+       lambda v, loop=loop: PREDICTOR_LOOPS[loop](v, 1, 2))
+      for loop in PREDICTOR_LOOPS),
 ]
 BAD_ARRAYS = ["nan", "inf", "-inf", "empty", "scalar", "3-D", "string",
-              "complex"]
+              "complex", "nested-complex"]
 
 
 def _bad_array(valid, kind):
@@ -219,10 +247,11 @@ def _bad_array(valid, kind):
     if kind in ("nan", "inf", "-inf"):
         a.flat[-1] = float(kind)
         return a
-    if kind == "complex":
+    if kind in ("complex", "nested-complex"):
         a = a.astype(np.complex128)
         a.flat[-1] += 1j
-        return a
+        # a list of the rows, or of the entries of a 1-D array
+        return list(a) if kind == "nested-complex" else a
     return {"empty": np.empty((0,) + a.shape[1:]), "scalar": 1.0,
             "3-D": np.ones((2, 2, 2)), "string": "abc"}[kind]
 
@@ -260,6 +289,14 @@ def test_bad_array_gives_finite_output_or_typed_error(name, valid, call,
     assert _finite(out)
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 3)], ids=["3", "1x3"])
+@pytest.mark.parametrize("loop", list(PREDICTOR_LOOPS))
+def test_prediction_that_broadcasts_is_rejected(loop, shape):
+    # both shapes broadcast against a (2, 3) state in the samplers' sums
+    with pytest.raises(ValidationError, match="predictor"):
+        PREDICTOR_LOOPS[loop](np.zeros(shape), 2, 3)
+
+
 @pytest.mark.parametrize("make", [
     lambda: Dataset(atoms=np.empty((3, 0))),
     lambda: Dataset(atoms=np.empty((0, 0))),
@@ -290,7 +327,8 @@ class TestCheckArray:
 
     @pytest.mark.parametrize("value", [
         np.array([[1 + 5j, 2], [3, 4j]]), np.array([[1.0, 2.0]], np.complex64),
-        np.complex128(1j)], ids=["complex128", "complex64", "scalar"])
+        np.complex128(1j), [np.array([1 + 5j, 2.0])]],
+        ids=["complex128", "complex64", "scalar", "nested"])
     def test_complex_is_validation_error(self, value):
         # NumPy casts a complex array to float64 by dropping the imaginary
         # part, with only a ComplexWarning

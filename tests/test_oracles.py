@@ -437,14 +437,17 @@ class TestMixtureKernel:
                                       logd)
 
     def test_parameters_are_a_copy(self, vp):
-        # the mixture caches log w_k and |m_k|^2: writing to the caller's
-        # arrays afterwards must not leave them stale
+        # the mixture caches log w_k and |m_k|^2 and checked its
+        # variances: writing to the caller's arrays afterwards must not
+        # leave them stale
         w, mu = np.array([0.25, 0.75]), np.array([[1.0, -1.0], [0.5, 2.0]])
-        g = GaussianMixture(weights=w, means=mu, variances=np.ones(2))
+        v = np.ones(2)
+        g = GaussianMixture(weights=w, means=mu, variances=v)
         x = np.random.default_rng(4).standard_normal((5, 2))
         want = posterior_mean_gmm(g, vp, 400, x)
         w[:] = w[::-1]
         mu *= 3.0
+        v[:] = -1.0
         assert np.array_equal(posterior_mean_gmm(g, vp, 400, x), want)
         with pytest.raises(ValueError, match="read-only"):
             g.sqnorms[0] = 0.0
