@@ -8,14 +8,17 @@ time and its Wilson confidence interval quantify how much of the
 trajectory operates in memorization territory.  Each draw needs only
 whether its posterior's largest weight is above the threshold, and its
 most probable atom where it is.  The dataset oracle's "above" kind
-settles that from each row's two largest logits where they prove it: a
-draw whose posterior has collapsed onto one atom (all of them at vp
-t = 100 on the benchmark's 10000 x 64 dataset), or is spread so that the
-second atom alone keeps the top weight at or below the threshold (all at
-t = 700 and 900), skips the softmax.  Only the rows between, about half
-at t = 300, run it and read their top atom and weight from the row tile
-as ``oracles.posterior_top`` does; the counts are those of
-``posterior_top``'s ``w > threshold`` and index, bit for bit.
+settles that from float32 logits and a proven bound on their distance
+from the float64 ones.  A draw whose posterior has collapsed onto one
+atom (all of them at vp t = 100 on the benchmark's 10000 x 64 dataset),
+or is spread so that the second atom alone keeps the top weight at or
+below the threshold (all at t = 700 and 900), is settled from its two
+largest logits; most of the others, about half the draws at t = 300,
+from its logits within 20 of the largest.  Only a row block with a
+draw neither bound settles runs the float64 path, where the rows that
+path leaves open run the softmax and read their top atom and weight
+from the row tile as ``oracles.posterior_top`` does; the counts are
+those of ``posterior_top``'s ``w > threshold`` and index, bit for bit.
 
 The spectral helpers read the same phenomenon per frequency band: with
 signal amplitude ``c0`` and unit-variance noise at amplitude ``c1``,

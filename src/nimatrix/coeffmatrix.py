@@ -405,10 +405,19 @@ def from_payload(payload: dict) -> CoefficientMatrix:
 
 
 def load(path) -> CoefficientMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # bad JSON (at line L column C), bad
-            # UTF-8, or an integer too long
-            raise FormatError(f"invalid matrix file: {exc}") from exc
+    """Read a ``save`` file: its bytes, decoded as UTF-8 in one call
+    rather than chunk by chunk through a text stream.
+
+    JSON reads a carriage return as whitespace, so a CR-LF file loads as
+    it did through the stream's newline translation.  A UTF-8 byte order
+    mark is not JSON and is ``FormatError``, as is a byte sequence that
+    is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # bad JSON (at line L column C), bad
+        # UTF-8, a byte order mark, or an integer too long
+        raise FormatError(f"invalid matrix file: {exc}") from exc
     return from_payload(payload)

@@ -81,6 +81,25 @@ a block where ``c1^2`` is 0, and rows inside a margin.  This is not a
 one-hot shortcut: no weight or mean is approximated, only a comparison
 whose result is proven is skipped, so the flags and top atoms are
 bitwise those of ``posterior_top``.
+
+Before that float64 path, each block of the statistic is screened in
+float32 (``_screen_block``): the states, rounded to float32, against
+the atoms converted to float32 once per call, one single-precision GEMM
+written into the first half of the block's float64 buffer, so the GEMM
+and every pass after it move half the bytes.  A per-row bound ``delta``
+on the distance from each float32 logit to the float64 path's logit
+(derived in ``_screen``'s docstring: the operands' rounding, the GEMM's
+in any summation order with or without FMA, the shift, float32
+subnormals and the float64 path's own rounding) widens the two-logit
+bounds; a row they leave open gets the cutoff bound, in which the
+logits within 20 of the row's maximum bound ``z`` from below and, with
+``n - m`` times ``e**-20`` for the others, from above.  A row settled
+as above takes the float32 argmax as its top atom only where the
+float32 gap to its second logit is more than ``2 delta``, which makes it
+the float64 argmax.  When a row of the block stays open, the whole
+block runs the float64 path unchanged: the same GEMM shape as
+``posterior_top``'s, so every flag and top atom stays bitwise
+``posterior_top``'s.
 """
 
 from __future__ import annotations
@@ -316,6 +335,43 @@ def _softmax_tile(ds: Dataset, c0, x, tile):
 _SETTLE_EPS = 2.0 ** -30
 
 
+def _flushed_exp(s):
+    """``np.exp`` of ``s``, with an input below ``_FLUSH`` giving exactly
+    0 without reaching ``np.exp``, as the softmax flushes it."""
+    return np.exp(np.maximum(s, _FLUSH)) * (s >= _FLUSH)
+
+
+def _top_two(tile, delta=0.0):
+    """Each row's logit argmax ``top``, its largest logit ``lmax`` as a
+    float64, and two bounds ``lo <= e2 <= hi`` on the exponential ``e2``
+    of its second largest shifted logit, for (r, n) logits ``tile``
+    whose entries are within ``delta`` of the exact path's logits (0
+    for the exact path's own, where ``lo == hi == e2``).  The tile is
+    left as it was found; ``hi`` widens the shifted logit to at most 0.
+    """
+    rows = np.arange(tile.shape[0])
+    top = np.argmax(tile, axis=1)
+    lmax = tile[rows, top]
+    tile[rows, top] = -np.inf
+    lmax = lmax.astype(float)
+    s2 = tile.max(axis=1) - lmax
+    tile[rows, top] = lmax
+    return (top, lmax, _flushed_exp(s2 - 2.0 * delta),
+            _flushed_exp(np.minimum(s2 + 2.0 * delta, 0.0)))
+
+
+def _two_logit_bounds(n, threshold, lo, hi):
+    """Whether each row is proven not above and proven above the
+    threshold from ``lo`` and ``hi`` (:func:`_top_two`), and whether its
+    logit argmax is proven its top atom (derived in :func:`_settle`'s
+    docstring); a NaN bound proves nothing."""
+    below = (1.0 + _SETTLE_EPS) / (1.0 + lo) <= threshold
+    unique = hi <= 1.0 - _SETTLE_EPS
+    above = (threshold * (1.0 + (n - 1) * hi)
+             * (1.0 + _SETTLE_EPS + n * 2.0 ** -52) < 1.0) & unique
+    return below, above, unique
+
+
 def _settle(tile, threshold):
     """Whether each row's top posterior weight is above ``threshold``,
     where the row's two largest logits prove it, without ``np.exp`` of
@@ -356,30 +412,173 @@ def _settle(tile, threshold):
       both exponentials round to 1.0, so ``np.argmax`` of the weights is
       atom 0, not the logit argmax 1.
 
-    A row with a non-finite maximum (NaN comes first in ``np.argmax``)
-    or a NaN ``e2`` is left open, for the exact path's nearest-atom
-    fallback.  No weight is approximated: a settled row's comparison has
-    the exact path's result, proven, and a settled-above row's top atom
-    is the exact path's.
+    Both steps hold for any ``lo`` and ``hi`` in place of ``e2`` with
+    ``E_2 >= lo (1 - 2d)`` and every other ``E_j <= hi (1 + 3d)``, which
+    is how :func:`_screen` applies them to float32 logits.  A row with a
+    non-finite maximum (NaN comes first in ``np.argmax``) or a NaN
+    ``e2`` is left open, for the exact path's nearest-atom fallback.  No
+    weight is approximated: a settled row's comparison has the exact
+    path's result, proven, and a settled-above row's top atom is the
+    exact path's.
     """
-    r, n = tile.shape
-    rows = np.arange(r)
-    top = np.argmax(tile, axis=1)
-    lmax = tile[rows, top]
-    tile[rows, top] = -np.inf
-    s2 = tile.max(axis=1) - lmax
-    tile[rows, top] = lmax
-    keep = s2 >= _FLUSH
-    e2 = np.exp(np.maximum(s2, _FLUSH)) * keep
-    below = (1.0 + _SETTLE_EPS) / (1.0 + e2) <= threshold
-    above = ((threshold * (1.0 + (n - 1) * e2)
-              * (1.0 + _SETTLE_EPS + n * 2.0 ** -52) < 1.0)
-             & (e2 <= 1.0 - _SETTLE_EPS))
+    top, lmax, lo, hi = _top_two(tile)
+    below, above, _ = _two_logit_bounds(tile.shape[1], threshold, lo, hi)
     open_ = ~(np.isfinite(lmax) & (below | above))
     return top, above & ~open_, open_
 
 
-def _posterior_block(ds: Dataset, c0, c1, x, e, finish, threshold=None):
+# The float32 screen: its unit roundoff, the shifted logit below which
+# the cutoff bound counts an atom's weight only through a bound, and the
+# size past which a row's float32 logits could overflow (_screen_delta).
+_U32 = 2.0 ** -24
+_CUTOFF = -20.0
+_SCREEN_MAX = 2.0 ** 120
+
+
+def _screen_delta(xs, shift, amax):
+    """Per row of the (r, d) scaled states ``xs``, a bound ``delta`` on
+    the distance between each float32 logit the screen forms and the
+    float64 logit the exact path forms, or ``inf`` where the float32
+    logits could overflow (derivation in :func:`_screen`)."""
+    d = xs.shape[1]
+    xn = np.sqrt(np.einsum("ij,ij->i", xs, xs))
+    big = np.abs(shift).max(initial=0.0)
+    gamma = (d + 6) * _U32 / (1.0 - (d + 6) * _U32)
+    p = xn * amax
+    delta = (gamma * p + 2.0 ** -21 * big
+             + (d + 1) * 2.0 ** -145 * (1.0 + xn + amax))
+    fits = (np.maximum(xn, amax) < _SCREEN_MAX) & (p + big < _SCREEN_MAX)
+    delta[~fits] = np.inf
+    return delta
+
+
+def _cutoff(sub, lmax, delta, threshold):
+    """Whether each row of the (k, n) float32 logits ``sub`` is proven
+    not above and proven above the threshold by the cutoff bound, for
+    rows whose two largest logits ``_screen`` could not decide.
+
+    ``lmax`` is each row's largest float32 logit and ``delta`` its
+    screen bound, below 1.  The entries at or above ``c = fl32(lmax -
+    20)``, ``m`` of them, give ``S``, the sum of ``exp(l - lmax)``; the
+    ``n - m`` below lie under ``tau = c - lmax``.  Derivation in
+    :func:`_screen`.
+    """
+    k, n = sub.shape
+    cut = (lmax + _CUTOFF).astype(np.float32)
+    tau = cut - lmax
+    at = np.flatnonzero(sub >= cut[:, None])
+    row = at // n
+    ex = sub.reshape(-1)[at] - lmax[row]
+    np.exp(ex, out=ex)
+    m = np.bincount(row, minlength=k)
+    s = np.bincount(row, weights=ex, minlength=k)
+    widen = np.exp(2.0 * delta) * (1.0 + _SETTLE_EPS + n * 2.0 ** -50)
+    below = widen <= threshold * s
+    above = threshold * widen * (s + (n - m) * np.exp(tau)) < 1.0
+    return below, above
+
+
+def _screen(tile, threshold, delta):
+    """:func:`_settle` for a tile of float32 logits: ``(top, above,
+    open)``, where each row's entries are within ``delta`` of the exact
+    path's float64 logits; it leaves the tile as it found it.
+
+    *The bound.*  A row's float32 logit of atom ``a`` is ``fl32(G -
+    fl32(h))`` with ``G`` the single-precision GEMM of ``fl32(x')``
+    against ``fl32(a)``, ``x' = x * scale`` in float64 and ``h`` the
+    float64 shift; the exact path's is ``fl64(G64 - h)``.  Against the
+    real ``x' . a - h``, with ``u = 2**-24``, ``P = |x'| max |a|`` and
+    ``H`` the largest shift, the GEMM in any summation order, with or
+    without FMA, is within ``gamma_{d+2} P`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1: two roundings of
+    the operands and ``d`` of the products and sums); the shift's
+    rounding and the subtraction add ``u (P + 2H)`` to first order, so
+    the float32 logit is within ``gamma_{d+3} P + (2u + u^2) H``.  The
+    float64 logit is within ``(d + 2) 2**-53 (P + H)`` of the same.
+    Below ``2**-126`` float32 keeps an absolute error of ``2**-150`` per
+    operand, product and fused operation, at most ``(d + 1) 2**-146 (1
+    + |x'| + max |a|)`` in all.  So every float32 logit is within
+    ``gamma_{d+4} P + 2**-22 H + (d + 1) 2**-146 (1 + |x'| + max |a|)``
+    of the exact path's, for ``d`` below ``2**20``.  ``delta`` takes
+    ``gamma_{d+6}``, ``2**-21`` and ``2**-145`` in their places, at
+    least ``2**-23 (P + H)`` more than that, which covers the float64
+    rounding of the norms, of ``delta`` and of every difference formed
+    below (each under ``2**-50 (P + H)``).  A row whose ``|x'|``, ``max
+    |a|`` or ``P + H`` reaches ``2**120``, where a float32 value could
+    overflow, has an infinite ``delta`` and is open; below it every
+    float32 value is finite.
+
+    *Two logits.*  The largest and the second largest logits are each
+    within ``delta`` of the exact path's, so its second largest shifted
+    logit ``s2`` lies within ``2 delta`` of the float32 one;
+    :func:`_top_two` takes ``lo`` and ``hi`` at those two ends, and
+    :func:`_settle`'s two steps hold with them.  ``hi <= 1 - 2**-30``
+    needs the float32 gap between the top two logits to be more than
+    ``2 delta``, so the float32 argmax is then the float64 one, and the
+    top atom.
+
+    *The cutoff.*  A row left open, with a finite ``delta`` below 1,
+    has ``m`` float32 logits at or above ``c = fl32(lmax - 20)`` and
+    ``n - m`` below it; ``S`` is the float64 sum of ``exp(l - lmax)``
+    over the ``m`` (every input about -20 or more, far above
+    ``_FLUSH``).  Each exact-path exponential is within a factor
+    ``e**(2 delta)`` of the float32 one, up to ``np.exp``'s rounding;
+    the exact path's ``z`` is at least its rounded sum of the ``m`` terms
+    alone (rounded addition is monotone), and each of the others is at
+    most ``e**(c - lmax + 2 delta)``.  With ``emax`` within ``d`` of 1
+    and ``F = 1 + 2**-30 + n 2**-50`` for the roundings of ``np.exp``,
+    of the sums, of ``emax / z`` and of the checks (as in ``_settle``),
+    the exact path's weight satisfies ``w <= F e**(2 delta) / S`` and
+    ``w >= 1 / (F e**(2 delta) (S + (n - m) e**(c - lmax)))``.  So ``F
+    e**(2 delta) <= threshold S`` settles a row as not above, and
+    ``threshold F e**(2 delta) (S + (n - m) e**(c - lmax)) < 1`` as
+    above; a row settled above takes the float32 argmax as its top atom
+    under the same ``hi`` condition as before, and is open without it.
+    """
+    top, lmax, lo, hi = _top_two(tile, delta)
+    below, above, unique = _two_logit_bounds(tile.shape[1], threshold,
+                                             lo, hi)
+    fits = np.isfinite(lmax) & np.isfinite(delta)
+    open_ = ~(fits & (below | above))
+    rest = np.flatnonzero(open_ & fits & (delta < 1.0))
+    if rest.size:
+        cut_below, cut_above = _cutoff(tile[rest], lmax[rest], delta[rest],
+                                       threshold)
+        above[rest] = cut_above & unique[rest]
+        open_[rest] = ~(cut_below | above[rest])
+    return top, above & ~open_, open_
+
+
+def _screen_block(xs, shift, e, threshold, atoms32, amax):
+    """``(top, above)`` for every row of a block from float32 logits, or
+    None when :func:`_screen` leaves a row open.
+
+    The float32 GEMM of ``fl32(xs)`` against the float32 atoms is
+    written into the first half of the block's (r, n) float64 buffer
+    ``e``, and :func:`_screen` runs on its row tiles of about
+    ``_TILE_BYTES`` once the float32 shift is subtracted; the first tile
+    with an open row ends the screen.
+    """
+    r, n = e.shape
+    e32 = e.reshape(-1).view(np.float32)[:r * n].reshape(r, n)
+    np.matmul(xs.astype(np.float32), atoms32.T, out=e32)
+    shift32 = shift.astype(np.float32)
+    delta = _screen_delta(xs, shift, amax)
+    top = np.empty(r, dtype=np.intp)
+    above = np.empty(r, dtype=bool)
+    step = max(1, _TILE_BYTES // (4 * n))
+    for lo in range(0, r, step):
+        rows = slice(lo, min(lo + step, r))
+        tile = e32[rows]
+        tile -= shift32
+        top[rows], above[rows], open_ = _screen(tile, threshold, delta[rows])
+        if open_.any():
+            return None
+    return top, above
+
+
+def _posterior_block(ds: Dataset, c0, c1, x, e, finish, threshold=None,
+                     screen=None):
     """Unnormalised posterior weights over the atoms for (r, d) states.
 
     Writes the weights into the (r, n) buffer ``e`` and returns their
@@ -397,7 +596,11 @@ def _posterior_block(ds: Dataset, c0, c1, x, e, finish, threshold=None):
     With a ``threshold``, each tile is handed over as ``finish(rows,
     top, above)``: whether each row's top weight is above the threshold,
     and an atom that is its top atom where it is; the caller then needs
-    no row sums, and None is returned.  Between the half-norm shift and the softmax,
+    no row sums, and None is returned.  With ``screen``, the float32
+    atoms and the largest atom norm, the block is first screened in
+    float32 (:func:`_screen_block`): when every row is settled, the
+    whole block is handed over at once.  Otherwise the block runs the
+    float64 GEMM and, between the half-norm shift and the softmax,
     :func:`_settle` decides the rows whose two largest logits prove the
     comparison; only the others run the softmax and :func:`_top_rows`,
     moved up to the front of their tile rather than copied.
@@ -416,8 +619,14 @@ def _posterior_block(ds: Dataset, c0, c1, x, e, finish, threshold=None):
     step = max(1, _TILE_BYTES // (8 * ds.n))
     z = np.empty((r, 1)) if threshold is None else None
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(x * scale, ds.atoms.T, out=e)
+        xs = x * scale
         shift = (c0 * scale) * ds.half_sqnorms
+        if screen is not None:
+            settled = _screen_block(xs, shift, e, threshold, *screen)
+            if settled is not None:
+                finish(slice(0, r), *settled)
+                return z
+        np.matmul(xs, ds.atoms.T, out=e)
         for lo in range(0, r, step):
             rows = slice(lo, min(lo + step, r))
             tile = e[rows]
@@ -498,17 +707,25 @@ def _posterior(ds: Dataset, s: Schedule, t, x, kind: str, threshold=None):
     ``threshold`` and returns ``(top, above)`` the same way: whether
     each state's top weight is above the threshold, and its top atom
     where it is (-1 elsewhere), bitwise ``posterior_top``'s ``w >
-    threshold`` and index there; :func:`_settle` decides most rows from
-    their two largest logits, without the softmax.  Blocks are ``_ROWS``
-    rows, the last one taking the remainder; when :func:`_split` allows,
-    the caller and the package's worker thread take them in turn,
-    otherwise the whole batch is one block.  The row reductions are the
-    same either way; the GEMM rows are where the BLAS rounds a row alike
-    in a block and in the batch (module docstring).
+    threshold`` and index there; the float32 screen settles most blocks
+    without the float64 GEMM (:func:`_screen_block`), with the atoms
+    converted to float32 once per call, before the blocks run, and not
+    cached, so they are never staler than ``ds.atoms``.  Blocks are
+    ``_ROWS`` rows, the last one taking the remainder; when
+    :func:`_split` allows, the caller and the package's worker thread
+    take them in turn, otherwise the whole batch is one block.  The
+    row reductions are the same either way; the GEMM rows are where the
+    BLAS rounds a row alike in a block and in the batch (module
+    docstring).
     """
     xb, single = _batch(ds.d, t, x)
     c0, c1 = mixing_coeffs(s, t)
     b = xb.shape[0]
+    screen = None
+    if kind == "above" and ds.d < 2 ** 20:  # the screen's bound needs it
+        with np.errstate(over="ignore"):
+            screen = (ds.atoms.astype(np.float32), float(np.sqrt(
+                np.einsum("ij,ij->i", ds.atoms, ds.atoms).max())))
     if kind in ("top", "above"):
         e = None
         out = (np.empty(b, dtype=np.intp),
@@ -529,7 +746,8 @@ def _posterior(ds: Dataset, s: Schedule, t, x, kind: str, threshold=None):
                 out[0][at], out[1][at] = (_top_rows(wt, z) if kind == "top"
                                           else (wt, z))
 
-        z = _posterior_block(ds, c0, c1, xb[rows], w, finish, threshold)
+        z = _posterior_block(ds, c0, c1, xb[rows], w, finish, threshold,
+                             screen)
         if kind == "mean":
             y = out[0][rows]
             np.matmul(w, ds.atoms, out=y)

@@ -64,6 +64,19 @@ class TestTraceCheck:
         code, _, _ = run(capsys, "check", str(p))
         assert code == 4
 
+    def test_check_reads_crlf_and_rejects_a_byte_order_mark(self, capsys,
+                                                             tmp_path):
+        p = tmp_path / "m.json"
+        save(load_preset("ddim-18"), p)
+        want = run(capsys, "check", str(p))
+        assert want[0] == 0
+        lf = p.read_bytes()
+        p.write_bytes(lf.replace(b"\n", b"\r\n").replace(b", ", b",\r\n"))
+        assert run(capsys, "check", str(p)) == want
+        p.write_bytes(b"\xef\xbb\xbf" + lf)
+        code, _, stderr = run(capsys, "check", str(p))
+        assert code == 4 and "BOM" in stderr
+
     @pytest.mark.parametrize("schedule", [[["family", "flow"]], "flow"])
     def test_check_schedule_not_an_object(self, capsys, tmp_path, schedule):
         p = tmp_path / "m.json"

@@ -287,6 +287,22 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load(p)
 
+    def test_crlf_file_loads(self, vp, tmp_path):
+        # JSON reads a carriage return as whitespace
+        p = tmp_path / "m.json"
+        save(tiny_matrix(vp), p)
+        text = json.dumps(json.loads(p.read_text()), indent=1)
+        p.write_bytes(text.replace("\n", "\r\n").encode())
+        assert p.read_bytes().count(b"\r\n") > 3
+        assert_bitwise_equal(load(p), tiny_matrix(vp))
+
+    def test_byte_order_mark_is_format_error(self, vp, tmp_path):
+        p = tmp_path / "m.json"
+        save(tiny_matrix(vp), p)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        with pytest.raises(FormatError, match="BOM"):
+            load(p)
+
     def test_non_object_payload_is_format_error(self):
         with pytest.raises(FormatError):
             from_payload([1, 2])

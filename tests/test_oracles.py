@@ -524,6 +524,20 @@ def _spy_blocks(monkeypatch):
     return seen
 
 
+def _spy_screen(monkeypatch):
+    """Record, for every block the float32 screen runs, whether it fell
+    back to the float64 path."""
+    seen, screen = [], oracles._screen_block
+
+    def spy(*args):
+        settled = screen(*args)
+        seen.append(settled is None)
+        return settled
+
+    monkeypatch.setattr(oracles, "_screen_block", spy)
+    return seen
+
+
 class _NoWorker:
     def submit(self, *args, **kwargs):
         raise AssertionError("work was submitted to the worker thread")
@@ -818,14 +832,116 @@ class TestPosteriorTop:
             return softmax(e)
 
         monkeypatch.setattr(oracles, "_softmax_rows", spy)
+        # and the float32 screen settles every block: no float64 GEMM runs
+        gemms, matmul = [], np.matmul
+
+        def gemm(a, b, *args, **kwargs):
+            gemms.append(np.result_type(a, b))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", gemm)
         for t, want in ((100, True), (900, False)):
             x = _states(wide_dataset, vp, t, 300)
             top, above = _above(wide_dataset, vp, t, x, 0.9)
             assert np.all(above == want), t
             assert sum(rows) == 0, t
+            assert set(gemms) == {np.dtype(np.float32)}, t
             posterior_top(wide_dataset, vp, t, x)  # the control
             assert sum(rows) == 300, t
+            assert gemms[-1] == np.float64, t
             rows.clear()
+            gemms.clear()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    def test_the_cutoff_settles_rows_the_two_logits_leave_open(
+            self, monkeypatch, wide_dataset, vp, split):
+        # at vp 300 the two largest logits leave some posteriors open at
+        # 0.9; the cutoff bound, from the logits within 20 of the maximum,
+        # settles most of them (here all 49, and no block falls back)
+        _blas_threads(monkeypatch, 1 if split else 2)
+        seen, cutoff = [], oracles._cutoff
+
+        def spy(sub, lmax, delta, threshold):
+            below, above = cutoff(sub, lmax, delta, threshold)
+            seen.append((sub.shape[0], np.count_nonzero(below | above)))
+            return below, above
+
+        monkeypatch.setattr(oracles, "_cutoff", spy)
+        blocks = _spy_screen(monkeypatch)
+        x = _states(wide_dataset, vp, 300, 300)
+        top, w = posterior_top(wide_dataset, vp, 300, x)
+        got, above = _above(wide_dataset, vp, 300, x, 0.9)
+        assert np.array_equal(above, w > 0.9)
+        assert np.array_equal(got, np.where(above, top, -1))
+        left_open, settled = np.sum(seen, axis=0)
+        assert blocks and left_open >= 20 and settled > left_open / 2
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-call", "split"])
+    @pytest.mark.parametrize("case", ["float32-tie", "near-threshold",
+                                      "float32-overflow", "float32-subnormal"])
+    def test_the_screen_agrees_where_float32_decides_differently(
+            self, monkeypatch, wide_dataset, vp, flow, split, case):
+        # float32 cannot tell apart the atoms a and a (1 + 2**-30), nor
+        # settle a weight within 1e-6 of the threshold, nor hold atoms of
+        # 1e39; atoms of 1e-40 are float32 subnormals.  Every flag and top
+        # atom is still posterior_top's, at every time
+        base = wide_dataset.atoms[:200]
+        atoms = {"float32-tie": np.vstack([base,
+                                           base[:50] * (1 + 2.0 ** -30)]),
+                 "near-threshold": base, "float32-overflow": base * 1e39,
+                 "float32-subnormal": base * 1e-40}[case]
+        ds = Dataset(atoms=atoms)
+        _blas_threads(monkeypatch, 1 if split else 2)
+        blocks = _spy_screen(monkeypatch)
+        for family, t in SPLIT_TIMES:
+            s = vp if family == "vp" else flow
+            x = _states(ds, s, t, 130)
+            top, w = posterior_top(ds, s, t, x)
+            thresholds = [0.4, *THRESHOLDS]
+            if case == "near-threshold":
+                inside = w[(w > 0.0) & (w < 1.0)][:4]
+                thresholds = [v + k * 5e-7 for v in inside for k in (-1, 0, 1)]
+            for threshold in thresholds:
+                got, above = _above(ds, s, t, x, threshold)
+                assert np.array_equal(above, w > threshold), (family, t)
+                assert np.array_equal(got, np.where(above, top, -1))
+        # which blocks the screen settles and which fall back to float64
+        if case == "float32-overflow":
+            assert all(blocks)
+        elif case == "float32-subnormal":
+            assert not all(blocks)
+        else:
+            assert any(blocks) and not all(blocks)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-40, 1e-30, 1e12, 1e39])
+    def test_the_screen_bound_covers_the_float32_logits(self, vp, scale):
+        # every float32 logit, formed as the screen forms it, lies within
+        # delta of the float64 logit; where float32 could overflow (every
+        # row at 1e39), delta is inf
+        rng = np.random.default_rng(3)
+        atoms = (rng.standard_normal((500, 64)) * scale
+                 * np.exp(rng.uniform(-3, 3, (500, 1))))
+        for t in (10, 300, 900):
+            c0, c1 = mixing_coeffs(vp, t)
+            scale_t = c0 / (c1 * c1)
+            x = c0 * atoms[:40] + c1 * rng.standard_normal((40, 64))
+            xs = x * scale_t
+            shift = (c0 * scale_t) * 0.5 * np.einsum("ij,ij->i", atoms, atoms)
+            amax = np.sqrt(np.einsum("ij,ij->i", atoms, atoms).max())
+            with np.errstate(over="ignore", invalid="ignore"):
+                delta = oracles._screen_delta(xs, shift, amax)
+                l32 = (np.matmul(xs.astype(np.float32),
+                                 atoms.astype(np.float32).T)
+                       - shift.astype(np.float32))
+            fits = np.isfinite(delta)
+            assert not fits.any() if scale == 1e39 else fits.any(), t
+            l64 = np.matmul(xs[fits], atoms.T) - shift
+            gap = np.abs(l32[fits].astype(float) - l64).max(axis=1)
+            assert np.all(gap <= delta[fits]), t
+            # and it is a rounding bound, not a vacuous one
+            p = (np.linalg.norm(xs[fits], axis=1) * amax
+                 + np.abs(shift).max())
+            assert np.all(delta[fits] <= 2.0 ** -16 * p + 2.0 ** -130), t
 
 
 def _shifted_logits(ds, s, t, x):
